@@ -1,8 +1,6 @@
 """Thread fleet vs process fleet: CPU-bound and sleeping-I/O legs.
 
-The measurement the multiprocessing backend exists for — and, since
-the IPC-tax work, the measurement that justifies its transport.  Two
-legs:
+The measurement the multiprocessing backend exists for.  Two legs:
 
 **CPU leg** — the request is :func:`repro.engine.ide_sector_checksum`:
 one IDE sector read followed by a pure-Python rolling checksum that
@@ -22,28 +20,15 @@ two backends must diverge in a very specific way:
   enforced when ``os.cpu_count() >= 4`` and recorded as skipped, with
   the measurement, otherwise.
 
-**I/O leg** — the mixed fleet under GIL-releasing port latency, in
-four columns: the thread backend, the process backend on its original
-transport (``batch=1``, no result ring — the PR-5 baseline, kept
-measurable on purpose), and the batched transport at ``batch=8`` and
-``batch=auto`` with shared-memory result rings.  Floors:
-
-* batched process throughput at 4 workers must reach
-  ``IO_BATCH_GAIN`` (2x) of the unbatched PR-5 transport measured in
-  the *same run* — the IPC tax must actually be gone;
-* batched process throughput at 4 workers must meet or beat the
-  thread backend (``>= IO_PROCESS_VS_THREAD`` of it).
-
-Both I/O floors are enforced on machines with at least 4 CPUs (every
-CI runner); on smaller machines 4 worker processes time-slice one
-core and the ratios are measurement noise, so they are recorded as
-skips with the measured values, never silently dropped.
+**I/O leg** — the mixed fleet under GIL-releasing port latency, on
+both backends.  It carries no floor: it records how far the process
+transport's per-request IPC cost puts it behind threads on I/O, which
+is why the adaptive selector sends I/O-bound mixes to threads.
 
 Exactness is enforced unconditionally on both legs: merged accounting
-and byte-identical per-device end-state across every backend, worker
-count, and batch size.  A scheduling, batching or ring-merge bug
-fails this benchmark even on a single-core machine where the
-throughput floors are waived.
+and byte-identical per-device end-state across every backend and
+worker count.  A scheduling or merge bug fails this benchmark even on
+a single-core machine where the throughput floor is waived.
 
 Runs standalone (``python benchmarks/bench_fleet_mp.py [--quick]``,
 the CI concurrency-job step) and under pytest via
@@ -87,17 +72,6 @@ THREAD_CPU_CEILING = 1.2
 PROCESS_CPU_FLOOR = 2.0
 PROCESS_FLOOR_MIN_CPUS = 4
 
-#: Batched process transport must reach this multiple of the
-#: unbatched (PR-5) transport on the I/O leg at 4 workers — the
-#: IPC-tax claim itself, machine-independent.
-IO_BATCH_GAIN = 2.0
-
-#: Batched process throughput must reach this fraction of the thread
-#: backend on the I/O leg at 4 workers (>= 1.0 means "meets or
-#: beats"; enforced on machines with >= IO_FLOOR_MIN_CPUS CPUs).
-IO_PROCESS_VS_THREAD = 1.0
-IO_FLOOR_MIN_CPUS = 4
-
 WORKER_COUNTS = (1, 2, 4)
 
 #: CPU leg: four disks, every request a GIL-holding checksum.
@@ -108,8 +82,8 @@ IO_FLEET = ["ide"] * 4 + ["permedia2"] * 4 + ["ne2000"] * 4
 IO_LATENCY_US = 20.0
 IO_WORD_LATENCY_US = 0.2
 
-#: CPU-leg columns: thread vs the default process transport.
-CPU_VARIANTS = (
+#: Columns of both legs: thread vs process backend.
+VARIANTS = (
     ("thread", "thread", {}),
     ("process", "process", {}),
 )
@@ -126,23 +100,11 @@ def cpu_variants():
     """
     from repro.devil.native import native_available
 
-    variants = list(CPU_VARIANTS)
+    variants = list(VARIANTS)
     if native_available():
         variants.append(("nat/thread", "thread",
                          {"strategy": "native"}))
     return tuple(variants)
-
-#: I/O-leg columns: ``proc/b=1`` pins the pre-batching transport
-#: (one queue message per request, per-request token resolution,
-#: reports on the reply queue) as the in-run baseline the batched
-#: columns are measured against.
-IO_VARIANTS = (
-    ("thread", "thread", {}),
-    ("proc/b=1", "process",
-     {"batch_size": 1, "ring_bytes": 0, "codec_cache": False}),
-    ("proc/b=8", "process", {"batch_size": 8}),
-    ("proc/auto", "process", {"batch_size": "auto"}),
-)
 
 
 def _build(backend: str, devices, workers: int,
@@ -178,8 +140,8 @@ def scaling_leg(variants, devices, schedule, latency_us: float = 0.0,
     Speedups are relative to each variant's own single-worker run, so
     they isolate scaling from the (constant) per-transport overhead.
     Every run must land identical accounting and byte-identical
-    device end-state — backend, worker count and batch size may
-    change *when* work happens, never *what* reaches the wire.
+    device end-state — backend and worker count may change *when*
+    work happens, never *what* reaches the wire.
     """
     rows = []
     reference = None
@@ -218,14 +180,8 @@ def _row(rows, label: str, workers: int) -> dict:
                 and row["workers"] == workers)
 
 
-def check_floors(cpu_rows, io_rows, cpu_count: int,
-                 quick: bool = False):
-    """(verdicts, ok) for both legs' ceilings and floors.
-
-    ``quick`` waives the I/O ratio floors: the smoke schedules are
-    dominated by worker startup, so their ratios measure amortization
-    of a constant, not the transport.  The full run enforces them.
-    """
+def check_floors(cpu_rows, cpu_count: int):
+    """(verdicts, ok) for the CPU leg's ceiling and floor."""
     verdicts = []
     ok = True
 
@@ -260,57 +216,6 @@ def check_floors(cpu_rows, io_rows, cpu_count: int,
             f"FAIL: process backend reached only "
             f"{process4['speedup']:.2f}x at 4 workers (floor "
             f"{PROCESS_CPU_FLOOR}x on a {cpu_count}-CPU machine)")
-
-    unbatched4 = _row(io_rows, "proc/b=1", 4)
-    batched4 = _row(io_rows, "proc/b=8", 4)
-    gain = batched4["rps"] / unbatched4["rps"]
-    if quick:
-        verdicts.append(
-            f"SKIP: batch-gain floor waived on --quick (schedule too "
-            f"small for a stable ratio; measured {gain:.2f}x)")
-    elif cpu_count < IO_FLOOR_MIN_CPUS:
-        verdicts.append(
-            f"SKIP: batch-gain floor ({IO_BATCH_GAIN}x over the "
-            f"unbatched transport at 4 workers) needs >= "
-            f"{IO_FLOOR_MIN_CPUS} CPUs for a stable measurement; "
-            f"this machine has {cpu_count} (measured {gain:.2f}x)")
-    elif gain >= IO_BATCH_GAIN:
-        verdicts.append(
-            f"OK: batching killed the IPC tax on the I/O leg "
-            f"({gain:.2f}x over the unbatched transport at 4 "
-            f"workers, floor {IO_BATCH_GAIN}x)")
-    else:
-        ok = False
-        verdicts.append(
-            f"FAIL: batched process transport reached only "
-            f"{gain:.2f}x of the unbatched baseline at 4 workers "
-            f"(floor {IO_BATCH_GAIN}x on a {cpu_count}-CPU "
-            f"machine) — the IPC tax is back")
-
-    io_thread4 = _row(io_rows, "thread", 4)
-    ratio = batched4["rps"] / io_thread4["rps"]
-    if quick:
-        verdicts.append(
-            f"SKIP: process-vs-thread I/O floor waived on --quick "
-            f"(measured {ratio:.2f}x)")
-    elif cpu_count < IO_FLOOR_MIN_CPUS:
-        verdicts.append(
-            f"SKIP: process-vs-thread I/O floor "
-            f"(>= {IO_PROCESS_VS_THREAD:.1f}x of threads at 4 "
-            f"workers) needs >= {IO_FLOOR_MIN_CPUS} CPUs; this "
-            f"machine has {cpu_count} (measured {ratio:.2f}x)")
-    elif ratio >= IO_PROCESS_VS_THREAD:
-        verdicts.append(
-            f"OK: batched process backend meets the thread backend "
-            f"on the I/O leg ({ratio:.2f}x of thread throughput at "
-            f"4 workers, floor {IO_PROCESS_VS_THREAD:.1f}x)")
-    else:
-        ok = False
-        verdicts.append(
-            f"FAIL: batched process backend reached only "
-            f"{ratio:.2f}x of thread throughput on the I/O leg at 4 "
-            f"workers (floor {IO_PROCESS_VS_THREAD:.1f}x on a "
-            f"{cpu_count}-CPU machine)")
     return verdicts, ok
 
 
@@ -339,9 +244,7 @@ def render(cpu_rows, io_rows, verdicts, cpu_schedule_len,
         "",
         f"Sleeping-I/O leg: mixed fleet, {io_schedule_len} requests, "
         f"{IO_LATENCY_US:.0f}us/op + {IO_WORD_LATENCY_US:.1f}us/word "
-        f"(GIL-releasing; proc/b=1 is the pre-batching transport, "
-        f"proc/b=8 and proc/auto batch placements and return results "
-        f"through shared-memory rings)",
+        f"(GIL-releasing; no floor)",
     ]
     lines += table(io_rows)
     lines += ["",
@@ -366,10 +269,9 @@ def main(argv=None) -> int:
     cpu_count = os.cpu_count() or 1
 
     cpu_rows, _ = scaling_leg(cpu_variants(), CPU_FLEET, cpu_schedule)
-    io_rows, _ = scaling_leg(IO_VARIANTS, IO_FLEET, io_schedule,
+    io_rows, _ = scaling_leg(VARIANTS, IO_FLEET, io_schedule,
                              IO_LATENCY_US, IO_WORD_LATENCY_US)
-    verdicts, ok = check_floors(cpu_rows, io_rows, cpu_count,
-                                quick=args.quick)
+    verdicts, ok = check_floors(cpu_rows, cpu_count)
 
     table = render(cpu_rows, io_rows, verdicts, len(cpu_schedule),
                    len(io_schedule), cpu_count)
@@ -390,10 +292,6 @@ def main(argv=None) -> int:
             "process_floor_min_cpus": PROCESS_FLOOR_MIN_CPUS,
             "process_floor_enforced":
                 cpu_count >= PROCESS_FLOOR_MIN_CPUS,
-            "io_batch_gain": IO_BATCH_GAIN,
-            "io_process_vs_thread": IO_PROCESS_VS_THREAD,
-            "io_floor_min_cpus": IO_FLOOR_MIN_CPUS,
-            "io_floor_enforced": cpu_count >= IO_FLOOR_MIN_CPUS,
         },
         "verdicts": verdicts,
     })
@@ -410,17 +308,17 @@ def test_fleet_mp_bench_quick():
     The throughput ceilings/floors are waived here (wall-clock floors
     are flaky under a loaded test runner) and enforced by the
     standalone run in the CI concurrency job instead.  Exactness —
-    the part that catches merge, batching and ring bugs — still
-    asserts across every variant.
+    the part that catches scheduling and merge bugs — still asserts
+    across every variant.
     """
     variants = cpu_variants()
     cpu_rows, accounting = scaling_leg(
         variants, CPU_FLEET, [("ide", ide_sector_checksum)] * 6)
     assert accounting.total_ops > 0
     assert len(cpu_rows) == len(variants) * len(WORKER_COUNTS)
-    io_rows, _ = scaling_leg(IO_VARIANTS, IO_FLEET, mixed_schedule(2),
+    io_rows, _ = scaling_leg(VARIANTS, IO_FLEET, mixed_schedule(2),
                              IO_LATENCY_US, IO_WORD_LATENCY_US)
-    assert len(io_rows) == len(IO_VARIANTS) * len(WORKER_COUNTS)
+    assert len(io_rows) == len(VARIANTS) * len(WORKER_COUNTS)
 
 
 if __name__ == "__main__":

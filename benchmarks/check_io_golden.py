@@ -154,26 +154,20 @@ def _measure_fleet() -> dict:
                     f"{strategy}={profiles[strategy]}/"
                     f"{placements[strategy]} "
                     f"interpret={reference}/{placement}")
-        # The process backend must match the pins on both its
-        # transports: unbatched (one queue message per request) and
-        # batched (grouped placements + shared-memory result rings).
-        # Batching is transport-only — a placement or port-count diff
-        # here means it leaked into semantics.
-        for transport, fleet_kwargs in (
-                ("unbatched", {"batch_size": 1, "ring_bytes": 0}),
-                ("batched", {"batch_size": 8})):
-            with ProcessFleet(devices, workers=2, policy=policy,
-                              weights=weights, **fleet_kwargs) as fleet:
-                fleet.run(schedule)
-                process_profile = _profile(fleet.accounting)
-                process_placement = fleet.completed_by_device()
-            if process_profile != reference \
-                    or process_placement != placement:
-                raise SystemExit(
-                    f"backend divergence: fleet/{name} process "
-                    f"backend ({transport}) "
-                    f"{process_profile}/{process_placement} vs thread "
-                    f"{reference}/{placement}")
+        # The process backend must match the pins too: sharding and
+        # the queue transport change where work runs, never what
+        # reaches the wire or which device it lands on.
+        with ProcessFleet(devices, workers=2, policy=policy,
+                          weights=weights) as fleet:
+            fleet.run(schedule)
+            process_profile = _profile(fleet.accounting)
+            process_placement = fleet.completed_by_device()
+        if process_profile != reference \
+                or process_placement != placement:
+            raise SystemExit(
+                f"backend divergence: fleet/{name} process backend "
+                f"{process_profile}/{process_placement} vs thread "
+                f"{reference}/{placement}")
         # The native fleet substrate (C dispatch core, direct-mode
         # batches, C-resident device models) must hit the same pins on
         # both backends.  Like the per-workload native cross-check, it

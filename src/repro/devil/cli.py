@@ -173,12 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: thread)")
     fleet.add_argument("--workers", type=int, default=4,
                        help="worker threads or processes (default: 4)")
-    fleet.add_argument("--batch-size", default=None,
-                       metavar="N|auto",
-                       help="process backend: group N consecutive "
-                            "placements per worker into one IPC "
-                            "message ('auto' picks a default; "
-                            "default: 1, no batching)")
     fleet.add_argument("--requests", type=int, default=32,
                        help="requests per device spec (default: 32)")
     fleet.add_argument("--policy", default="round-robin",
@@ -279,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "CPU-bound workload)")
     campaign.add_argument("--workers", type=int, default=4,
                           help="fleet workers (default: 4)")
-    campaign.add_argument("--batch-size", default=None,
-                          metavar="N|auto",
-                          help="process backend: IPC batching "
-                               "(default: auto)")
     campaign.add_argument("--cache-dir", metavar="PATH",
                           help="verdict cache directory (default: "
                                "$DEVIL_CAMPAIGN_CACHE or "
@@ -492,14 +482,6 @@ def _run_fleet(arguments) -> int:
     schedule = [(spec, requests[spec])
                 for _ in range(arguments.requests) for spec in specs]
 
-    batch_size = arguments.batch_size
-    if batch_size is not None and batch_size != "auto":
-        try:
-            batch_size = int(batch_size)
-        except ValueError:
-            print(f"bad --batch-size {batch_size!r} "
-                  f"(want an integer or 'auto')", file=sys.stderr)
-            return 1
     telemetry = arguments.telemetry or bool(arguments.health_log)
     common = dict(strategy=arguments.strategy,
                   policy=arguments.policy,
@@ -512,18 +494,11 @@ def _run_fleet(arguments) -> int:
         if arguments.backend == "auto":
             fleet = Fleet.auto(devices, schedule, **common)
             choice = fleet.choice
-            batch_note = f", batch={choice.batch_size}" \
-                if choice.backend == "process" else ""
-            print(f"auto: picked the {choice.backend} backend"
-                  f"{batch_note} — {choice.reason}")
+            print(f"auto: picked the {choice.backend} backend — "
+                  f"{choice.reason}")
         elif arguments.backend == "process":
-            fleet = ProcessFleet(
-                devices, batch_size=batch_size or 1, **common)
+            fleet = ProcessFleet(devices, **common)
         else:
-            if batch_size not in (None, 1):
-                print("--batch-size only applies to the process "
-                      "backend", file=sys.stderr)
-                return 1
             fleet = Fleet(devices, **common)
     except ValueError as error:
         print(str(error), file=sys.stderr)
@@ -585,16 +560,6 @@ def _run_campaign(arguments) -> int:
     from ..mutation.vcache import default_cache_dir
     from ..specs import SPEC_NAMES
 
-    batch_size = arguments.batch_size
-    if batch_size is None:
-        batch_size = "auto"
-    elif batch_size != "auto":
-        try:
-            batch_size = int(batch_size)
-        except ValueError:
-            print(f"bad --batch-size {batch_size!r} "
-                  f"(want an integer or 'auto')", file=sys.stderr)
-            return 1
     caps = MutantCaps() if arguments.full \
         else MutantCaps.quick(arguments.budget)
     try:
@@ -602,8 +567,7 @@ def _run_campaign(arguments) -> int:
             specs=tuple(arguments.specs or SPEC_NAMES),
             styles=tuple(arguments.styles or STYLES),
             caps=caps, max_sites=arguments.max_sites,
-            backend=arguments.backend, workers=arguments.workers,
-            batch_size=batch_size)
+            backend=arguments.backend, workers=arguments.workers)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 1
@@ -674,7 +638,7 @@ def _top_frame(fleet, health, previous, now) -> str:
         f"({fleet.strategy}), {len(rows)} workers, "
         f"stall window {health.stall_window():.2f}s",
         f"{'WORKER':<12} {'HEALTH':<8} {'DONE':>8} {'REQ/S':>7} "
-        f"{'QUEUE':>5} {'BATCH':>5} {'P50us':>8} {'P95us':>8}  INFLIGHT",
+        f"{'QUEUE':>5} {'P50us':>8} {'P95us':>8}  INFLIGHT",
     ]
     total_done = 0
     total_rate = 0.0
@@ -698,7 +662,6 @@ def _top_frame(fleet, health, previous, now) -> str:
         lines.append(
             f"{row.worker:<12} {row.status:<8} {row.completed:>8} "
             f"{rate_text:>7} {cell(row.queue_depth):>5} "
-            f"{cell(row.batch_occupancy):>5} "
             f"{cell(row.latency_p50_us):>8} "
             f"{cell(row.latency_p95_us):>8}  {inflight[:30]}")
     dropped = telemetry.metrics.value("bus.trace_dropped")

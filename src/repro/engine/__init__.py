@@ -11,8 +11,8 @@ Two execution substrates under one request API:
   across worker processes, each owning its devices' complete Devil
   runtime on a private bus slice — it scales CPU-bound mixes the GIL
   serializes, and merges accounting, traces and spans back exactly.
-  Request batching and per-worker shared-memory result rings
-  (:mod:`repro.engine.shm`) keep IPC off the per-request path.
+  Its transport is one queue message per request and one report per
+  worker per sync point.
 
 :func:`Fleet.auto` / :func:`auto_fleet` pick between the two by
 measuring a short calibration burst of the actual request mix
@@ -39,7 +39,7 @@ from .fleet import (
     resolve_strategy,
     session_weight,
 )
-from .mp import DEFAULT_AUTO_BATCH, ProcessFleet, ProcessSession
+from .mp import ProcessFleet, ProcessSession
 from .pool import WorkerError, WorkerPool
 from .requests import (
     CHURN_OPS,
@@ -70,17 +70,10 @@ from .select import (
     BackendChoice,
     KindProfile,
     auto_fleet,
-    batch_size_for,
     calibrate,
     decide,
 )
-from .shm import (
-    DEFAULT_RING_BYTES,
-    HEARTBEAT_SLOT_BYTES,
-    MIN_RING_BYTES,
-    HeartbeatSlot,
-    ShmRing,
-)
+from .shm import HEARTBEAT_SLOT_BYTES, HeartbeatSlot
 from .stress import (
     STRESS_BACKENDS,
     fingerprint,
@@ -122,15 +115,10 @@ __all__ = [
     "BackendChoice",
     "KindProfile",
     "auto_fleet",
-    "batch_size_for",
     "calibrate",
     "decide",
-    "DEFAULT_AUTO_BATCH",
-    "DEFAULT_RING_BYTES",
     "HEARTBEAT_SLOT_BYTES",
     "HeartbeatSlot",
-    "MIN_RING_BYTES",
-    "ShmRing",
     "STRESS_BACKENDS",
     "DETERMINISTIC_POLICIES",
     "SCHEDULERS",

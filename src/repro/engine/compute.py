@@ -1,11 +1,11 @@
 """Compute fleets: scheduling pure-CPU workloads on the device engine.
 
 Some workloads want the fleet's machinery — deterministic submit-time
-placement, bounded queues with backpressure, IPC batching, worker
-telemetry, exact drain semantics — without driving any device at all.
-The mutation campaign (:mod:`repro.mutation.campaign`) is the shipped
-example: each request is a pure-compute verdict evaluation that
-ignores its device entirely.
+placement, bounded queues with backpressure, worker telemetry, exact
+drain semantics — without driving any device at all.  The mutation
+campaign (:mod:`repro.mutation.campaign`) is the shipped example: each
+request is a pure-compute verdict evaluation that ignores its device
+entirely.
 
 :func:`compute_fleet` builds the cheapest fleet that carries such a
 workload: one minimal device per worker (the busmouse — a two-port
@@ -19,7 +19,9 @@ Because compute requests hold the GIL for their full duration, the
 thread backend executes them effectively serially (it still buys the
 scheduling/telemetry surface); the process backend is what makes a
 compute campaign scale, exactly like
-:func:`~repro.engine.requests.ide_sector_checksum`.
+:func:`~repro.engine.requests.ide_sector_checksum`.  Each unit is one
+queue message to its worker; at campaign unit sizes (milliseconds of
+CPU) the per-message IPC cost is noise.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ COMPUTE_SPEC = "busmouse"
 
 
 def compute_fleet(backend: str, workers: int, *,
-                  batch_size: int | str = "auto",
                   queue_depth: int = 64, telemetry=None):
     """A fleet sized for a pure-compute workload.
 
@@ -52,7 +53,7 @@ def compute_fleet(backend: str, workers: int, *,
     if backend == "thread":
         fleet = Fleet(devices, **common)
     elif backend == "process":
-        fleet = ProcessFleet(devices, batch_size=batch_size, **common)
+        fleet = ProcessFleet(devices, **common)
     else:
         raise ValueError(
             f"unknown compute backend {backend!r} "

@@ -366,20 +366,6 @@ class Fleet:
         self.pool.submit(work)
         self.submitted += 1
 
-    def submit_batch(self, requests) -> int:
-        """Submit every ``(spec, request)`` pair; returns the count.
-
-        API parity with the process backend's batched submit: threads
-        share an address space, so there is no transport to batch and
-        this is exactly N :meth:`submit` calls — same placement, same
-        backpressure.
-        """
-        count = 0
-        for spec, request in requests:
-            self.submit(spec, request)
-            count += 1
-        return count
-
     @staticmethod
     def auto(devices, schedule, *, workers: int = 4,
              cpu_count: int | None = None, **fleet_kwargs):
@@ -387,8 +373,8 @@ class Fleet:
 
         Delegates to :func:`repro.engine.select.auto_fleet`: a short
         calibration burst profiles the request mix (CPU vs sleeping
-        I/O), and the verdict — thread fleet, or process fleet with a
-        computed batch size — comes back as ``fleet.choice``.
+        I/O), and the verdict — thread fleet or process fleet — comes
+        back as ``fleet.choice``.
         """
         from .select import auto_fleet
 
@@ -466,10 +452,6 @@ class Fleet:
         """Pending-work depth per worker (threads share one queue)."""
         depth = self.pool._queue.qsize()
         return {thread.name: depth for thread in self.pool._threads}
-
-    def batch_occupancy(self) -> dict[str, int]:
-        """Batch-buffer occupancy (always 0: threads have no transport)."""
-        return {thread.name: 0 for thread in self.pool._threads}
 
     def health_view(self, **kwargs):
         """The :class:`repro.obs.live.FleetHealth` view of this fleet.

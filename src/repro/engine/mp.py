@@ -10,21 +10,12 @@ with only its devices mapped (at their global slots), bound stubs,
 shadow caches, transaction contexts, span collector — so the hot path
 crosses no process boundary and takes no cross-process lock at all.
 
-IPC is kept off the per-request path twice over:
-
-* **Request batching** — ``submit`` buffers placements per worker and
-  ships up to ``batch_size`` of them in one queue message (flushed on
-  the size watermark, a small time watermark, and unconditionally at
-  every sync point); :meth:`submit_batch` groups a whole iterable in
-  one pass.  Placement still happens at submit time in the parent, so
-  batching changes the *transport*, never the schedule.
-* **Shared-memory result rings** — each worker appends span batches
-  and its sync reports (accounting shards, per-device completion
-  counts, device states, trace payloads) to a per-worker
-  :class:`~repro.engine.shm.ShmRing`; the parent drains the ring
-  exactly at sync points and the reply queue carries only a small
-  completion record (an offset, error summaries).  A full ring spills
-  to the queue, so exactness never depends on ring capacity.
+The transport is one ``multiprocessing.Queue`` message per request on
+the owning worker's request queue, and one report per worker per sync
+point on a shared reply queue.  Grouping requests per message, result
+rings in shared memory and codec memo caches were each measured
+against this plain transport and none won beyond noise (see
+``docs/CONCURRENCY.md``), so there is nothing else.
 
 Design rules (the same exactness contract the thread fleet obeys, see
 ``docs/CONCURRENCY.md``):
@@ -40,15 +31,13 @@ Design rules (the same exactness contract the thread fleet obeys, see
   fleet; only :data:`~repro.engine.scheduler.DETERMINISTIC_POLICIES`
   are allowed (``least-loaded`` needs completion feedback that would
   reintroduce timing dependence).  Each worker executes its stream in
-  FIFO order — batched or not — so per-device request order equals
-  submission order.
+  FIFO order, so per-device request order equals submission order.
 * **Requests travel by reference.**  ``submit`` encodes the request
   callable with :func:`~repro.engine.requests.encode_request` — a
   validated ``module:qualname`` token, or a partial-application token
   whose bound arguments travel by value — so both backends execute
   the identical function and unpicklable callables fail loudly in the
-  submitting process.  Tokens and their worker-side resolutions are
-  memoized, so a hot request pays the validation round-trip once.
+  submitting process.
 * **Merging is exact.**  At every sync the workers report absolute
   per-device accounting shards, pickled device end-state
   (:meth:`repro.bus.Bus.state_snapshot`), their trace rings (block
@@ -62,7 +51,10 @@ Design rules (the same exactness contract the thread fleet obeys, see
 
 Worker failures mirror the thread pool: request exceptions are
 captured with their tracebacks and re-raised in the parent as one
-:class:`~repro.engine.pool.WorkerError` at ``drain``/``shutdown``.
+:class:`~repro.engine.pool.WorkerError` at ``drain``/``shutdown``.  A
+worker process that dies outright is noticed within
+:data:`SYNC_POLL_S` of the sync that waits on it, and reported with its
+exit code.
 """
 
 from __future__ import annotations
@@ -80,29 +72,18 @@ from .fleet import LatencyBus, fleet_layout, map_fleet_device, \
 from .pool import WorkerError
 from .requests import decode_request, encode_request
 from .scheduler import DETERMINISTIC_POLICIES, SCHEDULERS
-from .shm import DEFAULT_RING_BYTES, MIN_RING_BYTES, HeartbeatSlot, \
-    ShmRing, attach_ring_memory, create_heartbeat_memory, \
-    create_ring_memory
+from .shm import HeartbeatSlot, attach_heartbeat_memory, \
+    create_heartbeat_memory
 
 #: Default seconds to wait for one worker's sync report before
 #: declaring it wedged (each report is one queue message; a healthy
 #: worker answers as soon as it reaches the sync marker).
 SYNC_TIMEOUT = 120.0
 
-#: ``batch_size="auto"`` without a calibrated workload profile: big
-#: enough to amortize a queue round-trip to a few percent of a typical
-#: shipped request, small enough to keep sync latency low.  The
-#: adaptive selector (:mod:`repro.engine.select`) computes a measured
-#: value instead when given a workload.
-DEFAULT_AUTO_BATCH = 8
-
-#: Default flush watermark for a partially filled batch, microseconds.
-#: A buffered placement never waits longer than this behind later
-#: submissions (it is always flushed at sync points regardless).
-DEFAULT_FLUSH_US = 500.0
-
-#: Cap on the parent-side token memo (distinct request callables).
-_TOKEN_CACHE_LIMIT = 1024
+#: Seconds between liveness checks while a sync waits for reports: a
+#: worker process that died is reported this soon, not after the whole
+#: ``sync_timeout``.
+SYNC_POLL_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -120,11 +101,6 @@ class _WorkerConfig:
     word_latency_us: float
     #: Instrument stubs and collect spans in the worker.
     observe: bool
-    #: Shared-memory result ring name (None: reports ride the queue).
-    ring_name: str | None = None
-    #: Memoize token -> callable resolutions (off reproduces the
-    #: original per-request decode, for benchmark baselines).
-    codec_cache: bool = True
     #: Shared-memory heartbeat slot name (None: live telemetry off —
     #: the worker publishes nothing and observes no latencies).
     heartbeat_name: str | None = None
@@ -185,23 +161,15 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
     Protocol (all messages tuples, first element the kind):
 
     * ``("req", local_index, token)`` — decode and execute.
-    * ``("batch", ((local_index, token), ...))`` — execute the whole
-      group in order: one IPC message, N requests.
     * ``("sync", sync_id)`` — reply ``("report", worker_id, sync_id,
-      payload)`` on ``results``; queue FIFO guarantees every earlier
-      request is finished, so the report is a quiesced snapshot.  With
-      a result ring the bulk report travels through shared memory and
-      ``payload`` carries only the ring offset, spilled records and
-      error summaries.
-    * ``("ack", offset)`` — the parent drained the ring up to
-      ``offset``; that space is reclaimable.
+      report)`` on ``results``; queue FIFO guarantees every earlier
+      request is finished, so the report is a quiesced snapshot.
     * ``("stop",)`` — exit the loop.
 
     A failure *outside* request execution (a corrupt message, a bus
     mapping bug) is reported as ``("crash", worker_id, traceback)`` so
     the parent fails fast instead of timing out.
     """
-    ring = None
     pulse_slot = None
     try:
         from .. import obs
@@ -213,8 +181,6 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
         bus = _build_worker_bus(config)
         if collector is not None:
             bus.collector = collector
-        if config.ring_name is not None:
-            ring = ShmRing(attach_ring_memory(config.ring_name))
 
         from ..obs.workloads import bind_stubs
 
@@ -238,34 +204,16 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
             from ..obs.metrics import LATENCY_BUCKETS_US, Histogram
 
             pulse_slot = HeartbeatSlot(
-                attach_ring_memory(config.heartbeat_name))
+                attach_heartbeat_memory(config.heartbeat_name))
             pulse = WorkerPulse(pulse_slot, name, "process")
             pulse.idle()  # visible before the first request arrives
         errors: list[tuple[str, str, str]] = []
-        #: Records that did not fit the ring since the last sync; once
-        #: one spills, everything after it spills too, so the parent
-        #: replays ring records then spilled records in true order.
-        spilled: list = []
-        #: Worker-side resolution memo: token -> callable.
-        resolutions: dict = {}
-
-        def resolve(token):
-            if not config.codec_cache:
-                return decode_request(token)
-            try:
-                request = resolutions.get(token)
-            except TypeError:  # unhashable token (never produced today)
-                return decode_request(token)
-            if request is None:
-                request = decode_request(token)
-                resolutions[token] = request
-            return request
 
         def execute(local_index, token) -> None:
             label, spec, stubs, aux = sessions[local_index]
             if pulse is None:
                 try:
-                    resolve(token)(stubs, aux)
+                    decode_request(token)(stubs, aux)
                     completed[label] += 1
                 except BaseException as exc:  # noqa: BLE001 - at drain
                     errors.append((f"{name}/{label}", repr(exc),
@@ -278,7 +226,7 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
             started = time.perf_counter()
             failed = False
             try:
-                resolve(token)(stubs, aux)
+                decode_request(token)(stubs, aux)
                 completed[label] += 1
             except BaseException as exc:  # noqa: BLE001 - at drain
                 failed = True
@@ -293,47 +241,21 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
             pulse.done(elapsed_us, error=failed,
                        trace_dropped=bus.trace_dropped)
 
-        def ship(record) -> None:
-            """Ring if possible, in-order spill to the queue if not."""
-            if ring is None or spilled or not ring.put(record):
-                spilled.append(record)
-
-        def flush_spans() -> None:
-            if collector is None or ring is None:
-                return
-            spans = collector.spans
-            if spans:
-                collector.clear()
-                ship(("spans", spans))
-
         while True:
             message = requests.get()
             kind = message[0]
             if kind == "req":
                 execute(message[1], message[2])
-                flush_spans()
-                continue
-            if kind == "batch":
-                for local_index, token in message[1]:
-                    execute(local_index, token)
-                flush_spans()
-                continue
-            if kind == "ack":
-                if ring is not None:
-                    ring.ack(message[1])
                 continue
             if kind == "stop":
                 return
             if kind == "sync":
-                if ring is not None:
-                    flush_spans()
-                    spans = []
-                else:
-                    spans = collector.spans \
-                        if collector is not None else []
-                    if collector is not None:
-                        collector.clear()
-                bulk = {
+                spans = []
+                if collector is not None:
+                    spans = collector.spans
+                    collector.clear()
+                report = {
+                    "errors": list(errors),
                     "completed": dict(completed),
                     "accounting": bus.accounting,
                     "by_device": bus.accounting_by_device(),
@@ -348,27 +270,16 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
                                 for spec, histogram
                                 in latency.items()},
                 }
-                latency.clear()
-                payload = {"errors": list(errors), "report": None,
-                           "ring_end": None, "spilled": ()}
                 errors.clear()
-                if ring is not None:
-                    ship(("sync_report", message[1], bulk))
-                    payload["ring_end"] = ring.written
-                    payload["spilled"] = tuple(spilled)
-                    spilled.clear()
-                else:
-                    payload["report"] = bulk
-                results.put(("report", config.worker_id,
-                             message[1], payload))
+                latency.clear()
+                results.put(("report", config.worker_id, message[1],
+                             report))
                 continue
             raise RuntimeError(f"unknown fleet message kind {kind!r}")
     except BaseException:  # noqa: BLE001 - the parent re-raises
         results.put(("crash", config.worker_id,
                      traceback.format_exc()))
     finally:
-        if ring is not None:
-            ring.close()
         if pulse_slot is not None:
             pulse_slot.close()
 
@@ -378,11 +289,11 @@ class ProcessFleet:
 
     Drop-in for :class:`~repro.engine.fleet.Fleet` for every
     inspection surface the exactness harnesses use — ``submit``,
-    ``submit_batch``, ``run``, ``drain``, ``accounting``,
-    ``accounting_by_device()``, ``device_states()``, ``completed()``,
-    context management — with requests restricted to picklable
-    module-level callables (or partials over them) and the policy
-    restricted to the deterministic schedulers.
+    ``run``, ``drain``, ``accounting``, ``accounting_by_device()``,
+    ``device_states()``, ``completed()``, context management — with
+    requests restricted to picklable module-level callables (or
+    partials over them) and the policy restricted to the deterministic
+    schedulers.
 
     ``workers`` is the number of *processes* (clamped to the device
     count: a device is owned by exactly one process).  ``mp_context``
@@ -391,19 +302,11 @@ class ProcessFleet:
     ``spawn``; spawn requires ``repro`` to be importable from the
     child, i.e. installed or on ``PYTHONPATH``).
 
-    ``batch_size`` groups that many consecutive placements per worker
-    into one IPC message (``1`` restores one-message-per-request;
-    ``"auto"`` picks :data:`DEFAULT_AUTO_BATCH`); ``flush_us`` bounds
-    how long a partial batch may sit buffered behind later traffic.
-    ``ring_bytes`` sizes the per-worker shared-memory result ring
-    (``0`` disables it and reports ride the reply queue, the pre-ring
-    transport).
-
     Telemetry: pass a :class:`repro.obs.Collector` (or enable
     :mod:`repro.obs` before construction) and every worker instruments
-    its stubs, collects spans locally, and ships them back through the
-    result ring as they complete, where they are merged into
-    :attr:`collector` with backend-agnostic metrics rollups.
+    its stubs, collects spans locally, and ships them back in its sync
+    reports, where they are merged into :attr:`collector` with
+    backend-agnostic metrics rollups.
     """
 
     backend = "process"
@@ -418,10 +321,6 @@ class ProcessFleet:
                  collector=None,
                  mp_context: str | None = None,
                  sync_timeout: float = SYNC_TIMEOUT,
-                 batch_size: int | str = 1,
-                 flush_us: float = DEFAULT_FLUSH_US,
-                 ring_bytes: int = DEFAULT_RING_BYTES,
-                 codec_cache: bool = True,
                  telemetry=None):
         from .. import obs
 
@@ -438,17 +337,6 @@ class ProcessFleet:
                 f"policy {policy!r} is not deterministic at submit "
                 f"time; the process backend requires one of: "
                 f"{', '.join(DETERMINISTIC_POLICIES)}")
-        if batch_size == "auto":
-            batch_size = DEFAULT_AUTO_BATCH
-        if not isinstance(batch_size, int) or batch_size < 1:
-            raise ValueError(
-                f"batch_size must be a positive integer or 'auto', "
-                f"got {batch_size!r}")
-        if flush_us <= 0:
-            raise ValueError(f"flush_us must be positive, got {flush_us}")
-        if ring_bytes < 0:
-            raise ValueError(
-                f"ring_bytes must be non-negative, got {ring_bytes}")
         # Resolve "auto" in the parent, once: workers receive the
         # decided strategy, so the compiler probe does not repeat per
         # worker and every shard binds the same way.
@@ -456,17 +344,15 @@ class ProcessFleet:
         self.strategy = strategy
         self.policy = policy
         self.workers = min(workers, len(devices))
-        self.batch_size = batch_size
-        self.flush_us = flush_us
         self.submitted = 0
         self._sync_timeout = sync_timeout
         self._dirty = False
         self._closed = False
         self._failures: list[tuple[str, object, str]] = []
+        #: Workers whose process is gone: never synced or stopped again.
+        self._lost: set[int] = set()
         self._sync_ids = itertools.count(1)
         self._reports: dict[int, dict] = {}
-        self._codec_cache = codec_cache
-        self._tokens: dict = {}
 
         observe = collector is not None or obs.is_enabled()
         self.collector = (collector or obs.Collector()) if observe \
@@ -503,15 +389,6 @@ class ProcessFleet:
         self._results = context.Queue()
         self._queues = []
         self._processes = []
-        self._rings: list[ShmRing] | None = None
-        if ring_bytes:
-            self._rings = [
-                ShmRing(create_ring_memory(
-                    max(ring_bytes, MIN_RING_BYTES)))
-                for _ in range(self.workers)]
-        self._pending: list[list] = [[] for _ in range(self.workers)]
-        self._pending_since: list[float | None] = \
-            [None] * self.workers
         for worker_id in range(self.workers):
             heartbeat_name = None
             if self.telemetry is not None:
@@ -528,9 +405,6 @@ class ProcessFleet:
                 op_latency_us=op_latency_us,
                 word_latency_us=word_latency_us,
                 observe=observe,
-                ring_name=self._rings[worker_id].memory.name
-                if self._rings is not None else None,
-                codec_cache=codec_cache,
                 heartbeat_name=heartbeat_name)
             requests = context.Queue(maxsize=queue_depth)
             process = context.Process(
@@ -543,99 +417,32 @@ class ProcessFleet:
 
     # -- request flow ---------------------------------------------------
 
-    def _encode(self, request):
-        if not self._codec_cache:
-            return encode_request(request)
-        token = self._tokens.get(request)
-        if token is None:
-            token = encode_request(request)
-            if len(self._tokens) >= _TOKEN_CACHE_LIMIT:
-                self._tokens.clear()
-            self._tokens[request] = token
-        return token
-
-    def _place(self, spec: str, request) -> ProcessSession:
-        """Route one request (deterministic, in the caller's process)
-        and buffer its placement for the owning worker."""
-        token = self._encode(request)
-        session = self.scheduler.acquire(spec)
-        self.scheduler.release(session)
-        self._pending[session.worker].append(
-            (session.local_index, token))
-        session.assigned += 1
-        self.submitted += 1
-        self._dirty = True
-        if self.telemetry is not None:
-            self.telemetry.note_submit("process", spec, session.label,
-                                       _token_label(token))
-        return session
-
-    def _flush_worker(self, worker: int) -> None:
-        pending = self._pending[worker]
-        if not pending:
-            return
-        if len(pending) == 1:
-            local_index, token = pending[0]
-            self._queues[worker].put(("req", local_index, token))
-        else:
-            self._queues[worker].put(("batch", tuple(pending)))
-            if self.telemetry is not None:
-                self.telemetry.recorder.record(
-                    "batch-flush", worker=f"pfleet-w{worker}",
-                    count=len(pending))
-        pending.clear()
-        self._pending_since[worker] = None
-
-    def _flush_pending(self) -> None:
-        for worker in range(self.workers):
-            self._flush_worker(worker)
-
     def submit(self, spec: str, request) -> None:
         """Route one request and ship it to the owning worker process.
 
         The session is picked *here*, in the caller's process, by the
         deterministic policy — so placement is a pure function of
         submission order, byte-for-byte the same function the thread
-        backend computes.  With ``batch_size > 1`` the placement is
-        buffered and shipped once the worker's batch fills, the
-        ``flush_us`` watermark expires, or a sync point arrives —
-        transport only; per-device execution order is still submission
-        order.  Blocks when the worker's queue is full (backpressure,
-        exactly like the thread pool's bounded queue).
+        backend computes.  Blocks when the worker's queue is full
+        (backpressure, exactly like the thread pool's bounded queue).
         """
         if self._closed:
             raise RuntimeError("fleet is shut down")
-        session = self._place(spec, request)
-        worker = session.worker
-        if self.batch_size <= 1:
-            self._flush_worker(worker)
-            return
-        now = time.monotonic()
-        if self._pending_since[worker] is None:
-            self._pending_since[worker] = now
-        if len(self._pending[worker]) >= self.batch_size:
-            self._flush_worker(worker)
-        deadline = self.flush_us * 1e-6
-        for other in range(self.workers):
-            since = self._pending_since[other]
-            if since is not None and now - since >= deadline:
-                self._flush_worker(other)
-
-    def submit_batch(self, requests) -> int:
-        """Submit every ``(spec, request)`` pair, batched per worker.
-
-        Placement runs per request in submission order (identical to
-        N ``submit`` calls); transport is one IPC message per worker
-        shard regardless of ``batch_size``.  Returns the count.
-        """
-        if self._closed:
-            raise RuntimeError("fleet is shut down")
-        count = 0
-        for spec, request in requests:
-            self._place(spec, request)
-            count += 1
-        self._flush_pending()
-        return count
+        token = encode_request(request)
+        session = self.scheduler.acquire(spec)
+        self.scheduler.release(session)
+        if session.worker in self._lost:
+            raise RuntimeError(
+                f"pfleet-w{session.worker} (owner of {session.label}) "
+                f"is dead; its shard cannot take requests")
+        self._queues[session.worker].put(
+            ("req", session.local_index, token))
+        session.assigned += 1
+        self.submitted += 1
+        self._dirty = True
+        if self.telemetry is not None:
+            self.telemetry.note_submit("process", spec, session.label,
+                                       _token_label(token))
 
     def run(self, requests) -> int:
         """Submit every ``(spec, request)`` pair, then drain."""
@@ -659,89 +466,71 @@ class ProcessFleet:
                 self.telemetry.dump("drain-error")
             raise
 
-    def _absorb_ring(self, worker_id: int, sync_id: int,
-                     payload: dict):
-        """Drain one worker's result ring (plus spilled records) and
-        return its sync report for ``sync_id`` (None when stale).
-
-        Ring records and spilled records replay in production order —
-        the worker stops ringing the moment one record spills.  Span
-        batches are ingested as encountered, so their completion order
-        is preserved; the ring space is acknowledged immediately.
-        """
-        ring = self._rings[worker_id]
-        records = ring.read_to(payload["ring_end"])
-        records.extend(payload["spilled"])
-        bulk = None
-        for record in records:
-            kind = record[0]
-            if kind == "spans":
-                if self.collector is not None:
-                    self.collector.ingest(record[1])
-            elif kind == "sync_report" and record[1] == sync_id:
-                bulk = record[2]
-        self._queues[worker_id].put(("ack", ring.consumed))
-        return bulk
+    def _lose(self, worker_id: int, error: str, formatted: str) -> None:
+        """Record a worker process as gone, with the reason."""
+        name = f"pfleet-w{worker_id}"
+        self._lost.add(worker_id)
+        self._failures.append((name, RuntimeError(error), formatted))
+        if self.telemetry is not None:
+            self.telemetry.recorder.record("worker-error", worker=name,
+                                           error=error)
+            self.telemetry.dump(f"crash:{name}")
 
     def _collect_reports(self) -> None:
-        self._flush_pending()
         sync_id = next(self._sync_ids)
         if self.telemetry is not None:
             self.telemetry.recorder.record("sync", sync_id=sync_id)
-        for requests in self._queues:
-            requests.put(("sync", sync_id))
-        pending = set(range(self.workers))
+        pending = set(range(self.workers)) - self._lost
+        for worker_id in pending:
+            self._queues[worker_id].put(("sync", sync_id))
+        deadline = time.monotonic() + self._sync_timeout
         while pending:
             try:
-                message = self._results.get(timeout=self._sync_timeout)
+                message = self._results.get(timeout=SYNC_POLL_S)
             except queue_module.Empty:
-                dead = [f"pfleet-w{i}" for i in pending
-                        if not self._processes[i].is_alive()]
-                if self.telemetry is not None:
-                    self.telemetry.recorder.record(
-                        "worker-error",
-                        worker=", ".join(dead) or None,
-                        error="sync timeout",
-                        pending=len(pending))
-                    self.telemetry.dump("sync-timeout")
-                raise WorkerError([(
-                    ", ".join(dead) or f"pfleet ({len(pending)} pending)",
-                    RuntimeError(
-                        "worker process died or wedged before "
-                        "acknowledging sync"
-                        if dead else
-                        f"no sync report within {self._sync_timeout}s"),
-                    "")]) from None
+                # A dead worker never answers: report it now rather
+                # than after the whole sync timeout.
+                for worker_id in sorted(pending):
+                    process = self._processes[worker_id]
+                    if not process.is_alive():
+                        pending.discard(worker_id)
+                        self._lose(
+                            worker_id,
+                            f"worker process exited with code "
+                            f"{process.exitcode} before acknowledging "
+                            f"sync", "")
+                if pending and time.monotonic() >= deadline:
+                    if self.telemetry is not None:
+                        self.telemetry.recorder.record(
+                            "worker-error", worker=None,
+                            error="sync timeout", pending=len(pending))
+                        self.telemetry.dump("sync-timeout")
+                    raise WorkerError([(
+                        ", ".join(f"pfleet-w{i}"
+                                  for i in sorted(pending)),
+                        RuntimeError(
+                            f"no sync report within "
+                            f"{self._sync_timeout}s"),
+                        "")]) from None
+                continue
+            deadline = time.monotonic() + self._sync_timeout
             kind = message[0]
             if kind == "crash":
                 _, worker_id, formatted = message
                 pending.discard(worker_id)
-                self._failures.append(
-                    (f"pfleet-w{worker_id}",
-                     RuntimeError("worker process crashed"), formatted))
-                if self.telemetry is not None:
-                    self.telemetry.recorder.record(
-                        "worker-error", worker=f"pfleet-w{worker_id}",
-                        error="worker process crashed")
-                    self.telemetry.dump(f"crash:pfleet-w{worker_id}")
+                self._lose(worker_id, "worker process crashed",
+                           formatted)
                 continue
-            _, worker_id, got_sync, payload = message
-            if self._rings is not None \
-                    and payload.get("ring_end") is not None:
-                report = self._absorb_ring(worker_id, got_sync, payload)
-            else:
-                report = payload["report"]
-            if got_sync != sync_id or report is None:
+            _, worker_id, got_sync, report = message
+            if got_sync != sync_id:
                 continue  # stale report from an aborted earlier sync
             pending.discard(worker_id)
             self._reports[worker_id] = report
-            for failure in payload["errors"]:
-                self._failures.append(failure)
+            self._failures.extend(report["errors"])
             if self.collector is not None and report["spans"]:
                 self.collector.ingest(report["spans"])
             if self.telemetry is not None:
-                for spec, snapshot in report.get("latency",
-                                                 {}).items():
+                for spec, snapshot in report["latency"].items():
                     self.telemetry.merge_latency(spec, "process",
                                                  snapshot)
         for session in self.sessions:
@@ -773,7 +562,9 @@ class ProcessFleet:
                 self._collect_reports()
         except WorkerError as error:
             sync_error = error
-        for requests in self._queues:
+        for worker_id, requests in enumerate(self._queues):
+            if worker_id in self._lost:
+                continue  # nobody reads it; a full queue would block
             try:
                 requests.put(("stop",))
             except ValueError:  # queue already closed
@@ -783,11 +574,6 @@ class ProcessFleet:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5)
-        if self._rings is not None:
-            for ring in self._rings:
-                ring.close()
-                ring.unlink()
-            self._rings = None
         for slot in self._heartbeat_slots:
             slot.close()
             slot.unlink()
@@ -902,11 +688,6 @@ class ProcessFleet:
             except NotImplementedError:  # macOS
                 depths[f"pfleet-w{worker_id}"] = None
         return depths
-
-    def batch_occupancy(self) -> dict[str, int]:
-        """Parent-side buffered placements per worker (batching)."""
-        return {f"pfleet-w{worker_id}": len(pending)
-                for worker_id, pending in enumerate(self._pending)}
 
     def health_view(self, **kwargs):
         """The :class:`repro.obs.live.FleetHealth` view of this fleet.

@@ -3,11 +3,11 @@
 The fleet engine has two substrates with opposite failure modes: the
 thread backend (:class:`~repro.engine.fleet.Fleet`) serializes on the
 GIL exactly when requests compute, and the process backend
-(:class:`~repro.engine.mp.ProcessFleet`) pays an IPC toll exactly when
-requests are tiny.  Which one wins is a property of the *workload* —
-the CPU fraction of a request, its wall-clock duration, and how many
-CPUs the host actually has — all of which are measurable in a few
-milliseconds.  This module does the measuring.
+(:class:`~repro.engine.mp.ProcessFleet`) pays an IPC toll on every
+request.  Which one wins is a property of the *workload* — the CPU
+fraction of a request and how many CPUs the host actually has — both
+of which are measurable in a few milliseconds.  This module does the
+measuring.
 
 :func:`calibrate` runs a short burst of each distinct request kind
 against a private single-device machine (same mapping, same strategy,
@@ -21,10 +21,12 @@ wall ≈ CPU.
 :class:`BackendChoice`:
 
 * one CPU → threads (worker processes would only take turns);
-* GIL-bound mix (CPU fraction ≥ ½) on a multi-CPU host → processes;
-* I/O-bound mix → processes *if* batching can amortize the IPC cost
-  to a few percent of a request's duration (the batch size is computed
-  from that budget), else threads.
+* GIL-bound mix (CPU fraction ≥ ½) under ``strategy="native"`` →
+  threads (the compiled core releases the GIL);
+* GIL-bound mix on a multi-CPU host → processes;
+* I/O-bound mix → threads, which overlap sleeping I/O without the IPC
+  toll (measured faster than every process transport on the mixed
+  fleet, ``docs/CONCURRENCY.md``).
 
 :func:`auto_fleet` glues it together and is what ``Fleet.auto(...)``
 and ``devil fleet --backend auto`` call.  The choice rides along on
@@ -34,29 +36,15 @@ report what was picked and why.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
 
 from .requests import encode_request, request_label
 
-#: Measured cost of one request-sized ``multiprocessing.Queue``
-#: round-trip (pickle + pipe + wakeup) on commodity hardware; the
-#: denominator of the batching amortization.
-IPC_COST_S = 120e-6
-
-#: Amortized IPC may cost at most this fraction of a request's wall
-#: time before the process backend stops being worth it.
-IPC_BUDGET_FRACTION = 0.05
-
 #: A request mix whose CPU fraction reaches this is GIL-bound: the
 #: thread backend cannot overlap it no matter how many workers.
 CPU_BOUND_THRESHOLD = 0.5
-
-#: Batch-size clamp: past this, sync latency and buffering outweigh
-#: the marginal IPC savings.
-MAX_BATCH = 64
 
 #: Default calibration depth per request kind.
 CALIBRATION_ROUNDS = 4
@@ -92,7 +80,6 @@ class BackendChoice:
     """The selector's verdict, with its inputs kept for reporting."""
 
     backend: str  # "thread" | "process"
-    batch_size: int
     cpu_count: int
     #: Schedule-weighted mean CPU fraction across kinds.
     cpu_fraction: float
@@ -100,22 +87,6 @@ class BackendChoice:
     wall_s: float
     reason: str
     profiles: tuple = field(default=())
-
-
-def batch_size_for(wall_s: float,
-                   ipc_cost_s: float = IPC_COST_S,
-                   budget: float = IPC_BUDGET_FRACTION) -> int:
-    """Smallest batch that amortizes IPC to ``budget`` of a request.
-
-    ``ceil(ipc / (budget * wall))`` clamped to ``[1, MAX_BATCH]``; a
-    request slower than the whole IPC budget needs no batching at all,
-    a microsecond request hits the clamp.
-    """
-    if wall_s <= 0:
-        return MAX_BATCH
-    needed = ipc_cost_s / (budget * wall_s)
-    # Tolerance keeps float fuzz at exact ratios from rounding up.
-    return max(1, min(MAX_BATCH, math.ceil(needed - 1e-9)))
 
 
 def calibrate(schedule, *, strategy: str = "specialize",
@@ -182,9 +153,8 @@ def _calibration_bus(op_latency_us: float, word_latency_us: float):
 
 
 def decide(profiles, cpu_count: int | None = None,
-           workers: int = 4,
            strategy: str = "specialize") -> BackendChoice:
-    """Pick a backend and batch size from measured kind profiles.
+    """Pick a backend from measured kind profiles.
 
     ``strategy`` is the *resolved* bind strategy of the fleet being
     chosen for.  It matters for exactly one verdict: a CPU-bound mix
@@ -197,7 +167,7 @@ def decide(profiles, cpu_count: int | None = None,
         cpu_count = os.cpu_count() or 1
     if not profiles:
         return BackendChoice(
-            backend="thread", batch_size=1, cpu_count=cpu_count,
+            backend="thread", cpu_count=cpu_count,
             cpu_fraction=0.0, wall_s=0.0,
             reason="empty schedule: nothing to measure, threads are "
                    "the zero-overhead default")
@@ -205,13 +175,12 @@ def decide(profiles, cpu_count: int | None = None,
     wall = sum(p.wall_s * p.count for p in profiles) / total
     cpu = sum(p.cpu_s * p.count for p in profiles) / total
     fraction = min(1.0, cpu / wall) if wall > 0 else 1.0
-    batch = batch_size_for(wall)
     if cpu_count <= 1:
-        choice, batch = "thread", 1
+        choice = "thread"
         reason = (f"{cpu_count} CPU: worker processes would only "
                   f"take turns; threads avoid the IPC toll entirely")
     elif fraction >= CPU_BOUND_THRESHOLD and strategy == "native":
-        choice, batch = "thread", 1
+        choice = "thread"
         reason = (f"CPU fraction {fraction:.2f} ≥ "
                   f"{CPU_BOUND_THRESHOLD} but strategy='native' "
                   f"releases the GIL around batched C dispatch: "
@@ -220,22 +189,13 @@ def decide(profiles, cpu_count: int | None = None,
         choice = "process"
         reason = (f"CPU fraction {fraction:.2f} ≥ "
                   f"{CPU_BOUND_THRESHOLD}: the mix is GIL-bound and "
-                  f"only processes can overlap it "
-                  f"(batch={batch} amortizes IPC)")
-    elif IPC_COST_S / batch <= IPC_BUDGET_FRACTION * wall:
-        choice = "process"
-        reason = (f"I/O-bound mix ({fraction:.2f} CPU) but batch="
-                  f"{batch} amortizes IPC below "
-                  f"{IPC_BUDGET_FRACTION:.0%} of a "
-                  f"{wall * 1e6:.0f}µs request; processes sidestep "
-                  f"GIL'd per-op bookkeeping")
+                  f"only processes can overlap it")
     else:
-        choice, batch = "thread", 1
-        reason = (f"requests too cheap ({wall * 1e6:.0f}µs) to "
-                  f"amortize IPC even at batch={MAX_BATCH}; threads "
-                  f"overlap the I/O fine")
+        choice = "thread"
+        reason = (f"I/O-bound mix ({fraction:.2f} CPU): threads "
+                  f"overlap the sleeping I/O without the IPC toll")
     return BackendChoice(
-        backend=choice, batch_size=batch, cpu_count=cpu_count,
+        backend=choice, cpu_count=cpu_count,
         cpu_fraction=fraction, wall_s=wall, reason=reason,
         profiles=tuple(profiles))
 
@@ -265,13 +225,8 @@ def auto_fleet(devices, schedule, *, workers: int = 4,
         shadow_cache=shadow_cache,
         op_latency_us=fleet_kwargs.get("op_latency_us", 0.0),
         word_latency_us=fleet_kwargs.get("word_latency_us", 0.0))
-    choice = decide(profiles, cpu_count=cpu_count, workers=workers,
-                    strategy=strategy)
-    if choice.backend == "process":
-        fleet = ProcessFleet(devices, workers=workers,
-                             batch_size=choice.batch_size,
-                             **fleet_kwargs)
-    else:
-        fleet = Fleet(devices, workers=workers, **fleet_kwargs)
+    choice = decide(profiles, cpu_count=cpu_count, strategy=strategy)
+    fleet_cls = ProcessFleet if choice.backend == "process" else Fleet
+    fleet = fleet_cls(devices, workers=workers, **fleet_kwargs)
     fleet.choice = choice
     return fleet

@@ -1,167 +1,22 @@
-"""Shared-memory result rings for the process fleet.
+"""Shared-memory heartbeat slots for the process fleet.
 
-The process backend's reply channel used to carry every sync report —
-accounting shards, pickled device states, trace rings, span buffers —
-through a ``multiprocessing.Queue``, i.e. through one more pickle *and*
-a pipe write per payload.  :class:`ShmRing` moves the bulk payloads
-into a ``multiprocessing.shared_memory`` segment instead: the worker
-appends framed records as it produces them, the parent drains them
-exactly at sync points, and the queue is left carrying only small
-completion records (a few integers and an offset).
+The live telemetry plane (:mod:`repro.obs.live`) must read each process
+worker's most recent state at any moment, without waiting for a sync
+point and without a queue round-trip — the whole point is to notice a
+worker that has stopped answering.  :class:`HeartbeatSlot` is that
+channel: one ``multiprocessing.shared_memory`` segment per worker
+holding the latest framed heartbeat pickle, written by the worker and
+read by the parent.
 
-Design: one single-producer/single-consumer byte ring per worker.
-
-* **Offsets are monotonic and travel out of band.**  The producer's
-  ``written`` offset rides in the worker's sync report; the consumer's
-  ``consumed`` offset rides back in an ``ack`` message on the request
-  queue.  No counters live in the shared segment itself, so there is no
-  cross-process atomicity to get wrong — each side trusts only numbers
-  it received through a FIFO queue, which Python already serializes.
-* **Records are framed pickles.**  ``u32 length + payload`` wrapping
-  byte-wise modulo the capacity.  :meth:`put` refuses (returns
-  ``False``) rather than overwrite unconsumed data; the caller spills
-  the record to its fallback channel (the queue), so a too-small ring
-  degrades to PR-5 behaviour instead of corrupting anything.
-* **Reclamation is lazy.**  ``free`` space is computed against the last
-  *acknowledged* consumed offset.  The parent acks after every drain;
-  until the ack arrives the worker simply spills.  Exactness never
-  depends on the ring having room.
-
-The ring is an mmap under the hood, so a record's bytes are written
-exactly once (worker-side pickle) and read exactly once (parent-side
-unpickle) — no queue-feeder thread, no second serialization.
+Requests and sync reports do not travel through shared memory; they
+ride the fleet's plain ``multiprocessing.Queue`` transport
+(:mod:`repro.engine.mp`).
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-
-_LENGTH = struct.Struct(">I")
-
-#: Default ring capacity per worker.  Sized for the shipped workloads:
-#: a sync report for a few devices (states + trace + spans) is tens of
-#: kilobytes; 1 MiB absorbs traced runs without spilling.
-DEFAULT_RING_BYTES = 1 << 20
-
-#: Smallest ring worth creating; below this the framing overhead and
-#: spill churn outweigh the queue bytes saved.
-MIN_RING_BYTES = 4096
-
-
-def create_ring_memory(capacity: int = DEFAULT_RING_BYTES):
-    """Allocate the shared segment (parent side); returns SharedMemory."""
-    from multiprocessing import shared_memory
-
-    if capacity < MIN_RING_BYTES:
-        raise ValueError(
-            f"ring capacity {capacity} is below the minimum "
-            f"{MIN_RING_BYTES} (use ring_bytes=0 to disable the ring)")
-    return shared_memory.SharedMemory(create=True, size=capacity)
-
-
-def attach_ring_memory(name: str):
-    """Attach to an existing segment by name (worker side)."""
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(name=name)
-
-
-class ShmRing:
-    """One side of a single-producer/single-consumer byte ring.
-
-    The producer calls :meth:`put` and :meth:`ack`; the consumer calls
-    :meth:`read_to`.  Both sides keep their own monotonic offsets and
-    exchange them through the fleet's FIFO queues — see the module
-    docstring for why the segment itself holds no shared state.
-    """
-
-    def __init__(self, memory):
-        self.memory = memory
-        self.capacity = memory.size
-        #: Producer: bytes appended so far (monotonic).
-        self.written = 0
-        #: Producer: consumer offset as of the last ack (monotonic).
-        self.acked = 0
-        #: Consumer: bytes consumed so far (monotonic).
-        self.consumed = 0
-
-    # -- producer -------------------------------------------------------
-
-    @property
-    def free(self) -> int:
-        return self.capacity - (self.written - self.acked)
-
-    def put(self, record) -> bool:
-        """Append one framed record; ``False`` when it does not fit.
-
-        A ``False`` return leaves the ring untouched — the caller ships
-        the record through its fallback channel instead.
-        """
-        payload = pickle.dumps(record, protocol=4)
-        needed = _LENGTH.size + len(payload)
-        if needed > self.free:
-            return False
-        self._write_bytes(_LENGTH.pack(len(payload)))
-        self._write_bytes(payload)
-        return True
-
-    def ack(self, consumed: int) -> None:
-        """The consumer reported having drained up to ``consumed``."""
-        if consumed > self.acked:
-            self.acked = consumed
-
-    def _write_bytes(self, data: bytes) -> None:
-        position = self.written % self.capacity
-        first = min(len(data), self.capacity - position)
-        self.memory.buf[position:position + first] = data[:first]
-        if first < len(data):
-            self.memory.buf[0:len(data) - first] = data[first:]
-        self.written += len(data)
-
-    # -- consumer -------------------------------------------------------
-
-    def read_to(self, target: int) -> list:
-        """Unframe every record between ``consumed`` and ``target``.
-
-        ``target`` is the producer's ``written`` offset as carried by
-        its sync report; queue FIFO ordering guarantees every byte up
-        to it was fully written before the report was sent.
-        """
-        records = []
-        while self.consumed < target:
-            (length,) = _LENGTH.unpack(self._read_bytes(_LENGTH.size))
-            records.append(pickle.loads(self._read_bytes(length)))
-        if self.consumed != target:
-            raise RuntimeError(
-                f"ring framing desynchronized: consumed "
-                f"{self.consumed}, producer reported {target}")
-        return records
-
-    def _read_bytes(self, count: int) -> bytes:
-        position = self.consumed % self.capacity
-        first = min(count, self.capacity - position)
-        data = bytes(self.memory.buf[position:position + first])
-        if first < count:
-            data += bytes(self.memory.buf[0:count - first])
-        self.consumed += count
-        return data
-
-    # -- lifecycle ------------------------------------------------------
-
-    def close(self) -> None:
-        self.memory.close()
-
-    def unlink(self) -> None:
-        try:
-            self.memory.unlink()
-        except FileNotFoundError:  # already reclaimed
-            pass
-
-
-# ---------------------------------------------------------------------------
-# Heartbeat slots (live telemetry)
-# ---------------------------------------------------------------------------
 
 _SEQ = struct.Struct(">II")  # sequence number, payload length
 
@@ -173,12 +28,8 @@ HEARTBEAT_SLOT_BYTES = 4096
 class HeartbeatSlot:
     """A single-writer latest-value slot in shared memory.
 
-    The result ring above is drain-at-sync by design — the parent only
-    learns the producer's ``written`` offset from a sync report, so
-    nothing in it is readable *between* syncs.  Heartbeats need the
-    opposite semantics: the parent must read the worker's most recent
-    state at any moment, and old values are worthless.  A seqlock-style
-    slot gives exactly that with no locks and no queues:
+    Old values are worthless, so a seqlock-style slot gives exactly the
+    needed semantics with no locks and no queues:
 
     * the writer bumps the sequence number to **odd**, writes the
       framed pickle, then bumps it to **even**;
@@ -186,9 +37,8 @@ class HeartbeatSlot:
       the sequence, and retries (bounded) unless both reads saw the
       same even value — a torn frame can never be unpickled.
 
-    Single-producer only, same as :class:`ShmRing`.  Publishing is two
-    struct packs and one small pickle (~2µs), cheap enough to ride
-    every request boundary.
+    Single-producer only.  Publishing is two struct packs and one
+    small pickle (~2µs), cheap enough to ride every request boundary.
     """
 
     def __init__(self, memory):
@@ -249,3 +99,10 @@ def create_heartbeat_memory(capacity: int = HEARTBEAT_SLOT_BYTES):
     from multiprocessing import shared_memory
 
     return shared_memory.SharedMemory(create=True, size=capacity)
+
+
+def attach_heartbeat_memory(name: str):
+    """Attach to an existing segment by name (worker side)."""
+    from multiprocessing import shared_memory
+
+    return shared_memory.SharedMemory(name=name)

@@ -12,6 +12,8 @@ one worker.  The helpers here make that comparison mechanical:
 * :func:`run_stress` runs one request list twice — parallel and
   single-worker reference — and asserts both invariants, returning the
   evidence for the caller (tests, the CLI, the benchmark's stress leg).
+  The parallel run can be the thread fleet or the process fleet; the
+  reference is always one thread.
 
 Requests must be deterministic and idempotent on device state (the
 shipped ones in :mod:`repro.engine.requests` are) and the fleet must
@@ -103,11 +105,11 @@ def run_stress(devices, schedule, workers: int = 8,
 
     With ``tracing=True`` both runs also assert that no trace entries
     were dropped (the unbounded ring must capture every port op).
-    Extra ``fleet_kwargs`` (``batch_size``, ``ring_bytes``,
-    ``telemetry``, ...) reach the parallel fleet only — the reference
-    stays the canonical single-threaded run.  ``telemetry=True`` is
-    how the live-plane parity tests prove heartbeats, latency
-    histograms and the flight recorder never perturb device state.
+    Extra ``fleet_kwargs`` (``telemetry``, ``trace_limit``, ...)
+    reach the parallel fleet only — the reference stays the canonical
+    single-threaded run.  ``telemetry=True`` is how the live-plane
+    parity tests prove heartbeats, latency histograms and the flight
+    recorder never perturb device state.
 
     Returns the reference evidence — pass it back as ``reference`` on
     a later call to amortize the serial run across repeated stress

@@ -78,8 +78,6 @@ class CampaignConfig:
     max_sites: int | None = None
     backend: str = "serial"
     workers: int = 4
-    #: Process-backend IPC batching (see ``repro.engine.mp``).
-    batch_size: int | str = "auto"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -96,7 +94,7 @@ class CampaignConfig:
 
     def describe(self) -> dict:
         """The verdict-determining scope — deliberately excludes the
-        execution substrate (backend, workers, batching), so reports
+        execution substrate (backend, workers), so reports
         built from the same scope are byte-identical whatever ran
         them.  See :meth:`CampaignResult.stats` for the run side."""
         return {
@@ -224,7 +222,7 @@ def evaluate_unit_request(stubs, aux, *, token, cache_root):
 
     Shaped like every fleet request (``fn(stubs, aux)``) but touches
     no device state: the campaign is a pure-compute workload riding
-    the fleet's scheduling, batching and telemetry.  Module-level so
+    the fleet's scheduling and telemetry.  Module-level so
     ``functools.partial`` over it ships to process workers through the
     request codec; the bound ``token``/``cache_root`` travel by value.
     """
@@ -289,7 +287,6 @@ def _run_units_fleet(config, pending, cache_root, telemetry,
     from ..engine.compute import compute_fleet
 
     fleet = compute_fleet(config.backend, config.workers,
-                          batch_size=config.batch_size,
                           telemetry=telemetry)
     monitor = None
     if health_log:
@@ -303,13 +300,10 @@ def _run_units_fleet(config, pending, cache_root, telemetry,
             monitor.start()
         try:
             for start in range(0, len(pending), wave):
-                chunk = pending[start:start + wave]
-                fleet.submit_batch(
-                    (fleet.compute_spec,
-                     functools.partial(evaluate_unit_request,
-                                       token=unit.token(),
-                                       cache_root=cache_root))
-                    for unit in chunk)
+                for unit in pending[start:start + wave]:
+                    fleet.submit(fleet.compute_spec, functools.partial(
+                        evaluate_unit_request, token=unit.token(),
+                        cache_root=cache_root))
                 fleet.drain()
                 if progress is not None:
                     progress(f"fleet evaluated "

@@ -15,17 +15,17 @@ module is that view, spanning both fleet backends:
   way the parent reads the latest state without locks, queues or sync
   points.
 * **Health** — :class:`FleetHealth` folds heartbeats, liveness and
-  queue/batch depths into per-worker ``healthy`` / ``slow`` /
+  queue depths into per-worker ``healthy`` / ``slow`` /
   ``stalled`` / ``dead`` statuses.  The stall detector is the
   heartbeat's *absence of progress*: a worker whose inflight request
   has outlived the detector window (``stall_after`` seconds, or N× the
   observed p95 request latency) is stalled even though it is alive —
   precisely the wedge that a drain would hang on.
 * **Flight recorder** — :class:`FlightRecorder` keeps a bounded ring
-  of recent structured events (submit, batch-flush, sync, worker
-  error, stall transitions).  On a stall or worker failure the ring is
-  dumped automatically, so a wedged run leaves a post-mortem instead
-  of a hang.
+  of recent structured events (submit, sync, worker error, stall
+  transitions).  On a stall or worker failure the ring is dumped
+  automatically, so a wedged run leaves a post-mortem instead of a
+  hang.
 * **Monitor** — :class:`LiveMonitor` is the periodic sampler behind
   ``devil fleet --health-log`` and ``devil top``: every tick it runs
   the health check, appends heartbeat/health JSONL records (the
@@ -169,7 +169,7 @@ class WorkerPulse:
         self._publish(None)
 
     def idle(self) -> None:
-        """Publish an idle beat (startup, post-batch, sync points)."""
+        """Publish an idle beat (worker startup)."""
         self._publish(None)
 
 
@@ -403,7 +403,6 @@ class WorkerHealth:
     inflight: str | None = None
     inflight_age_s: float | None = None
     queue_depth: int | None = None
-    batch_occupancy: int | None = None
     stall_window_s: float = 0.0
     latency_p50_us: float | None = None
     latency_p95_us: float | None = None
@@ -414,7 +413,6 @@ class WorkerHealth:
                 "completed": self.completed, "inflight": self.inflight,
                 "inflight_age_s": self.inflight_age_s,
                 "queue_depth": self.queue_depth,
-                "batch_occupancy": self.batch_occupancy,
                 "stall_window_s": self.stall_window_s,
                 "ts_us": time.time() * 1e6}
 
@@ -469,7 +467,6 @@ class FleetHealth:
         beats = self.telemetry.heartbeats()
         liveness = self.fleet.worker_liveness()
         depths = self.fleet.queue_depths()
-        occupancy = self.fleet.batch_occupancy()
         rows: list[WorkerHealth] = []
         for worker in sorted(liveness):
             beat = beats.get(worker)
@@ -493,7 +490,6 @@ class FleetHealth:
                 inflight=beat.inflight if beat else None,
                 inflight_age_s=age,
                 queue_depth=depths.get(worker),
-                batch_occupancy=occupancy.get(worker),
                 stall_window_s=window,
                 latency_p50_us=beat.latency_p50_us if beat else None,
                 latency_p95_us=beat.latency_p95_us if beat else None))
@@ -509,9 +505,6 @@ class FleetHealth:
             if row.queue_depth is not None:
                 metrics.gauge("fleet.queue_depth",
                               worker=row.worker).set(row.queue_depth)
-            if row.batch_occupancy is not None:
-                metrics.gauge("fleet.batch_pending",
-                              worker=row.worker).set(row.batch_occupancy)
             metrics.gauge("fleet.inflight", worker=row.worker).set(
                 0 if row.inflight is None else 1)
             previous = self._last_status.get(row.worker, HEALTHY)

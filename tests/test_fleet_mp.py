@@ -20,7 +20,9 @@ a valid test at all.
 from __future__ import annotations
 
 import functools
+import os
 import pickle
+import time
 
 import pytest
 
@@ -94,26 +96,23 @@ def _device_trace(trace, slot):
 def _spec_references(spec):
     """Serial and thread evidence for one spec's parity schedule.
 
-    Cached: the references are identical for every process-backend
-    batch size, so each spec pays for them once."""
+    Cached: the per-spec, native and telemetry parity tests all compare
+    against the same references, so each spec pays for them once."""
     devices = [spec, spec]
     schedule = [(spec, WORKLOADS[spec])] * 6
     return (_run_backend("serial", devices, schedule),
             _run_backend("thread", devices, schedule))
 
 
-@pytest.mark.parametrize("batch_size", (1, 8, "auto"))
 @pytest.mark.parametrize("spec", SPEC_NAMES)
-def test_backend_parity_per_spec(spec, batch_size):
+def test_backend_parity_per_spec(spec):
     """Serial, thread-fleet and process-fleet runs of the shipped
     workload are byte-identical in end-state, accounting, spans and
-    per-device traces — at every batch size (batching and the result
-    rings are transport, never semantics)."""
+    per-device traces."""
     devices = [spec, spec]
     schedule = [(spec, WORKLOADS[spec])] * 6
     serial, threaded = _spec_references(spec)
-    process = _run_backend("process", devices, schedule,
-                           batch_size=batch_size)
+    process = _run_backend("process", devices, schedule)
 
     for backend, evidence in (("thread", threaded),
                               ("process", process)):
@@ -345,13 +344,12 @@ def test_native_churn_request_parity_across_strategies():
 
 @needs_cc
 def test_native_process_fleet_propagates_mid_batch_errors():
-    """A device fault in the middle of a native batch surfaces as a
+    """A device fault between two good native requests surfaces as a
     WorkerError carrying the device's message, and the worker keeps
-    serving later batches."""
+    serving later requests."""
     from repro.engine import ide_data_probe
 
-    with ProcessFleet(["ide"], workers=1, batch_size=4,
-                      strategy="native") as fleet:
+    with ProcessFleet(["ide"], workers=1, strategy="native") as fleet:
         fleet.submit("ide", ide_sector_read)
         fleet.submit("ide", ide_data_probe)
         fleet.submit("ide", ide_sector_read)
@@ -359,7 +357,7 @@ def test_native_process_fleet_propagates_mid_batch_errors():
             fleet.drain()
         assert "DRQ" in str(info.value)
         # The failure was contained to the one request: the worker
-        # process survived and the fleet still executes new batches.
+        # process survived and the fleet still executes new requests.
         fleet.submit("ide", ide_sector_read)
         fleet.drain()
         assert fleet.completed() == 3
@@ -496,8 +494,7 @@ def test_process_fleet_executes_partial_requests_exactly():
                 ("ide", ide_sector_read),
                 ("ide", ft.partial(ide_sector_read_lba, lba=11))] * 2
     serial = _run_backend("serial", ["ide", "ide"], schedule)
-    process = _run_backend("process", ["ide", "ide"], schedule,
-                           batch_size=8)
+    process = _run_backend("process", ["ide", "ide"], schedule)
     assert process["states"] == serial["states"]
     assert process["by_device"] == serial["by_device"]
     for _, label, slot in fleet_layout(["ide", "ide"]):
@@ -508,126 +505,6 @@ def test_process_fleet_executes_partial_requests_exactly():
     default_only = _run_backend("serial", ["ide", "ide"],
                                 [("ide", ide_sector_read)] * 6)
     assert process["trace"] != default_only["trace"]
-
-
-# ---------------------------------------------------------------------------
-# Batching and the shared-memory result rings
-# ---------------------------------------------------------------------------
-
-
-def test_submit_batch_matches_per_request_submission():
-    """submit_batch places and executes identically to N submits, on
-    both backends (placement is per request; only transport groups)."""
-    from repro.engine import Fleet, mixed_schedule
-
-    devices = ["ide", "permedia2", "ne2000"]
-    schedule = mixed_schedule(4)
-    evidence = {}
-    for mode in ("loop", "batch"):
-        with ProcessFleet(devices, workers=2) as fleet:
-            if mode == "batch":
-                assert fleet.submit_batch(schedule) == len(schedule)
-            else:
-                for spec, request in schedule:
-                    fleet.submit(spec, request)
-            fleet.drain()
-            evidence[mode] = (fleet.completed_by_device(),
-                              fleet.device_states(),
-                              fleet.accounting)
-    assert evidence["loop"] == evidence["batch"]
-    with Fleet(devices, workers=2) as fleet:
-        assert fleet.submit_batch(schedule) == len(schedule)
-        fleet.drain()
-        assert fleet.completed_by_device() == evidence["loop"][0]
-
-
-def test_partial_batches_flush_at_sync_points():
-    """A drain flushes buffered placements no matter how few: nothing
-    below the batch watermark is ever stranded."""
-    with ProcessFleet(["ide", "ide"], workers=2,
-                      batch_size=64) as fleet:
-        fleet.submit("ide", ide_sector_read)
-        fleet.drain()
-        assert fleet.completed() == 1
-        for _ in range(3):
-            fleet.submit("ide", ide_sector_read)
-        fleet.drain()
-        assert fleet.completed() == 4
-
-
-def test_tiny_ring_spills_to_queue_without_losing_anything():
-    """A ring too small for the traced payload degrades to the queue
-    transport record for record — exactness must not depend on ring
-    capacity (MIN_RING_BYTES is far below a traced sync report)."""
-    from repro.engine import MIN_RING_BYTES
-
-    devices = ["ide", "ide"]
-    schedule = [("ide", ide_sector_read)] * 8
-    spacious = _run_backend("process", devices, schedule,
-                            batch_size=4)
-    tiny = _run_backend("process", devices, schedule, batch_size=4,
-                        ring_bytes=MIN_RING_BYTES)
-    assert tiny["states"] == spacious["states"]
-    assert tiny["trace"] == spacious["trace"]
-    assert tiny["signatures"] == spacious["signatures"]
-    assert tiny["accounting"] == spacious["accounting"]
-
-
-def test_ring_disabled_fallback_matches_ring_transport():
-    """ring_bytes=0 rides the reply queue (the pre-ring transport)
-    and must be observationally identical."""
-    devices = ["ide", "ne2000"]
-    schedule = [("ide", ide_sector_read)] * 4 + \
-        [("ne2000", WORKLOADS["ne2000"])] * 4
-    with_ring = _run_backend("process", devices, schedule)
-    without = _run_backend("process", devices, schedule, ring_bytes=0)
-    assert without == with_ring
-
-
-def test_process_fleet_validates_batching_parameters():
-    with pytest.raises(ValueError, match="batch_size"):
-        ProcessFleet(["ide"], batch_size=0)
-    with pytest.raises(ValueError, match="batch_size"):
-        ProcessFleet(["ide"], batch_size="huge")
-    with pytest.raises(ValueError, match="flush_us"):
-        ProcessFleet(["ide"], flush_us=0)
-    with pytest.raises(ValueError, match="ring_bytes"):
-        ProcessFleet(["ide"], ring_bytes=-1)
-
-
-def test_shm_ring_put_read_ack_cycle():
-    """Unit-level ring contract: framed records round-trip, a full
-    ring refuses rather than overwrites, acks reclaim space."""
-    from repro.engine import ShmRing
-    from repro.engine.shm import create_ring_memory
-
-    producer_view = ShmRing(create_ring_memory(4096))
-    try:
-        consumer = ShmRing(producer_view.memory)
-        records = [("spans", list(range(50))), ("sync_report", 1, {})]
-        for record in records:
-            assert producer_view.put(record)
-        assert consumer.read_to(producer_view.written) == records
-
-        # Fill until refusal; nothing written after a False return.
-        big = ("blob", b"x" * 600)
-        accepted = 0
-        while producer_view.put(big):
-            accepted += 1
-        assert accepted > 0
-        written_before = producer_view.written
-        assert not producer_view.put(big)
-        assert producer_view.written == written_before
-
-        # Drain + ack makes the space reusable (wrap-around included).
-        assert consumer.read_to(producer_view.written) == \
-            [big] * accepted
-        producer_view.ack(consumer.consumed)
-        assert producer_view.put(big)
-        assert consumer.read_to(producer_view.written) == [big]
-    finally:
-        producer_view.close()
-        producer_view.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +525,24 @@ def test_process_fleet_propagates_request_errors():
             fleet.submit("ide", _exploding_request)
             fleet.drain()
     assert "request exploded in the worker" in str(info.value)
+
+
+def test_process_fleet_reports_a_dead_worker_promptly():
+    """A worker process that exits mid-run surfaces as a WorkerError
+    naming it and its exit code as soon as it is gone: neither the
+    drain nor the shutdown behind it waits out ``sync_timeout``, and
+    the dead shard refuses new requests instead of queueing them."""
+    started = time.monotonic()
+    with ProcessFleet(["ide"], workers=1, sync_timeout=60) as fleet:
+        fleet.submit("ide", _exiting_request)
+        with pytest.raises(WorkerError) as info:
+            fleet.drain()
+        with pytest.raises(RuntimeError, match="dead"):
+            fleet.submit("ide", ide_sector_read)
+    elapsed = time.monotonic() - started
+    assert "pfleet-w0" in str(info.value)
+    assert "exited with code 3" in str(info.value)
+    assert elapsed < 30.0
 
 
 def test_process_fleet_weighted_placement_matches_thread_backend():
@@ -685,3 +580,7 @@ def test_process_fleet_accounting_exact_across_worker_counts():
 
 def _exploding_request(stubs, aux):
     raise RuntimeError("request exploded in the worker")
+
+
+def _exiting_request(stubs, aux):
+    os._exit(3)

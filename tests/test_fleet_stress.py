@@ -91,11 +91,9 @@ def test_run_stress_process_backend_matches_serial_reference():
     schedule = mixed_schedule(6)
     reference = run_stress(DEVICES, schedule, workers=2,
                            backend="process", tracing=True)
-    # Batched and ring-less transports against the same reference.
-    run_stress(DEVICES, schedule, workers=2, backend="process",
-               tracing=True, reference=reference, batch_size=8)
-    run_stress(DEVICES, schedule, workers=2, backend="process",
-               tracing=True, reference=reference, ring_bytes=0)
+    # A different sharding against the same reference.
+    run_stress(DEVICES, schedule, workers=3, backend="process",
+               tracing=True, reference=reference)
 
 
 def test_run_stress_rejects_unknown_backend():

@@ -18,7 +18,6 @@ from repro.engine import (
     KindProfile,
     ProcessFleet,
     auto_fleet,
-    batch_size_for,
     calibrate,
     decide,
     ide_sector_checksum,
@@ -26,12 +25,7 @@ from repro.engine import (
     ide_sector_read_lba,
     mixed_schedule,
 )
-from repro.engine.select import (
-    CPU_BOUND_THRESHOLD,
-    IPC_BUDGET_FRACTION,
-    IPC_COST_S,
-    MAX_BATCH,
-)
+from repro.engine.select import CPU_BOUND_THRESHOLD
 
 pytestmark = pytest.mark.concurrency
 
@@ -43,22 +37,6 @@ def _profile(wall_us: float, cpu_us: float, count: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# batch_size_for: the IPC amortization arithmetic
-# ---------------------------------------------------------------------------
-
-
-def test_batch_size_amortizes_ipc_to_budget():
-    # A request slower than IPC/budget needs no batching.
-    assert batch_size_for(IPC_COST_S / IPC_BUDGET_FRACTION) == 1
-    # Ten times faster needs a batch of ten.
-    assert batch_size_for(IPC_COST_S / IPC_BUDGET_FRACTION / 10) == 10
-    # Degenerate inputs clamp instead of exploding.
-    assert batch_size_for(0.0) == MAX_BATCH
-    assert batch_size_for(1e-12) == MAX_BATCH
-    assert batch_size_for(1e9) == 1
-
-
-# ---------------------------------------------------------------------------
 # decide: pure given profiles + cpu_count
 # ---------------------------------------------------------------------------
 
@@ -66,26 +44,34 @@ def test_batch_size_amortizes_ipc_to_budget():
 def test_decide_prefers_threads_on_one_cpu():
     choice = decide([_profile(2000, 2000)], cpu_count=1)
     assert choice.backend == "thread"
-    assert choice.batch_size == 1
     assert "1 CPU" in choice.reason
 
 
 def test_decide_picks_processes_for_gil_bound_mixes():
-    choice = decide([_profile(2000, 1900)], cpu_count=4)
-    assert choice.backend == "process"
+    for cpu_count in (2, 4, 8):
+        choice = decide([_profile(2000, 1900)], cpu_count=cpu_count)
+        assert choice.backend == "process", cpu_count
+        assert choice.cpu_fraction >= CPU_BOUND_THRESHOLD
+
+
+@pytest.mark.parametrize("cpu_count", (2, 4, 8))
+def test_decide_picks_threads_for_io_bound_mixes(cpu_count):
+    # 500µs sleeping requests: threads overlap the I/O; no process
+    # transport beat them on any measured I/O mix.
+    choice = decide([_profile(500, 50)], cpu_count=cpu_count)
+    assert choice.backend == "thread"
+    assert choice.cpu_fraction < CPU_BOUND_THRESHOLD
+    assert "I/O-bound" in choice.reason
+
+
+@pytest.mark.parametrize("strategy,cpu_count", (("native", 4),
+                                                ("specialize", 1)))
+def test_decide_keeps_cpu_bound_mixes_on_threads(strategy, cpu_count):
+    # The native core releases the GIL; one CPU has nothing to overlap.
+    choice = decide([_profile(2000, 1900)], cpu_count=cpu_count,
+                    strategy=strategy)
     assert choice.cpu_fraction >= CPU_BOUND_THRESHOLD
-    assert choice.batch_size >= 1
-
-
-def test_decide_picks_processes_for_slow_io_and_threads_for_fast():
-    # 500µs sleeping requests: batching amortizes IPC comfortably.
-    slow = decide([_profile(500, 50)], cpu_count=4)
-    assert slow.backend == "process"
-    assert slow.batch_size == batch_size_for(500e-6)
-    # Sub-microsecond requests can't amortize IPC even at MAX_BATCH.
-    fast = decide([_profile(0.1, 0.01)], cpu_count=8)
-    assert fast.backend == "thread"
-    assert "too cheap" in fast.reason
+    assert choice.backend == "thread"
 
 
 def test_decide_weights_kinds_by_schedule_frequency():
@@ -94,6 +80,7 @@ def test_decide_weights_kinds_by_schedule_frequency():
                 _profile(2000, 100, count=99)]
     io_heavy = decide(profiles, cpu_count=4)
     assert io_heavy.cpu_fraction < CPU_BOUND_THRESHOLD
+    assert io_heavy.backend == "thread"
     cpu_heavy = decide([_profile(2000, 2000, count=99),
                         _profile(2000, 100, count=1)], cpu_count=4)
     assert cpu_heavy.cpu_fraction >= CPU_BOUND_THRESHOLD
@@ -103,7 +90,6 @@ def test_decide_weights_kinds_by_schedule_frequency():
 def test_decide_handles_an_empty_schedule():
     choice = decide([], cpu_count=8)
     assert choice.backend == "thread"
-    assert choice.batch_size == 1
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +142,6 @@ def test_fleet_auto_builds_the_chosen_backend_and_runs():
                     cpu_count=4) as fleet:
         assert isinstance(fleet, ProcessFleet)
         assert fleet.choice.backend == "process"
-        assert fleet.batch_size == fleet.choice.batch_size
         fleet.run(schedule)
         assert fleet.completed() == len(schedule)
 
