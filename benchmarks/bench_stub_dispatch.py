@@ -12,7 +12,15 @@ busmouse, IDE and Permedia2 machines for the three execution flavours:
 * ``specialize`` — ``bind(..., strategy="specialize")``, closures
   compiled at bind time;
 * ``generated`` — the standalone module from ``emit_python`` (the
-  repository's stand-in for the paper's compiled C stubs).
+  same emitter in module mode: ports relative to the constructor's
+  bases, ``debug`` tested at run time) — the only place the module's
+  speed is measured.
+
+Each cell is the median of interleaved rounds: every round times the
+three flavours back to back on already-bound, warmed devices, rotating
+their order from round to round, so slow drift of a shared host lands
+on all three alike; the quartiles of the rounds are reported with the
+median.
 
 When a C compiler is present a fourth leg times a batched native
 ``repeat()`` on the busmouse ``get_dx`` loop and enforces the
@@ -23,8 +31,9 @@ Before timing, every workload is replayed on tracing buses and the
 I/O traces and accounting counters of all three flavours must be
 identical — speed must not change semantics.  The script asserts the
 acceptance floor (specialized ≥ 3x interpreted on the busmouse
-``get_dx`` and IDE status workloads) and records the table plus a
-machine-readable payload as ``results/BENCH_stub_dispatch.{txt,json}``.
+``get_dx`` and IDE status workloads, on medians) and records the table
+plus a machine-readable payload as
+``results/BENCH_stub_dispatch.{txt,json}``.
 
 Runs standalone (``python benchmarks/bench_stub_dispatch.py
 [--quick]``, no pytest needed — this is what CI's smoke step does) and
@@ -34,6 +43,7 @@ under pytest via :func:`test_stub_dispatch_quick`.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -167,40 +177,67 @@ def _check_parity(workload, debug: bool, calls: int = 8) -> None:
             f"the interpreter"
 
 
-def _calls_per_sec(workload, strategy: str, debug: bool,
-                   iterations: int, repeats: int) -> float:
+def _bound_op(workload, strategy: str, debug: bool):
+    """A warmed, untraced device of ``strategy`` and its timed call."""
     _, machine, setup, op = workload
     bus, bases = _machine(machine, tracing=False)
     device = _bind(machine, strategy, bus, bases, debug)
     if setup is not None:
         setup(device)
     op(device)  # warm caches and lazy paths outside the timed loop
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            op(device)
-        best = min(best, time.perf_counter() - start)
-    return iterations / best
+    return lambda: op(device)
+
+
+def _time_calls(call, iterations: int) -> float:
+    """Calls/sec of one timed round of ``iterations`` calls."""
+    start = time.perf_counter()
+    for _ in range(iterations):
+        call()
+    return iterations / (time.perf_counter() - start)
+
+
+def _interleaved(calls: dict, iterations: int, rounds: int) -> dict:
+    """Time every flavour once per round, rotating the order; returns
+    ``(q1, median, q3)`` of each flavour's per-round rates."""
+    names = list(calls)
+    rates: dict[str, list[float]] = {name: [] for name in names}
+    for index in range(rounds):
+        shift = index % len(names)
+        for name in names[shift:] + names[:shift]:
+            rates[name].append(_time_calls(calls[name], iterations))
+    return {name: statistics.quantiles(values, n=4, method="inclusive")
+            for name, values in rates.items()}
+
+
+def _cell(row: dict, strategy: str) -> str:
+    """``median [q1-q3]`` in thousands of calls/sec."""
+    q1, q3 = row["quartiles"][strategy]
+    median = row["calls_per_sec"][strategy]
+    return f"{median / 1e3:,.0f}k [{q1 / 1e3:,.0f}-{q3 / 1e3:,.0f}]"
 
 
 def run_bench(quick: bool = False, iterations: int | None = None,
               repeats: int | None = None) -> dict:
     iterations = iterations or (1000 if quick else 10000)
-    repeats = repeats or (2 if quick else 3)
+    rounds = repeats or 7
 
     rows = []
     for workload in WORKLOADS:
         name = workload[0]
         for debug in (False, True):
             _check_parity(workload, debug)
-            rates = {strategy: _calls_per_sec(workload, strategy, debug,
-                                              iterations, repeats)
+            stats = _interleaved(
+                {strategy: _bound_op(workload, strategy, debug)
+                 for strategy in STRATEGIES}, iterations, rounds)
+            rates = {strategy: stats[strategy][1]
                      for strategy in STRATEGIES}
             rows.append({
                 "workload": name,
                 "debug": debug,
                 "calls_per_sec": rates,
+                "quartiles": {strategy: [stats[strategy][0],
+                                         stats[strategy][2]]
+                              for strategy in STRATEGIES},
                 "speedup_specialize": rates["specialize"] /
                 rates["interpret"],
                 "speedup_generated": rates["generated"] /
@@ -208,28 +245,27 @@ def run_bench(quick: bool = False, iterations: int | None = None,
                 "parity": True,
             })
 
+    width = 21
     lines = [
-        "Stub dispatch, calls/sec (best of "
-        f"{repeats} x {iterations} calls; identical I/O traces "
-        "verified first):",
+        "Stub dispatch, calls/sec: median [quartiles] of "
+        f"{rounds} interleaved rounds x {iterations} calls, order "
+        "rotated per round; identical I/O traces verified first:",
         "",
-        f"{'workload':<26} {'mode':<8} {'interpret':>11} "
-        f"{'specialize':>11} {'generated':>11} {'spec/int':>9}",
+        f"{'workload':<26} {'mode':<8} {'interpret':>{width}} "
+        f"{'specialize':>{width}} {'generated':>{width}} {'spec/int':>9}",
     ]
     for row in rows:
-        rates = row["calls_per_sec"]
+        cells = " ".join(f"{_cell(row, strategy):>{width}}"
+                         for strategy in STRATEGIES)
         lines.append(
             f"{row['workload']:<26} "
-            f"{'debug' if row['debug'] else 'release':<8} "
-            f"{rates['interpret']:>11,.0f} "
-            f"{rates['specialize']:>11,.0f} "
-            f"{rates['generated']:>11,.0f} "
+            f"{'debug' if row['debug'] else 'release':<8} {cells} "
             f"{row['speedup_specialize']:>8.1f}x")
     report = {"quick": quick, "iterations": iterations,
-              "repeats": repeats, "speedup_floor": SPEEDUP_FLOOR,
+              "rounds": rounds, "speedup_floor": SPEEDUP_FLOOR,
               "rows": rows}
 
-    native_row = _native_batched_row(rows, iterations, repeats)
+    native_row = _native_batched_row(rows, iterations, rounds)
     if native_row is not None:
         report["native_batched"] = native_row
         lines += [
@@ -258,9 +294,10 @@ def run_bench(quick: bool = False, iterations: int | None = None,
 
 
 def _native_batched_row(rows: list[dict], iterations: int,
-                        repeats: int) -> dict | None:
-    """Time one batched native ``repeat()`` leg against the release
-    specializer rate already measured, or None without a compiler."""
+                        rounds: int) -> dict | None:
+    """Time one batched native ``repeat()`` leg (median of ``rounds``)
+    against the release specializer median already measured, or None
+    without a compiler."""
     from repro.devil.native import native_available
 
     if not native_available():
@@ -273,12 +310,12 @@ def _native_batched_row(rows: list[dict], iterations: int,
     if setup is not None:
         setup(device)
     device.repeat("get_dx", 16)  # warm the direct-mode port table
-    best = float("inf")
-    for _ in range(repeats):
+    rates = []
+    for _ in range(rounds):
         start = time.perf_counter()
         device.repeat("get_dx", iterations)
-        best = min(best, time.perf_counter() - start)
-    rate = iterations / best
+        rates.append(iterations / (time.perf_counter() - start))
+    rate = statistics.median(rates)
     specialize_rate = next(
         row["calls_per_sec"]["specialize"] for row in rows
         if row["workload"] == NATIVE_FLOOR_WORKLOAD
@@ -301,7 +338,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--iterations", type=int, default=None,
                         help="timed calls per measurement")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="measurement repeats (best is kept)")
+                        help="interleaved measurement rounds (median "
+                             "and quartiles are reported; default 7)")
     options = parser.parse_args(argv)
     run_bench(quick=options.quick, iterations=options.iterations,
               repeats=options.repeats)

@@ -56,7 +56,9 @@ def _write_annotation(variable: ResolvedVariable) -> str:
     return "int"
 
 
-def _class_name(device_name: str) -> str:
+def stub_class_name(device_name: str) -> str:
+    """``logitech_busmouse`` -> ``LogitechBusmouseStubs`` (the class of
+    the generated module and of its typing stub)."""
     return "".join(part.capitalize()
                    for part in device_name.split("_")) + "Stubs"
 
@@ -113,7 +115,7 @@ def generate_pyi(model: ResolvedDevice) -> str:
     lines += [
         "",
         "",
-        f"class {_class_name(model.name)}(Protocol):",
+        f"class {stub_class_name(model.name)}(Protocol):",
         *methods,
         "",
         "    # Generic accessors (every strategy).",

@@ -84,11 +84,16 @@ class CompiledSpec:
     def emit_python(self, observe: bool = False) -> str:
         """Generate a standalone Python stub module.
 
+        The specializer's emitter lowers the model in module mode (see
+        :func:`repro.devil.specialize.generate_python_module`): the
+        same straight-line stubs ``bind(strategy="specialize")`` runs,
+        with ports relative to the bases the ``<Device>Stubs`` class
+        receives and ``debug``/``shadow_cache`` chosen at construction.
         ``observe=True`` emits :mod:`repro.obs` telemetry hooks (span
-        decorators on public stubs, action-record probes); the default
+        wrappers on public stubs, action-record probes); the default
         module has no hooks and no overhead.
         """
-        from .codegen.py_backend import generate_python_module
+        from .specialize import generate_python_module
         return generate_python_module(self.model, observe=observe)
 
     def emit_doc(self) -> str:

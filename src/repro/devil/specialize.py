@@ -1,22 +1,29 @@
-"""Bind-time stub specialization: straight-line closures per variable.
+"""The Python lowering of a checked Devil specification.
 
 The paper's headline performance claim (§4.3) is that Devil stubs have
 no execution overhead because the compiler folds masks, shifts and
 addresses into straight-line code.  :mod:`repro.devil.runtime`
-re-interprets the resolved model on every call; this module is the
-in-process analogue of :mod:`repro.devil.codegen.py_backend`: at
-``bind(strategy="specialize")`` time it partially evaluates the
-:class:`~repro.devil.model.ResolvedDevice` against the concrete base
-addresses and emits one Python closure per stub, with
+re-interprets the resolved model on every call; this module partially
+evaluates the :class:`~repro.devil.model.ResolvedDevice` instead and
+emits one Python function per stub, with
 
 * register masks (AND/OR constants),
 * chunk shifts and widths,
-* *absolute* port addresses (base + offset folded to one literal),
+* port addresses,
 * enum encode/decode tables, trigger-neutral values, and
 * the debug/release check variants
 
-all resolved to literals in generated source that is ``exec``-ed once
-and cached per ``(model, bases, debug, composition)``.
+all resolved to literals.  One emitter, :class:`_Specializer`, serves
+two targets:
+
+* **bound** — ``bind(strategy="specialize")``: a ``_factory(_I)`` of
+  closures over a :class:`~repro.devil.runtime.DeviceInstance`, with
+  *absolute* port literals and the ``debug``/``shadow_cache`` variant
+  baked in, ``exec``-ed once and cached per specialization key;
+* **module** — :meth:`CompiledSpec.emit_python`: a standalone module
+  (it imports nothing from ``repro``) whose ``<Device>Stubs`` class
+  runs the same factory at construction, with ports relative to the
+  bases it receives and ``debug``/``shadow_cache`` tested at run time.
 
 The specialized closures share the :class:`DeviceInstance`'s mutable
 state (register/structure caches, memory variables, ``_last_written``,
@@ -26,16 +33,21 @@ transactions), so mixing specialized stubs with the generic
 interpreter.  Semantics parity is bit-exact: identical bus traces,
 identical :class:`~repro.bus.IoAccounting` counters, and identical
 :class:`~repro.devil.errors.DevilRuntimeError` messages.  The fast
-path is inlined; every rarely-taken path (illegal values, unusual
-types, open transactions) delegates back to the interpreter so the two
-execution strategies cannot drift apart.
+path is inlined; bound closures delegate every rarely-taken path
+(illegal values, unusual types, open transactions) back to the
+interpreter so the two execution strategies cannot drift apart.  The
+module cannot import the interpreter, so it carries emitted versions
+of those paths (:data:`_MODULE_PRELUDE`, :data:`_MODULE_TXN`) that make
+the interpreter's decisions and raise its messages as
+``DevilStubError``.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
-from .errors import DevilRuntimeError, SourceLocation
+from .errors import DevilCodegenError, DevilRuntimeError, SourceLocation
 from .plan import access_plan
 from .model import (
     ParamRef,
@@ -53,43 +65,299 @@ from .types import BoolType, EnumType, IntSetType, IntType
 #: Sentinel distinguishing "absent" from any legal table value.
 _MISSING = object()
 
-
-def _struct_args_error(name: str, members, values, location) -> None:
+#: Error helpers both targets share: ``exec``-ed into the bound
+#: namespace (``_DRE`` is :class:`DevilRuntimeError` there) and written
+#: into the module (``_DRE`` is its ``DevilStubError``).
+_SHARED_HELPERS = '''\
+def _struct_args_error(name, members, values, location):
     """Raise the interpreter's structure-argument errors verbatim."""
     missing = set(members) - set(values)
     if missing:
-        raise DevilRuntimeError(
-            f"structure write of {name!r} must provide every member "
-            f"(missing: {sorted(missing)})", location)
+        raise _DRE(f"structure write of {name!r} must provide every "
+                   f"member (missing: {sorted(missing)})", location)
     unknown = set(values) - set(members)
-    raise DevilRuntimeError(
-        f"unknown member(s) {sorted(unknown)} in structure write "
-        f"of {name!r}", location)
+    raise _DRE(f"unknown member(s) {sorted(unknown)} in structure write "
+               f"of {name!r}", location)
 
 
-def _raise_param(name: str, location) -> None:
-    raise DevilRuntimeError(
-        f"unsubstituted constructor parameter {name!r}", location)
+def _raise_param(name, location):
+    raise _DRE(f"unsubstituted constructor parameter {name!r}", location)
+'''
+
+_SHARED_CODE = compile(_SHARED_HELPERS, "<devil-specialize:helpers>",
+                       "exec")
+
+#: Module-level code of a standalone stub module: the error class and
+#: the slow paths a bound factory takes from the interpreter
+#: (``DeviceInstance._encode``/``_decode``, ``_TransactionBlock``).
+#: ``_vars`` entries are ``(name, registers, write_triggers, kind,
+#: width, type text, location, extra)`` literals.
+_MODULE_PRELUDE = '''\
+class DevilStubError(Exception):
+    """A run-time check of the generated stubs failed.
+
+    ``str()`` is ``"<file>:<line>:<column>: <message>"``, the text of
+    the interpreter's DevilRuntimeError for the same call.
+    """
+
+    def __init__(self, message, location):
+        self.message = message
+        self.location = location
+        super().__init__(f"{location}: {message}")
+
+
+_DRE = DevilStubError
+_MISS = object()
+
+
+def _ignore(count):
+    """Stand-in for the optional io hooks note_elided/note_coalesced."""
+
+
+def _encode(var, value, debug):
+    """Encode a value the inlined fast path does not cover: the
+    interpreter's checks and messages, and its release fallback."""
+    kind, width, text, location, extra = var[3:]
+    if kind == "bool":
+        if isinstance(value, bool) or value in (0, 1):
+            return 1 if value else 0
+        error = f"value {value!r} is not a boolean"
+    elif kind == "enum":
+        if not isinstance(value, str):
+            error = f"enumerated value must be a symbol name, got {value!r}"
+        elif value not in extra:
+            error = f"{value!r} is not a symbol of {text}"
+        elif not extra[value][1]:
+            error = f"symbol {value!r} of {text} is read-only"
+        else:
+            return extra[value][0]
+    elif kind == "set":
+        if isinstance(value, int) and not isinstance(value, bool) \\
+                and value in extra:
+            return value
+        error = f"value {value!r} is not a member of {text}"
+    elif not isinstance(value, int) or isinstance(value, bool):
+        error = f"value {value!r} is not an integer"
+    elif not extra[0] <= value <= extra[1]:
+        error = (f"value {value} outside range [{extra[0]}, {extra[1]}] "
+                 f"of {text}")
+    else:
+        return value & ((1 << width) - 1)
+    if not debug:
+        if isinstance(value, bool):
+            return int(value)
+        if isinstance(value, int):
+            return value & ((1 << width) - 1)
+    raise DevilStubError(error, location)
+
+
+def _decode(var, raw, debug):
+    """A raw value outside an enum's readable symbols or an int set:
+    rejected in debug builds, passed through in release builds."""
+    if not debug:
+        return raw
+    kind, width, text, location = var[3:7]
+    raw &= (1 << width) - 1
+    if kind == "enum":
+        raise DevilStubError(f"device delivered {raw:#x}, which matches "
+                             f"no readable symbol of {text}", location)
+    raise DevilStubError(f"device delivered {raw}, which is not a member "
+                         f"of {text}", location)
+
+
+class _DevilTxn:
+    """The ``with stubs.txn():`` block: writes coalesce per register."""
+
+    __slots__ = ("_stubs",)
+
+    def __init__(self, stubs):
+        self._stubs = stubs
+
+    def __enter__(self):
+        stubs = self._stubs
+        if stubs._txn is not None:
+            raise DevilStubError("transactions do not nest", _MODEL_LOC)
+        stubs._txn = {"registers": {}, "order": [], "variables": {},
+                      "deferred": 0}
+        return stubs
+
+    def __exit__(self, exc_type, exc, tb):
+        stubs = self._stubs
+        txn, stubs._txn = stubs._txn, None
+        stubs._flush_transaction(txn)
+        return False
+'''
+
+#: Observe-mode additions: span wrappers resolving ``observer.collector``
+#: per call, like :func:`repro.obs.spans.wrap_stub` does for ``bus``.
+_MODULE_OBSERVE = '''\
+class _Unobserved:
+    """The observer of a class built without one."""
+
+    collector = None
+    tracing = False
+
+
+def _observed(observer, stub, variable, kind, func):
+    """Wrap one public stub so each call is a span on the observer's
+    collector (any object with ``collector``/``tracing``: a Bus)."""
+    def observed(*args, **kwargs):
+        collector = observer.collector
+        if collector is None:
+            return func(*args, **kwargs)
+        collector.span_start(_DEVICE, stub, variable, kind, "generated")
+        try:
+            result = func(*args, **kwargs)
+        except BaseException as error:
+            collector.span_end(error=type(error).__name__)
+            raise
+        collector.span_end()
+        return result
+    observed.__name__ = func.__name__
+    observed.__doc__ = func.__doc__
+    observed.__wrapped__ = func
+    return observed
+'''
+
+#: Module-mode transaction closures, spliced into ``_factory``: the
+#: counterparts of ``DeviceInstance._flush_pending``,
+#: ``_flush_transaction_body`` and ``_defer_write``.  Every deferrable
+#: register has a flush writer ``_txn_write_<reg>(updates, values)``.
+_MODULE_TXN = '''\
+def _flush():
+    _t = _I._txn
+    if _t is not None:
+        _I._txn = None
+        _flush_txn(_t)
+        _I._txn = {'registers': {}, 'order': [], 'variables': {},
+                   'deferred': 0}
+
+def _flush_body(_t):
+    _tv = _t['variables']
+    _tw = _I._txn_writers
+    for _r in _t['order']:
+        _tw[_r](_t['registers'][_r], _tv)
+    _n = _t['deferred'] - len(_t['order'])
+    if _n > 0:
+        _note_coalesced(_n)
+    for _k in _tv:
+        _post = _txn_posts.get(_k)
+        if _post is not None:
+            _post(_tv)
+
+def _defer(_var, value, raw):
+    _k, _regs, _trigger = _var[:3]
+    _t = _I._txn
+    if _trigger:
+        for _r in _regs:
+            _p = _t['registers'].get(_r)
+            if _p is not None and _k in _p:
+                _flush()
+                _t = _I._txn
+                break
+    _tr = _t['registers']
+    for _r in _regs:
+        _p = _tr.get(_r)
+        if _p is None:
+            _tr[_r] = _p = {}
+            _t['order'].append(_r)
+        _p[_k] = raw
+    _t['variables'][_k] = value
+    _t['deferred'] += len(_regs)
+    _lw[_k] = value
+'''
+
+_MODULE_FLUSH = '''\
+def _flush_txn(_t):
+    if _t['order']:
+        _flush_body(_t)
+'''
+
+_MODULE_FLUSH_OBSERVED = '''\
+def _flush_txn(_t):
+    if not _t['order']:
+        return
+    _c = _bus.collector
+    if _c is None:
+        _flush_body(_t)
+        return
+    _c.span_start(_DEVICE, 'txn_flush', '*', 'txn', 'generated')
+    try:
+        _flush_body(_t)
+    except BaseException as _e:
+        _c.span_end(error=type(_e).__name__)
+        raise
+    _c.span_end()
+'''
+
+#: The module's stub class: the constructor runs ``_factory`` once and
+#: attaches the public stubs as instance attributes.
+_MODULE_CLASS = '''\
+class {name}:
+    """Stubs of device {device!r} over an I/O provider.
+
+    ``io`` provides read(port, width) and write(value, port, width),
+    block_read(port, count, width) and block_write(port, values, width)
+    if the device has block variables, and optionally note_elided(count)
+    and note_coalesced(count).  A repro.bus.Bus qualifies.  In observe
+    mode spans go to ``observer.collector``, read per call (pass the
+    Bus).
+    """
+
+    def __init__(self, io{params}, debug=False, shadow_cache=False{observer}):
+        self._io = io
+        self._debug = debug
+        self._shadow_valid = set() if shadow_cache else None
+        self._register_cache = {{}}
+        self._structure_cache = {{}}
+        self._memory = {initial!r}
+        self._last_written = {initial!r}
+        self._txn = None
+{init}
+
+    def txn(self):
+        """Coalesce variable writes: one I/O per touched register."""
+        return _DevilTxn(self)
+
+    transaction = txn
+'''
+
+#: Module-mode flags: the generated class receives them at
+#: construction, so the emitted code tests these expressions instead of
+#: baking a variant in.
+_RUN_TIME_DEBUG = "_debug"
+_RUN_TIME_SHADOW = "_sv is not None"
 
 
 class _Specializer:
     """Generates the ``_factory(_I)`` source for one specialization key.
 
-    The factory takes a bound :class:`DeviceInstance`, captures its hot
-    state (bus methods, caches) in closure cells, defines one function
-    per stub and returns the dict of public stubs.  Compilation happens
-    once per key; running the factory per instance is cheap.
+    The factory takes a bound :class:`DeviceInstance` (or, in module
+    mode, the generated class's instance), captures its hot state (I/O
+    methods, caches) in closure cells, defines one function per stub
+    and returns the dict of public stubs.  Compilation happens once per
+    key; running the factory per instance is cheap.
+
+    ``bases=None`` selects module mode.  It differs from bound mode in
+    three places only: ports are ``_p_<param> + offset`` instead of
+    absolute literals; ``debug`` and ``shadow_cache`` are the run-time
+    tests :data:`_RUN_TIME_DEBUG`/:data:`_RUN_TIME_SHADOW` instead of
+    baked-in booleans; and the rare paths call emitted code instead of
+    the interpreter.
     """
 
-    def __init__(self, model: ResolvedDevice, bases: dict[str, int],
-                 debug: bool, composition: str,
+    def __init__(self, model: ResolvedDevice, bases: dict[str, int] | None,
+                 debug: bool | str, composition: str,
                  instrumented: bool = False,
-                 shadow_cache: bool = False):
+                 shadow_cache: bool | str = False):
         self.model = model
-        self.bases = dict(bases)
+        self.module = bases is None
+        self.bases = None if bases is None else dict(bases)
+        #: ``True``/``False`` bake one variant into the source; a string
+        #: is the run-time test guarding the variant (module mode).
         self.debug = debug
         self.composition = composition
-        #: When True, getters of fully-cacheable variables test the
+        #: When set, getters of fully-cacheable variables test the
         #: instance's shadow-validity set and serve reads straight from
         #: the register cache; register accesses maintain the set per
         #: the static access plan.  Off, no shadow code is emitted at
@@ -105,14 +373,15 @@ class _Specializer:
         self.instrumented = instrumented
         self.lines: list[str] = []
         self._indent = 0
-        #: Objects injected into the exec globals (tables, locations...).
+        #: Objects injected into the exec globals (bound mode).
         self.namespace: dict[str, object] = {
             "_DRE": DevilRuntimeError,
             "_MISS": _MISSING,
             "_vars": model.variables,
-            "_struct_args_error": _struct_args_error,
-            "_raise_param": _raise_param,
         }
+        #: Enum/set/member tables: injected in bound mode, rendered as
+        #: literals in module mode.
+        self.tables: dict[str, object] = {}
         self._locs: dict[SourceLocation, int] = {}
         self._loc_list: list[SourceLocation] = []
         self.namespace["_locs"] = self._loc_list
@@ -131,6 +400,29 @@ class _Specializer:
 
     def _pop(self) -> None:
         self._indent -= 1
+
+    def _splice(self, text: str) -> None:
+        for line in text.splitlines():
+            self._w(line)
+
+    @contextmanager
+    def _guard(self, flag: bool | str):
+        """Emit the enclosed lines under ``if flag:`` when ``flag`` is a
+        run-time test; a baked-in ``True`` emits them unguarded."""
+        if isinstance(flag, str):
+            self._w(f"if {flag}:")
+            self._push()
+            yield
+            self._pop()
+        else:
+            yield
+
+    def _def(self, signature: str, doc: str) -> None:
+        """Open a stub function; the module documents its stubs."""
+        self._w(f"def {signature}:")
+        self._push()
+        if self.module:
+            self._w(f'"""{doc}"""')
 
     def _loc(self, location: SourceLocation) -> str:
         index = self._locs.get(location)
@@ -173,9 +465,13 @@ class _Specializer:
 
     # -- port folding -------------------------------------------------
 
-    def _address(self, port: tuple[str, int]) -> int:
+    def _port(self, port: tuple[str, int]) -> str:
+        """The port expression: an absolute literal when bound, relative
+        to the base the generated class received in module mode."""
         base, offset = port
-        return self.bases[base] + offset
+        if self.bases is not None:
+            return f"{self.bases[base] + offset:#x}"
+        return f"_p_{base} + {offset}" if offset else f"_p_{base}"
 
     def _port_width(self, port: tuple[str, int]) -> int:
         return self.model.params[port[0]].data_width
@@ -202,11 +498,11 @@ class _Specializer:
             for item in var_type.readable_items:
                 if item.value not in decode_table:
                     decode_table[item.value] = item.name
-            self.namespace.setdefault(f"_ENC_{name}", encode_table)
-            self.namespace.setdefault(f"_DEC_{name}", decode_table)
+            self.tables.setdefault(f"_ENC_{name}", encode_table)
+            self.tables.setdefault(f"_DEC_{name}", decode_table)
         elif isinstance(var_type, IntSetType):
-            self.namespace.setdefault(f"_SET_{name}",
-                                      frozenset(var_type.values))
+            self.tables.setdefault(f"_SET_{name}",
+                                   frozenset(var_type.values))
 
     # -- action lowering ----------------------------------------------
 
@@ -219,7 +515,14 @@ class _Specializer:
         if isinstance(value, VarRef):
             if value.name in context:
                 return context[value.name]
-            return f"_lwget({value.name!r}, {loc_expr})"
+            fallback = f"_lwget({value.name!r}, {loc_expr})"
+            values = context.get("*")
+            if values is not None:
+                # A run-time context dict (the values of a module-mode
+                # transaction flush) shadows the last-written values.
+                return (f"({values}[{value.name!r}] if {value.name!r} in "
+                        f"{values} else {fallback})")
+            return fallback
         # bool before int: True is an int.
         if isinstance(value, (bool, int, str)):
             return repr(value)
@@ -233,15 +536,16 @@ class _Specializer:
             self._w(f"_obs_act({kind!r}, {action.target!r})")
         if action.target_kind == "structure":
             assert isinstance(action.value, dict)
-            if action.target in self.model.structures and \
-                    self._structure_writable(action.target):
+            if self.module or self._structure_writable(action.target):
+                # The module emits a setter for every structure an
+                # action targets (see _emit_stubs).
                 arguments = ", ".join(
                     f"{member}={self._value_expr(inner, context, loc_expr)}"
                     for member, inner in action.value.items())
                 self._w(f"set_{action.target}({arguments})")
             else:
                 # The interpreter calls set_structure without checking
-                # writability; no specialized setter exists, so keep the
+                # writability; no bound setter exists, so keep the
                 # interpreted path (and its errors).
                 items = ", ".join(
                     f"{member!r}: "
@@ -254,6 +558,10 @@ class _Specializer:
         target = self.model.variables.get(action.target)
         if target is not None and (target.memory or self._writable(target)):
             self._w(f"set_{action.target}({expr})")
+        elif self.module:
+            raise DevilCodegenError(
+                f"action writes {action.target!r}, which has no setter",
+                action.location)
         else:
             # No specialized setter exists; the interpreter path raises
             # (or handles) exactly like an interpreted action would.
@@ -272,12 +580,13 @@ class _Specializer:
             return
         message = (f"register {register.name!r} is only addressable in "
                    f"mode {register.mode!r}, but the device is in %r")
-        self._w("_dm = _mem.get('device_mode')")
-        self._w(f"if _dm != {register.mode!r}:")
-        self._push()
-        self._w(f"raise _DRE({message!r} % (_dm,), "
-                f"{self._loc(register.location)})")
-        self._pop()
+        with self._guard(self.debug):
+            self._w("_dm = _mem.get('device_mode')")
+            self._w(f"if _dm != {register.mode!r}:")
+            self._push()
+            self._w(f"raise _DRE({message!r} % (_dm,), "
+                    f"{self._loc(register.location)})")
+            self._pop()
 
     # -- raw register access ------------------------------------------
 
@@ -288,7 +597,7 @@ class _Specializer:
         self._emit_mode_check(register)
         self._emit_actions(register.pre_actions, context, "pre")
         self._w(f"raw_{register.name} = "
-                f"_read({self._address(port):#x}, {self._port_width(port)})")
+                f"_read({self._port(port)}, {self._port_width(port)})")
         self._emit_shadow_update(register, read=True)
         self._emit_actions(register.post_actions, context, "post")
         self._emit_actions(register.set_actions, context)
@@ -299,14 +608,20 @@ class _Specializer:
                              composed: str,
                              context: dict[str, str]) -> None:
         port = register.write_port
-        assert port is not None
         name = register.name
         self._w(f"_w_{name} = {composed}")
+        if port is None:
+            # Only a module-mode setter of a structure an action writes
+            # reaches a read-only register; the interpreter raises here.
+            message = f"register {name!r} is read-only"
+            self._w(f"raise _DRE({message!r}, "
+                    f"{self._loc(register.location)})")
+            return
         self._emit_mode_check(register)
         self._emit_actions(register.pre_actions, context, "pre")
         forced = register.mask.forced_value
         on_bus = f"_w_{name} | {forced:#x}" if forced else f"_w_{name}"
-        self._w(f"_write({on_bus}, {self._address(port):#x}, "
+        self._w(f"_write({on_bus}, {self._port(port)}, "
                 f"{self._port_width(port)})")
         self._emit_shadow_update(register, read=False)
         self._emit_actions(register.post_actions, context, "post")
@@ -321,9 +636,11 @@ class _Specializer:
         plan = self.plan[register.name]
         barrier = plan.read_barrier if read else plan.write_barrier
         if barrier:
-            self._w("_sv.clear()")
+            with self._guard(self.shadow_cache):
+                self._w("_sv.clear()")
         elif plan.read_elidable:
-            self._w(f"_sv.add({register.name!r})")
+            with self._guard(self.shadow_cache):
+                self._w(f"_sv.add({register.name!r})")
 
     def _emit_rmw_refresh(self, register: ResolvedRegister,
                           context: dict[str, str]) -> None:
@@ -364,46 +681,29 @@ class _Specializer:
             parts.append(f"({extract} << {offset})" if offset else extract)
         return " | ".join(parts) if parts else "0"
 
-    def _compose_var_write(self, register: ResolvedRegister,
-                           writing: ResolvedVariable,
-                           raw_expr: str = "raw") -> str:
-        self_bits = 0
-        inserts = []
-        for chunk, value_lsb in writing.chunks_of(register.name):
-            chunk_mask = (1 << chunk.width) - 1
-            self_bits |= chunk_mask << chunk.lsb
-            extract = self._extract_expr(raw_expr,
-                                         value_lsb + chunk.width - 1,
-                                         value_lsb, writing.width)
-            inserts.append(f"({extract} << {chunk.lsb})"
-                           if chunk.lsb else extract)
-        neutral_bits, neutral_value = self._neutral_of(
-            register, {writing.name})
-        keep = register.mask.variable_bits & ~self_bits & ~neutral_bits
-        parts = []
-        if keep:
-            parts.append(f"(_rc.get({register.name!r}, 0) & {keep:#x})")
-        parts.extend(inserts)
-        if neutral_value:
-            parts.append(f"{neutral_value:#x}")
-        return " | ".join(parts) if parts else "0"
-
-    def _compose_struct_write(self, register: ResolvedRegister,
-                              members: list[ResolvedVariable]) -> str:
-        member_names = {m.name for m in members}
+    def _compose_write(self, register: ResolvedRegister,
+                       members: list[ResolvedVariable], source_of) -> str:
+        """Raw value to write to ``register`` for new values of
+        ``members`` (``source_of(member)`` is the expression of its raw
+        value): their bits, the neighbours' trigger-neutral values and
+        the cached bits of everyone else."""
         written = 0
         parts = []
         for member in members:
             for chunk, value_lsb in member.chunks_of(register.name):
                 chunk_mask = (1 << chunk.width) - 1
                 written |= chunk_mask << chunk.lsb
-                extract = self._extract_expr(f"_u[{member.name!r}]",
+                extract = self._extract_expr(source_of(member),
                                              value_lsb + chunk.width - 1,
                                              value_lsb, member.width)
                 parts.append(f"({extract} << {chunk.lsb})"
                              if chunk.lsb else extract)
-        neutral_bits, neutral_value = self._neutral_of(
-            register, member_names)
+        names = {member.name for member in members}
+        neighbours = [neighbour for neighbour
+                      in self.model.variables_of_register(register.name)
+                      if neighbour.name not in names]
+        neutral_bits, neutral_value = self._neutral_of(register,
+                                                       neighbours)
         keep = register.mask.variable_bits & ~written & ~neutral_bits
         expr = []
         if keep:
@@ -414,19 +714,18 @@ class _Specializer:
         return " | ".join(expr) if expr else "0"
 
     def _neutral_of(self, register: ResolvedRegister,
-                    excluded: set[str]) -> tuple[int, int]:
-        """Folded trigger-neutral bits of the register's neighbours."""
+                    owners: list[ResolvedVariable]) -> tuple[int, int]:
+        """Folded trigger-neutral ``(bits, value)`` of ``owners`` in
+        ``register``."""
         neutral_bits = 0
         neutral_value = 0
-        for neighbour in self.model.variables_of_register(register.name):
-            if neighbour.name in excluded:
-                continue
-            if neighbour.behaviors.write_triggers and \
-                    neighbour.trigger_neutral_raw is not None:
-                for chunk, value_lsb in neighbour.chunks_of(register.name):
+        for owner in owners:
+            if owner.behaviors.write_triggers and \
+                    owner.trigger_neutral_raw is not None:
+                for chunk, value_lsb in owner.chunks_of(register.name):
                     chunk_mask = (1 << chunk.width) - 1
                     neutral_bits |= chunk_mask << chunk.lsb
-                    field = (neighbour.trigger_neutral_raw >> value_lsb) \
+                    field = (owner.trigger_neutral_raw >> value_lsb) \
                         & chunk_mask
                     neutral_value |= field << chunk.lsb
         return neutral_bits, neutral_value
@@ -529,15 +828,18 @@ class _Specializer:
 
     # -- stub emitters ------------------------------------------------
 
-    def _emit_memory_accessors(self, variable: ResolvedVariable) -> None:
-        name = variable.name
-        message = f"memory variable {name!r} read before initialisation"
-        self._w(f"def get_{name}():")
-        self._push()
+    def _open_stub(self, signature: str, doc: str) -> None:
+        """Open a stub that first flushes an open transaction."""
+        self._def(signature, doc)
         self._w("if _I._txn is not None:")
         self._push()
         self._w("_flush()")
         self._pop()
+
+    def _emit_memory_accessors(self, variable: ResolvedVariable) -> None:
+        name = variable.name
+        message = f"memory variable {name!r} read before initialisation"
+        self._open_stub(f"get_{name}()", f"Read device variable {name!r}.")
         self._w(f"if {name!r} in _mem:")
         self._push()
         self._w(f"return _mem[{name!r}]")
@@ -545,8 +847,7 @@ class _Specializer:
         self._w(f"raise _DRE({message!r}, {self._loc(variable.location)})")
         self._pop()
         self._w()
-        self._w(f"def set_{name}(value):")
-        self._push()
+        self._def(f"set_{name}(value)", f"Write device variable {name!r}.")
         # The interpreter encodes (and so validates) memory writes, then
         # stores the abstract value without running set-actions.
         self._emit_encode(variable)
@@ -557,12 +858,7 @@ class _Specializer:
 
     def _emit_getter(self, variable: ResolvedVariable) -> None:
         name = variable.name
-        self._w(f"def get_{name}():")
-        self._push()
-        self._w("if _I._txn is not None:")
-        self._push()
-        self._w("_flush()")
-        self._pop()
+        self._open_stub(f"get_{name}()", f"Read device variable {name!r}.")
         if self.shadow_cache and self.plan.variable_elidable(variable):
             self._emit_elided_branch(variable)
         for register_name in variable.registers():
@@ -576,8 +872,10 @@ class _Specializer:
     def _emit_elided_branch(self, variable: ResolvedVariable) -> None:
         """Serve the read from the shadow cache when it is valid."""
         registers = variable.registers()
-        condition = " and ".join(f"{reg!r} in _sv" for reg in registers)
-        self._w(f"if {condition}:")
+        tests = [f"{reg!r} in _sv" for reg in registers]
+        if isinstance(self.shadow_cache, str):
+            tests.insert(0, self.shadow_cache)
+        self._w(f"if {' and '.join(tests)}:")
         self._push()
         for register_name in registers:
             register = self.model.registers[register_name]
@@ -588,7 +886,7 @@ class _Specializer:
                 port = register.read_port
                 assert port is not None
                 vb = register.mask.variable_bits
-                self._w(f"_obs_elide({self._address(port):#x}, "
+                self._w(f"_obs_elide({self._port(port)}, "
                         f"_raw_{register_name} & {vb:#x}, "
                         f"{self._port_width(port)})")
         self._w(f"_note_elided({len(registers)})")
@@ -601,30 +899,26 @@ class _Specializer:
         name = variable.name
         structure = variable.structure
         assert structure is not None
-        self._w(f"def get_{name}():")
-        self._push()
-        self._w("if _I._txn is not None:")
-        self._push()
-        self._w("_flush()")
-        self._pop()
+        self._open_stub(f"get_{name}()", f"Read device variable {name!r}.")
         self._w(f"_snap = _sc.get({structure!r})")
         raw = self._assemble_expr(variable,
                                   lambda reg: f"_snap[{reg!r}]")
+        # Debug raises on an unfetched structure, release reads zeros.
+        self._w("if _snap is None:")
+        self._push()
         if self.debug:
             message = (f"variable {name!r} read before its structure "
                        f"{structure!r} was fetched — call "
                        f"get_{structure}() first")
-            self._w("if _snap is None:")
-            self._push()
-            self._w(f"raise _DRE({message!r}, "
-                    f"{self._loc(variable.location)})")
-            self._pop()
+            with self._guard(self.debug):
+                self._w(f"raise _DRE({message!r}, "
+                        f"{self._loc(variable.location)})")
+        if self.debug is not True:
+            self._w("_raw = 0")
+        self._pop()
+        if self.debug is True:
             self._w(f"_raw = {raw}")
         else:
-            self._w("if _snap is None:")
-            self._push()
-            self._w("_raw = 0")
-            self._pop()
             self._w("else:")
             self._push()
             self._w(f"_raw = {raw}")
@@ -637,14 +931,13 @@ class _Specializer:
     def _emit_setter(self, variable: ResolvedVariable) -> None:
         name = variable.name
         context = {name: "value"}
-        self._w(f"def set_{name}(value):")
-        self._push()
+        self._def(f"set_{name}(value)", f"Write device variable {name!r}.")
         # Open transactions defer writes: encode on the inlined fast
         # path, then record the raw value in the transaction.  Single-
         # register variables get the deferral inlined (the common case
         # — one dict probe, one barrier test); multi-register and
-        # serialized variables go through the shared interpreter
-        # deferral so the ordering logic cannot drift.
+        # serialized variables go through the shared deferral (the
+        # interpreter's, or the module's _MODULE_TXN copy).
         registers = variable.registers()
         self._w("if _I._txn is not None:")
         self._push()
@@ -673,12 +966,7 @@ class _Specializer:
             self._w(f"_t['variables'][{name!r}] = value")
             self._w("_t['deferred'] += 1")
             self._w(f"_lw[{name!r}] = value")
-            if self.instrumented:
-                self._w("_c = _bus.collector")
-                self._w("if _c is not None:")
-                self._push()
-                self._w("_c.mark_coalesced()")
-                self._pop()
+            self._emit_mark_coalesced()
         else:
             self._w(f"_defer(_vars[{name!r}], value, raw)")
         self._w("return")
@@ -687,22 +975,29 @@ class _Specializer:
         for register_name in variable.registers():
             register = self.model.registers[register_name]
             self._emit_rmw_refresh(register, context)
-            composed = self._compose_var_write(register, variable)
+            composed = self._compose_write(register, [variable],
+                                           lambda member: "raw")
             self._emit_register_write(register, composed, context)
         self._w(f"_lw[{name!r}] = value")
         self._emit_actions(variable.set_actions, context, "var-set")
         self._pop()
         self._w()
 
+    def _emit_mark_coalesced(self) -> None:
+        """Flag the open span: a deferred write joined a flush."""
+        if self.instrumented:
+            self._w("_c = _bus.collector")
+            self._w("if _c is not None:")
+            self._push()
+            self._w("_c.mark_coalesced()")
+            self._pop()
+
     def _emit_struct_getter(self, structure_name: str) -> None:
         structure = self.model.structures[structure_name]
         register_names = self._structure_registers(structure_name)
-        self._w(f"def get_{structure_name}():")
-        self._push()
-        self._w("if _I._txn is not None:")
-        self._push()
-        self._w("_flush()")
-        self._pop()
+        self._open_stub(f"get_{structure_name}()",
+                        f"Fetch structure {structure_name!r} (grouped "
+                        f"register read).")
         for register_name in register_names:
             self._emit_register_read(self.model.registers[register_name], {})
         snapshot = ", ".join(f"{reg!r}: raw_{reg}"
@@ -723,7 +1018,7 @@ class _Specializer:
         context = {m.name: f"values[{m.name!r}]" for m in members}
         loc_expr = self._loc(structure.location)
         members_set = f"_M_{structure_name}"
-        self.namespace[members_set] = frozenset(structure.members)
+        self.tables[members_set] = frozenset(structure.members)
 
         # Per-member encoders (runtime iteration preserves the
         # interpreter's values-order encoding and error order).
@@ -752,12 +1047,9 @@ class _Specializer:
         self._w(f"_P_{structure_name} = {{{posts}}}")
         self._w()
 
-        self._w(f"def set_{structure_name}(**values):")
-        self._push()
-        self._w("if _I._txn is not None:")
-        self._push()
-        self._w("_flush()")
-        self._pop()
+        self._open_stub(f"set_{structure_name}(**values)",
+                        f"Write structure {structure_name!r} (serialized "
+                        f"register writes).")
         self._w(f"if {members_set}.symmetric_difference(values):")
         self._push()
         self._w(f"_struct_args_error({structure_name!r}, {members_set}, "
@@ -775,16 +1067,9 @@ class _Specializer:
         for step in steps:
             register = self.model.registers[step.register]
             if step.condition is not None:
+                # The checker resolves conditions to raw literals.
                 cond_var, expected = step.condition
-                if isinstance(expected, (bool, int, str)):
-                    expected_expr = repr(expected)
-                else:
-                    # Non-literal condition values compare by identity
-                    # semantics the interpreter would apply; inject the
-                    # object itself.
-                    expected_expr = f"_COND_{structure_name}_{len(self.namespace)}"
-                    self.namespace[expected_expr] = expected
-                self._w(f"if _u.get({cond_var!r}) == {expected_expr}:")
+                self._w(f"if _u.get({cond_var!r}) == {expected!r}:")
                 self._push()
                 self._emit_struct_step(register, members, context)
                 self._pop()
@@ -806,7 +1091,8 @@ class _Specializer:
                           members: list[ResolvedVariable],
                           context: dict[str, str]) -> None:
         self._emit_rmw_refresh(register, context)
-        composed = self._compose_struct_write(register, members)
+        composed = self._compose_write(
+            register, members, lambda member: f"_u[{member.name!r}]")
         self._emit_register_write(register, composed, context)
 
     def _block_shape_ok(self, variable: ResolvedVariable) -> bool:
@@ -818,81 +1104,74 @@ class _Specializer:
 
     def _emit_block_stubs(self, variable: ResolvedVariable) -> None:
         name = variable.name
-        shape_ok = self._block_shape_ok(variable)
         register = self.model.registers[variable.chunks[0].register] \
-            if variable.chunks else None
-        if self._readable(variable):
-            self._w(f"def read_{name}_block(count):")
-            self._push()
-            self._w("if _I._txn is not None:")
-            self._push()
-            self._w("_flush()")
-            self._pop()
-            if shape_ok and register is not None and register.readable:
-                port = register.read_port
+            if self._block_shape_ok(variable) else None
+        for kind, argument, result, doc in (
+                ("read", "count", "_vals",
+                 f"Block-read ``count`` words through {name!r}."),
+                ("write", "values", "_n",
+                 f"Block-write a buffer through {name!r}.")):
+            allowed = self._readable if kind == "read" else self._writable
+            if not allowed(variable):
+                continue
+            self._open_stub(f"{kind}_{name}_block({argument})", doc)
+            port = None if register is None else \
+                register.read_port if kind == "read" else register.write_port
+            if port is not None:
                 self._emit_actions(register.pre_actions, {}, "pre")
-                self._w(f"_vals = _block_read({self._address(port):#x}, "
-                        f"count, {self._port_width(port)})")
+                self._w(f"{result} = _block_{kind}({self._port(port)}, "
+                        f"{argument}, {self._port_width(port)})")
                 if self.shadow_cache:
-                    self._w("_sv.clear()")
+                    with self._guard(self.shadow_cache):
+                        self._w("_sv.clear()")
                 self._emit_actions(register.post_actions, {}, "post")
                 self._emit_actions(register.set_actions, {})
-                self._w("return _vals")
-            else:
+                self._w(f"return {result}")
+            elif self.module:
                 # Malformed block variables raise at call time exactly
                 # like the interpreter.
-                self._w(f"return _I.read_block({name!r}, count)")
-            self._pop()
-            self._w()
-        if self._writable(variable):
-            self._w(f"def write_{name}_block(values):")
-            self._push()
-            self._w("if _I._txn is not None:")
-            self._push()
-            self._w("_flush()")
-            self._pop()
-            if shape_ok and register is not None and register.writable:
-                port = register.write_port
-                self._emit_actions(register.pre_actions, {}, "pre")
-                self._w(f"_n = _block_write({self._address(port):#x}, "
-                        f"values, {self._port_width(port)})")
-                if self.shadow_cache:
-                    self._w("_sv.clear()")
-                self._emit_actions(register.post_actions, {}, "post")
-                self._emit_actions(register.set_actions, {})
-                self._w("return _n")
+                message = f"block variable {name!r} must cover one " \
+                    f"whole register"
+                self._w(f"raise _DRE({message!r}, "
+                        f"{self._loc(variable.location)})")
             else:
-                self._w(f"return _I.write_block({name!r}, values)")
+                self._w(f"return _I.{kind}_block({name!r}, {argument})")
             self._pop()
             self._w()
 
-    # -- driver -------------------------------------------------------
+    # -- transaction flush writers ------------------------------------
 
-    # -- specialized transaction flush writers ------------------------
+    def _deferrable(self, variable: ResolvedVariable) -> bool:
+        """Setters of these variables defer inside a transaction."""
+        return self._writable(variable) and not variable.memory
 
     def _txn_writer_registers(self) -> list:
-        """Registers whose transaction flush can run straight-line.
+        """Registers whose transaction flush runs straight-line.
 
-        A register qualifies when composing it needs no model walk at
-        flush time: ``cache`` composition, a write port, no register
-        actions (actions may consult the deferred-values context, which
-        the interpreter's generic flush provides).  Registers that do
-        not qualify simply fall back to the interpreter's
-        ``_compose_register_write`` path — semantics are identical
-        either way, only the dispatch cost differs.
+        The module needs a writer for every register a transaction can
+        touch.  Bound mode emits one only when composing the register
+        needs no model walk at flush time: ``cache`` composition, no
+        register actions (actions may consult the deferred-values
+        context, which the interpreter's generic flush provides), and
+        an owner outside any structure.  Registers that do not qualify
+        fall back to the interpreter's ``_compose_register_write``
+        path — semantics are identical either way, only the dispatch
+        cost differs.
         """
         if self.composition != "cache":
             return []
         result = []
         for register in self.model.registers.values():
-            if register.write_port is None:
+            owners = [owner for owner
+                      in self.model.variables_of_register(register.name)
+                      if self._deferrable(owner)]
+            if register.write_port is None or not owners:
                 continue
-            if register.pre_actions or register.post_actions or \
-                    register.set_actions:
-                continue
-            owners = self.model.variables_of_register(register.name)
-            if not any(self._writable(owner) and not owner.memory and
-                       owner.structure is None for owner in owners):
+            if not self.module and (
+                    register.pre_actions or register.post_actions
+                    or register.set_actions
+                    or all(owner.structure is not None
+                           for owner in owners)):
                 continue
             result.append(register)
         return result
@@ -904,10 +1183,13 @@ class _Specializer:
         folded in.  Must compose exactly what the interpreter would:
         updated owners contribute their new bits, write-trigger
         neighbours their neutral value, everyone else their cached
-        bits."""
+        bits.  Module writers also take the flush's ``values``, the
+        context of the register's actions."""
         name = register.name
         width_mask = (1 << register.width) - 1
-        self._w(f"def _txn_write_{name}(_u):")
+        parameters, context = ("_u, _tv", {"*": "_tv"}) if self.module \
+            else ("_u", {})
+        self._w(f"def _txn_write_{name}({parameters}):")
         self._push()
         self._w(f"_x = _rc.get({name!r}, 0) & "
                 f"{register.mask.variable_bits:#x}")
@@ -923,71 +1205,101 @@ class _Specializer:
                 inserts.append(f"({extract} << {chunk.lsb})"
                                if chunk.lsb else extract)
             keep = ~bits & width_mask
-            neutral = None
-            if owner.behaviors.write_triggers and \
-                    owner.trigger_neutral_raw is not None:
-                neutral = 0
-                for chunk, value_lsb in owner.chunks_of(name):
-                    chunk_mask = (1 << chunk.width) - 1
-                    field = (owner.trigger_neutral_raw >> value_lsb) \
-                        & chunk_mask
-                    neutral |= field << chunk.lsb
-            deferrable = self._writable(owner) and not owner.memory \
-                and owner.structure is None
-            if deferrable:
+            has_neutral, neutral = self._neutral_of(register, [owner])
+            if self._deferrable(owner):
                 self._w(f"_v = _u.get({owner.name!r})")
                 self._w("if _v is not None:")
                 self._push()
                 self._w(f"_x = (_x & {keep:#x}) | "
                         f"{' | '.join(inserts)}")
                 self._pop()
-                if neutral is not None:
+                if has_neutral:
                     self._w("else:")
                     self._push()
                     self._w(f"_x = (_x & {keep:#x}) | {neutral:#x}")
                     self._pop()
-            elif neutral is not None:
+            elif has_neutral:
                 self._w(f"_x = (_x & {keep:#x}) | {neutral:#x}")
-        self._emit_register_write(register, "_x", {})
+        self._emit_register_write(register, "_x", context)
         self._pop()
         self._w()
 
-    def generate(self) -> str:
-        model = self.model
-        self._w(f"# Specialized stubs for {model.name!r} "
-                f"(debug={self.debug}, composition={self.composition!r}, "
-                f"instrumented={self.instrumented}, "
-                f"shadow_cache={self.shadow_cache}).")
-        self._w("# Generated by repro.devil.specialize; do not edit.")
-        self._w()
-        self._w("def _factory(_I):")
-        self._push()
-        self._w("_bus = _I.bus")
-        self._w("_read = _bus.read")
-        self._w("_write = _bus.write")
-        self._w("_block_read = _bus.block_read")
-        self._w("_block_write = _bus.block_write")
+    def _emit_txn_tail(self) -> None:
+        """Flush writers; in module mode also the flush's set-action
+        runners (the interpreter's ``_flush_transaction_body`` pass)."""
+        writer_registers = self._txn_writer_registers()
+        for register in writer_registers:
+            self._emit_txn_writer(register)
+        if writer_registers:
+            writer_entries = ", ".join(
+                f"{register.name!r}: _txn_write_{register.name}"
+                for register in writer_registers)
+            self._w(f"_I._txn_writers = {{{writer_entries}}}")
+        else:
+            self._w("_I._txn_writers = None")
+        if not self.module:
+            return
+        posts = [variable for variable in self.model.variables.values()
+                 if self._deferrable(variable) and variable.set_actions]
+        for variable in posts:
+            self._w(f"def _txn_post_{variable.name}(_tv):")
+            self._push()
+            self._emit_actions(variable.set_actions, {"*": "_tv"},
+                               "var-set")
+            self._pop()
+            self._w()
+        entries = ", ".join(f"{variable.name!r}: _txn_post_{variable.name}"
+                            for variable in posts)
+        self._w(f"_txn_posts = {{{entries}}}")
+        self._w("_I._flush_transaction = _flush_txn")
+
+    # -- driver -------------------------------------------------------
+
+    def _emit_prologue(self) -> None:
+        """Capture the instance's hot state; define the slow paths."""
+        io = "_io" if self.module else "_bus"
+        self._w(f"{io} = _I.{'_io' if self.module else 'bus'}")
+        self._w(f"_read = {io}.read")
+        self._w(f"_write = {io}.write")
+        # A module's io needs the block methods only if the device has
+        # block variables.
+        if not self.module or any(variable.behaviors.block for variable
+                                  in self.model.variables.values()):
+            self._w(f"_block_read = {io}.block_read")
+            self._w(f"_block_write = {io}.block_write")
         self._w("_rc = _I._register_cache")
         self._w("_sc = _I._structure_cache")
         self._w("_mem = _I._memory")
         self._w("_lw = _I._last_written")
-        self._w("_encode = _I._encode")
-        self._w("_decode = _I._decode")
-        self._w("_set = _I.set")
-        self._w("_flush = _I._flush_pending")
-        self._w("_defer = _I._defer_write")
-        if self.shadow_cache:
+        if self.module:
+            self._w("_debug = _I._debug")
             self._w("_sv = _I._shadow_valid")
-            self._w("_note_elided = _bus.note_elided")
+            self._w("_note_elided = getattr(_io, 'note_elided', _ignore)")
+            self._w("_note_coalesced = getattr(_io, 'note_coalesced', "
+                    "_ignore)")
+            for param in self.model.params:
+                self._w(f"_p_{param} = _I._port_{param}")
+            if self.instrumented:
+                self._w("_bus = _I._observer")
+        else:
+            self._w("_encode = _I._encode")
+            self._w("_decode = _I._decode")
+            self._w("_set = _I.set")
+            self._w("_flush = _I._flush_pending")
+            self._w("_defer = _I._defer_write")
+            if self.shadow_cache:
+                self._w("_sv = _I._shadow_valid")
+                self._w("_note_elided = _bus.note_elided")
         self._w()
+        debug = ", _debug" if self.module else ""
         self._w("def _enc(name, value):")
         self._push()
-        self._w("return _encode(_vars[name], value)")
+        self._w(f"return _encode(_vars[name], value{debug})")
         self._pop()
         self._w()
         self._w("def _dec(name, raw):")
         self._push()
-        self._w("return _decode(_vars[name], raw)")
+        self._w(f"return _decode(_vars[name], raw{debug})")
         self._pop()
         self._w()
         self._w("def _lwget(name, loc):")
@@ -1000,6 +1312,15 @@ class _Specializer:
                 "was written to it' % (name,), loc)")
         self._pop()
         self._w()
+        if self.module:
+            self._splice(_MODULE_TXN)
+            self._push()
+            self._emit_mark_coalesced()
+            self._pop()
+            self._w()
+            self._splice(_MODULE_FLUSH_OBSERVED if self.instrumented
+                         else _MODULE_FLUSH)
+            self._w()
         if self.instrumented:
             self._w("def _obs_act(kind, target):")
             self._push()
@@ -1021,7 +1342,10 @@ class _Specializer:
             self._pop()
             self._w()
 
-        public: list[tuple[str, str]] = []  # (attach name, function name)
+    def _emit_stubs(self) -> list[str]:
+        """Every stub function; returns the public stub names."""
+        model = self.model
+        public: list[str] = []
         for variable in model.variables.values():
             readable = self._readable(variable)
             writable = self._writable(variable)
@@ -1037,41 +1361,135 @@ class _Specializer:
                     self._emit_setter(variable)
             if not variable.private:
                 if readable:
-                    public.append((f"get_{variable.name}",) * 2)
+                    public.append(f"get_{variable.name}")
                 if writable:
-                    public.append((f"set_{variable.name}",) * 2)
+                    public.append(f"set_{variable.name}")
             if variable.behaviors.block:
                 self._emit_block_stubs(variable)
                 if not variable.private:
                     if readable:
-                        public.append((f"read_{variable.name}_block",) * 2)
+                        public.append(f"read_{variable.name}_block")
                     if writable:
-                        public.append((f"write_{variable.name}_block",) * 2)
+                        public.append(f"write_{variable.name}_block")
+        # The module cannot hand an action on a structure it cannot
+        # write to the interpreter: it emits a private setter that
+        # fails where the interpreter's set_structure does.
+        targets = set()
+        if self.module:
+            actions = [action for register in model.registers.values()
+                       for action in register.pre_actions
+                       + register.post_actions + register.set_actions]
+            actions += [action for variable in model.variables.values()
+                        for action in variable.set_actions]
+            targets = {action.target for action in actions
+                       if action.target_kind == "structure"}
         for structure in model.structures.values():
             if self._structure_readable(structure.name):
                 self._emit_struct_getter(structure.name)
-                public.append((f"get_{structure.name}",) * 2)
-            if self._structure_writable(structure.name):
+                public.append(f"get_{structure.name}")
+            writable = self._structure_writable(structure.name)
+            if writable or structure.name in targets:
                 self._emit_struct_setter(structure.name)
-                public.append((f"set_{structure.name}",) * 2)
+            if writable:
+                public.append(f"set_{structure.name}")
+        return public
 
-        writer_registers = self._txn_writer_registers()
-        for register in writer_registers:
-            self._emit_txn_writer(register)
-        if writer_registers:
-            writer_entries = ", ".join(
-                f"{register.name!r}: _txn_write_{register.name}"
-                for register in writer_registers)
-            self._w(f"_I._txn_writers = {{{writer_entries}}}")
-        else:
-            self._w("_I._txn_writers = None")
-
-        entries = ", ".join(f"{attach!r}: {func}"
-                            for attach, func in public)
+    def generate(self) -> str:
+        self._w("def _factory(_I):")
+        self._push()
+        self._emit_prologue()
+        public = self._emit_stubs()
+        self._emit_txn_tail()
+        entries = ", ".join(f"{name!r}: {name}" for name in public)
         self._w(f"return {{{entries}}}")
         self._pop()
-        self.stub_names = [attach for attach, _ in public]
-        return "\n".join(self.lines) + "\n"
+        self.stub_names = public
+        if self.module:
+            return self._module_source()
+        exec(_SHARED_CODE, self.namespace)
+        self.namespace.update(self.tables)
+        model = self.model
+        header = [f"# Specialized stubs for {model.name!r} "
+                  f"(debug={self.debug}, "
+                  f"composition={self.composition!r}, "
+                  f"instrumented={self.instrumented}, "
+                  f"shadow_cache={self.shadow_cache}).",
+                  "# Generated by repro.devil.specialize; do not edit.",
+                  ""]
+        return "\n".join(header + self.lines) + "\n"
+
+    # -- module mode --------------------------------------------------
+
+    def _var_literal(self, variable: ResolvedVariable) -> tuple:
+        """``_vars`` entry: what the module's _defer/_encode/_decode
+        need to know about one variable."""
+        var_type = variable.type
+        if isinstance(var_type, BoolType):
+            kind, extra = "bool", None
+        elif isinstance(var_type, EnumType):
+            kind, extra = "enum", {}
+            for item in var_type.items:  # first occurrence wins
+                extra.setdefault(item.name,
+                                 (item.value, item.direction.writable))
+        elif isinstance(var_type, IntSetType):
+            kind, extra = "set", frozenset(var_type.values)
+        else:
+            kind, extra = "int", (var_type.minimum, var_type.maximum)
+        return (variable.name, tuple(variable.registers()),
+                bool(variable.behaviors.write_triggers), kind,
+                var_type.width, str(var_type), str(variable.location),
+                extra)
+
+    def _module_source(self) -> str:
+        """Wrap the factory into a standalone module with a stub class."""
+        from .codegen.pyi_backend import stub_class_name
+        model = self.model
+        lines = [f'"""Generated by devilc from specification '
+                 f'{model.name!r}. Do not edit."""', ""]
+        helpers = [_MODULE_PRELUDE, _SHARED_HELPERS]
+        if self.instrumented:
+            helpers.append(_MODULE_OBSERVE)
+        for text in helpers:
+            lines += text.splitlines() + ["", ""]
+        lines.append(f"_MODEL_LOC = {str(model.location)!r}")
+        lines.append("_locs = [")
+        lines += [f"    {str(location)!r}," for location in self._loc_list]
+        lines.append("]")
+        lines.append("_vars = {")
+        lines += [f"    {name!r}: {self._var_literal(variable)!r},"
+                  for name, variable in model.variables.items()]
+        lines.append("}")
+        lines += [f"{name} = {table!r}"
+                  for name, table in self.tables.items()]
+        if self.instrumented:
+            from ..obs.spans import stub_catalog
+            spans = {stub: (variable, kind)
+                     for stub, variable, kind in stub_catalog(model)}
+            lines.append(f"_DEVICE = {model.name!r}")
+            lines.append(f"_SPANS = {spans!r}")
+        lines += ["", ""] + self.lines + ["", ""]
+
+        init = [f"self._port_{param} = {param}_base"
+                for param in model.params]
+        observer = ""
+        if self.instrumented:
+            observer = ", observer=None"
+            init.append("self._observer = _Unobserved if observer is None "
+                        "else observer")
+        init += ["for name, stub in _factory(self).items():",
+                 "    setattr(self, name, stub)"]
+        if self.instrumented:
+            init += ["for name, (variable, kind) in _SPANS.items():",
+                     "    setattr(self, name, _observed(",
+                     "        self._observer, name, variable, kind,",
+                     "        getattr(self, name)))"]
+        initial = {"device_mode": model.modes[0]} if model.modes else {}
+        lines += _MODULE_CLASS.format(
+            name=stub_class_name(model.name), device=model.name,
+            params="".join(f", {param}_base" for param in model.params),
+            observer=observer, initial=initial,
+            init="\n".join(f"        {line}" for line in init)).splitlines()
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1127,6 +1545,22 @@ def specialized_factory(model: ResolvedDevice, bases: dict[str, int],
                          tuple(specializer.stub_names))
                 per_model[key] = entry
     return entry
+
+
+def generate_python_module(model: ResolvedDevice,
+                           observe: bool = False) -> str:
+    """Emit the standalone Python stub module for ``model``.
+
+    The module imports nothing from ``repro``: its ``<Device>Stubs``
+    class takes ``(io, *bases, debug=False, shadow_cache=False)``.
+    With ``observe=True`` it also takes ``observer=``, wraps every
+    public stub in a span and records actions on
+    ``observer.collector``; the default module has no hooks and no
+    overhead.
+    """
+    return _Specializer(model, None, _RUN_TIME_DEBUG, "cache",
+                        instrumented=observe,
+                        shadow_cache=_RUN_TIME_SHADOW).generate()
 
 
 def generate_specialized_source(model: ResolvedDevice,

@@ -66,7 +66,6 @@ from .live import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import (
-    BusObserver,
     Collector,
     IoEvent,
     Span,
@@ -78,7 +77,7 @@ from .spans import (
 )
 
 __all__ = [
-    "BusObserver", "Collector", "Counter", "FleetHealth",
+    "Collector", "Counter", "FleetHealth",
     "FleetTelemetry", "FlightRecorder", "Gauge", "Heartbeat",
     "Histogram", "IoEvent", "JsonlSnapshotSink", "LiveMonitor",
     "MetricsRegistry", "Span", "WorkerHealth", "disable", "enable",

@@ -10,9 +10,9 @@ variable.
 
 Spans never nest.  The runtime's action machinery re-enters the stub
 layer (a ``pre`` action on an index register calls the index variable's
-setter; the specializer inlines the same call; the generated backend
-routes it through the public method), and the three execution
-strategies re-enter at different depths.  The collector therefore
+setter; the specializer's stubs, bound or in a generated module, call
+the setter closure directly), and the execution strategies re-enter at
+different depths.  The collector therefore
 counts depth and only materialises the *outermost* stub call — which is
 exactly the granularity the paper argues for: driver-visible operations
 on device variables, not raw signal events.  Parity of span streams
@@ -461,55 +461,3 @@ def model_port_map(model, bases: dict[str, int]) -> dict[int, str]:
             absolute = bases[port[0]] + port[1]
             ports.setdefault(absolute, name)
     return ports
-
-
-class BusObserver:
-    """Adapter giving generated stub modules ``bus.collector`` semantics.
-
-    An observe-mode generated module reports to whatever ``observer``
-    it was constructed with.  Handing it a ``BusObserver`` makes that
-    report resolve the bus's attached collector *per call* — a
-    generated instance can then be observed, detached and re-observed
-    without reconstruction, exactly like instrumented interpreted and
-    specialized instances (whose wrappers resolve ``bus.collector``
-    themselves).
-    """
-
-    __slots__ = ("_bus",)
-
-    def __init__(self, bus):
-        self._bus = bus
-
-    def span_start(self, device, stub, variable, kind, strategy):
-        collector = self._bus.collector
-        if collector is not None:
-            collector.span_start(device, stub, variable, kind, strategy)
-
-    def span_end(self, error=None):
-        collector = self._bus.collector
-        if collector is not None:
-            collector.span_end(error)
-
-    def record_action(self, kind, target):
-        collector = self._bus.collector
-        if collector is not None:
-            collector.record_action(kind, target)
-
-    def io_event(self, op, port, value, width, count=1, elided=False):
-        """Report an elided (cache-served) access for a generated stub.
-
-        Real bus operations reach the collector through the bus itself;
-        this path exists for shadow-cache hits, which cause no bus
-        traffic.  It shares the bus's ``tracing`` gate so instrumented
-        strategies agree on when elided events are visible.
-        """
-        bus = self._bus
-        if bus.tracing:
-            collector = bus.collector
-            if collector is not None:
-                collector.io_event(op, port, value, width, count, elided)
-
-    def mark_coalesced(self):
-        collector = self._bus.collector
-        if collector is not None:
-            collector.mark_coalesced()

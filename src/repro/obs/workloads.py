@@ -37,7 +37,7 @@ from ..devices.pic8259 import Pic8259Model
 from ..devices.piix4 import REGION_SIZE as BM_REGION
 from ..devices.piix4 import Piix4Model
 from ..specs import compile_shipped
-from .spans import BusObserver, model_port_map
+from .spans import model_port_map
 
 MOUSE_BASE = 0x23C
 DMA_BASE = 0x00
@@ -383,11 +383,13 @@ def bind_stubs(name: str, strategy: str, bus: Bus, bases: dict,
                debug: bool = False, shadow_cache: bool = False):
     """Bind spec ``name`` to ``bus`` under one execution strategy.
 
+    ``"generated"`` instantiates the standalone module from
+    :meth:`~repro.devil.compiler.CompiledSpec.emit_python`; the other
+    strategies go through :meth:`~repro.devil.compiler.CompiledSpec.bind`.
     Honours the :mod:`repro.obs` enabled flag uniformly: interpreted
     and specialized instances instrument themselves at bind time, and
-    the generated path selects the observe-mode module with a
-    :class:`~repro.obs.spans.BusObserver` so all three report to
-    ``bus.collector``.
+    the generated path selects the observe-mode module with the bus as
+    its observer, so all three report to ``bus.collector``.
     """
     from . import is_enabled
     if strategy == "generated":
@@ -397,8 +399,7 @@ def bind_stubs(name: str, strategy: str, bus: Bus, bases: dict,
         arguments = [bases[param] for param in spec.model.params]
         if observe:
             stubs = cls(bus, *arguments, debug=debug,
-                        shadow_cache=shadow_cache,
-                        observer=BusObserver(bus))
+                        shadow_cache=shadow_cache, observer=bus)
             stubs._obs_ports = model_port_map(spec.model, bases)
             return stubs
         return cls(bus, *arguments, debug=debug,

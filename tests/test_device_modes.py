@@ -196,7 +196,8 @@ int main(void) { md_state_t s; (void)s; return 0; }
         bus.map_device(0x80, 4, Ram(), "ram")
         stubs = cls(bus, 0x80, debug=True)
         assert stubs.get_device_mode() == "setup"
-        with pytest.raises(Exception, match="outside mode"):
+        with pytest.raises(namespace["DevilStubError"],
+                           match="only addressable in mode 'operational'"):
             stubs.get_reading()
         stubs.set_device_mode("operational")
         stubs.get_reading()

@@ -196,6 +196,18 @@ class TestPostActions:
         get_body = match.group(0)
         assert get_body.index("devil_in") < get_body.index(
             "pa__set_accesses")
-        module = spec.emit_python()
-        compile(module, "pa", "exec")
-        assert "self.set_accesses(1)" in module
+        # The module's post-action write also follows the read.
+        namespace: dict = {}
+        exec(compile(spec.emit_python(), "pa", "exec"), namespace)
+        order = []
+
+        class Recorder:
+            def read(self, port, width):
+                order.append(("r", port))
+                return 0
+
+            def write(self, value, port, width):
+                order.append(("w", port))
+
+        namespace["PaStubs"](Recorder(), 0).get_v()
+        assert order == [("r", 0), ("w", 1)]

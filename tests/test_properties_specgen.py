@@ -7,9 +7,12 @@ properties assert that the entire toolchain is closed over them:
 
 * the checker accepts what the generator claims is well-formed,
 * parse → print → parse is the identity (up to locations),
-* runtime stubs, generated Python stubs and generated C all agree on
-  the produced I/O (runtime vs generated Python compared by trace).
+* the three Python paths — interpreter, specializer and generated
+  module — agree on values, traces and accounting at every
+  debug/shadow-cache setting, and the C header always generates.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +109,9 @@ class TestGeneratedSpecs:
     @settings(max_examples=30, deadline=None)
     @given(device_specs(), st.data())
     def test_runtime_and_generated_python_agree(self, generated, data):
+        """Interpreter, specializer and generated module: equal values,
+        equal traces and accounting, at debug and shadow cache each on
+        and off."""
         source, variables = generated
         spec = compile_spec(source)
 
@@ -113,23 +119,32 @@ class TestGeneratedSpecs:
         exec(compile(spec.emit_python(), "gen.py", "exec"), namespace)
         (stub_cls,) = [v for k, v in namespace.items()
                        if k.endswith("Stubs")]
-        bus_a, bus_b = Bus(tracing=True), Bus(tracing=True)
-        bus_a.map_device(0, 8, Ram())
-        bus_b.map_device(0, 8, Ram())
-        compiled = stub_cls(bus_a, 0)
-        interpreted = spec.bind(bus_b, {"base": 0}, debug=False)
-
+        values = []
         for name, width, signed in variables:
             low = -(1 << (width - 1)) if signed else 0
             high = (1 << (width - 1)) - 1 if signed \
                 else (1 << width) - 1
-            value = data.draw(st.integers(min_value=low, max_value=high),
-                              label=name)
-            getattr(compiled, f"set_{name}")(value)
-            interpreted.set(name, value)
-            assert getattr(compiled, f"get_{name}")() == \
-                interpreted.get(name) == value
-        assert bus_a.trace == bus_b.trace
+            values.append((name, data.draw(
+                st.integers(min_value=low, max_value=high), label=name)))
+        for debug, shadow in itertools.product((False, True), repeat=2):
+            legs = []
+            for strategy in ("interpret", "specialize", "generated"):
+                bus = Bus(tracing=True)
+                bus.map_device(0, 8, Ram())
+                if strategy == "generated":
+                    stubs = stub_cls(bus, 0, debug=debug,
+                                     shadow_cache=shadow)
+                else:
+                    stubs = spec.bind(bus, {"base": 0}, debug=debug,
+                                      strategy=strategy,
+                                      shadow_cache=shadow)
+                for name, value in values:
+                    getattr(stubs, f"set_{name}")(value)
+                    assert getattr(stubs, f"get_{name}")() == value
+                legs.append((list(bus.trace),
+                             bus.accounting.snapshot()))
+            assert legs[1] == legs[0], ("specialize", debug, shadow)
+            assert legs[2] == legs[0], ("generated", debug, shadow)
 
     @settings(max_examples=20, deadline=None)
     @given(device_specs())
