@@ -12,11 +12,13 @@ backends.  :func:`compile_spec` runs the front end and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..bus import Bus
 from . import ast
 from .checker import check
 from .errors import Diagnostic, DiagnosticSink
+from .lexer import Token
 from .model import ResolvedDevice
 from .parser import parse
 from .runtime import DeviceInstance
@@ -103,13 +105,16 @@ class CompiledSpec:
         return generate_markdown(self.model)
 
 
-def compile_spec(source: str, filename: str = "<devil>") -> CompiledSpec:
+def compile_spec(source: str, filename: str = "<devil>",
+                 tokens: Sequence[Token] | None = None) -> CompiledSpec:
     """Compile one Devil specification from source text.
 
-    Raises :class:`~repro.devil.errors.DevilParseError` or
+    ``tokens``, when given, is the token list of ``source`` and is
+    parsed instead of lexing it again.  Raises
+    :class:`~repro.devil.errors.DevilParseError` or
     :class:`~repro.devil.errors.DevilCheckError` on invalid input.
     """
-    syntax = parse(source, filename)
+    syntax = parse(source, filename, tokens=tokens)
     sink = DiagnosticSink()
     model = check(syntax, sink)
     return CompiledSpec(source, filename, syntax, model,

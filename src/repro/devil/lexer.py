@@ -4,13 +4,19 @@ The concrete syntax follows the figures of the OSDI 2000 paper: C-style
 comments, single-quoted bit patterns such as ``'1001000.'``, the ``@``
 port constructor, ``#`` register concatenation, ``..`` ranges, and the
 enumerated-type arrows ``=>``, ``<=`` and ``<=>``.
+
+One compiled master regex recognises every lexeme; :func:`splice`
+re-lexes only the neighbourhood of a one-region edit and reuses the
+rest of an existing token list (the mutation campaign's fast path).
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DevilLexError, SourceLocation
 
@@ -67,39 +73,26 @@ KEYWORDS = frozenset({
 #: devices — see ``repro.devil.mask``.)
 BITPATTERN_CHARS = frozenset("01.*-")
 
-_PUNCTUATION_3 = {"<=>": TokenKind.ARROW_BOTH}
-_PUNCTUATION_2 = {
-    "..": TokenKind.DOTDOT,
-    "==": TokenKind.EQ,
-    "=>": TokenKind.ARROW_WRITE,
-    "<=": TokenKind.ARROW_READ,
-}
-_PUNCTUATION_1 = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "@": TokenKind.AT,
-    ":": TokenKind.COLON,
-    ";": TokenKind.SEMICOLON,
-    ",": TokenKind.COMMA,
-    "#": TokenKind.HASH,
-    "*": TokenKind.STAR,
-    "+": TokenKind.PLUS,
-    "=": TokenKind.ASSIGN,
-}
+#: Operator and bracket spellings: every kind named by its own text.
+_PUNCTUATION = {kind.value: kind for kind in TokenKind
+                if kind not in (TokenKind.IDENT, TokenKind.KEYWORD,
+                                TokenKind.INT, TokenKind.BITPATTERN,
+                                TokenKind.EOF)}
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical unit, with its source text and location."""
+class Token(NamedTuple):
+    """One lexical unit: kind, source text, location and start offset.
+
+    ``offset`` is the character offset of the lexeme's first character
+    (the opening quote of a bit pattern, whose ``text`` excludes the
+    quotes); ``value`` is the decoded value of ``INT`` tokens.
+    """
 
     kind: TokenKind
     text: str
     location: SourceLocation
-    value: int | None = None  # decoded value for INT tokens
+    offset: int
+    value: int | None = None
 
     def is_keyword(self, word: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text == word
@@ -112,165 +105,186 @@ class Token:
         return f"'{self.kind.value}'"
 
 
-class Lexer:
-    """Hand-written scanner producing :class:`Token` objects.
+# Alternatives are tried in order at each position; every position
+# matches one of them (``other`` takes any character), so the matches
+# tile the source.  Character classes are ASCII-only, as LANGUAGE.md §1
+# defines identifiers and integers.
+_LEXEME = re.compile(r"""
+    (?P<space> [ \t\r\n]+ )
+  | (?P<comment> //[^\n]* | /\*.*?\*/ )
+  | (?P<open_comment> /\* )
+  | (?P<word> [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<punct> <=> | \.\. | == | => | <= | [{}()\[\]@:;,\#*+=] )
+  | (?P<hex> 0[xX][0-9A-Za-z]* )
+  | (?P<binary> 0[bB][0-9A-Za-z]* )
+  | (?P<decimal> [0-9]+ ) (?P<digit_word> [A-Za-z_] )?
+  | '(?P<bits> [01.*\-]* )'
+  | (?P<open_bits> '[01.*\-]* )
+  | (?P<other> . )
+""", re.VERBOSE | re.DOTALL)
 
-    The scanner is deliberately simple and fully deterministic: the only
-    context sensitivity in Devil's lexical grammar is the single-quoted
+_GROUP = _LEXEME.groupindex
+_SPACE, _COMMENT, _OPEN_COMMENT = (
+    _GROUP["space"], _GROUP["comment"], _GROUP["open_comment"])
+_WORD, _PUNCT, _HEX, _BINARY = (
+    _GROUP["word"], _GROUP["punct"], _GROUP["hex"], _GROUP["binary"])
+_DECIMAL, _DIGIT_WORD = _GROUP["decimal"], _GROUP["digit_word"]
+_BITS, _OPEN_BITS = _GROUP["bits"], _GROUP["open_bits"]
+
+
+def _scan(source: str, filename: str, pos: int = 0, line: int = 1,
+          line_start: int = 0) -> Iterator[Token]:
+    """Yield the tokens of ``source`` from ``pos``, ending with ``EOF``.
+
+    ``pos`` must be where a lexeme (or trivia) may begin; ``line`` is
+    its line and ``line_start`` the offset at which that line begins.
+    """
+    make = Token
+    for match in _LEXEME.finditer(source, pos):
+        group = match.lastindex
+        start = match.start()
+        if group == _SPACE or group == _COMMENT:
+            end = match.end()
+            newline = source.rfind("\n", start, end)
+            if newline >= 0:
+                line += source.count("\n", start, end)
+                line_start = newline + 1
+            continue
+        location = SourceLocation(line, start - line_start + 1, filename)
+        text = match.group()
+        if group == _WORD:
+            yield make(TokenKind.KEYWORD if text in KEYWORDS
+                       else TokenKind.IDENT, text, location, start)
+        elif group == _PUNCT:
+            yield make(_PUNCTUATION[text], text, location, start)
+        elif group == _DECIMAL:
+            yield make(TokenKind.INT, text, location, start, int(text))
+        elif group == _BITS:
+            if len(text) == 2:
+                raise DevilLexError("empty bit pattern", location)
+            yield make(TokenKind.BITPATTERN, text[1:-1], location, start)
+        elif group == _HEX or group == _BINARY:
+            if group == _HEX and len(text) == 2:
+                raise DevilLexError("incomplete hexadecimal literal",
+                                    location)
+            base, name = (16, "hexadecimal") if group == _HEX \
+                else (2, "binary")
+            try:
+                value = int(text, base)
+            except ValueError:
+                raise DevilLexError(f"invalid {name} literal {text!r}",
+                                    location) from None
+            yield make(TokenKind.INT, text, location, start, value)
+        elif group == _DIGIT_WORD:
+            raise DevilLexError(
+                "identifier may not start with a digit near "
+                f"{match.group(_DECIMAL)!r}", location)
+        elif group == _OPEN_BITS:
+            end = match.end()
+            if end == len(source) or source[end] == "\n":
+                raise DevilLexError("unterminated bit pattern", location)
+            raise DevilLexError(
+                f"invalid character {source[end]!r} in bit pattern "
+                f"(allowed: 0 1 . * -)",
+                SourceLocation(line, end - line_start + 1, filename))
+        elif group == _OPEN_COMMENT:
+            raise DevilLexError("unterminated block comment", location)
+        else:
+            raise DevilLexError(f"unexpected character {text!r}", location)
+    end = len(source)
+    yield make(TokenKind.EOF, "",
+               SourceLocation(line, end - line_start + 1, filename), end)
+
+
+class Lexer:
+    """Scanner producing :class:`Token` objects from one source text.
+
+    The lexical grammar is context-free between tokens: the only
+    multi-character construct with inner structure is the single-quoted
     bit pattern, which is recognised as one token.
     """
 
     def __init__(self, source: str, filename: str = "<devil>"):
         self._source = source
         self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column, self._filename)
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._pos + ahead
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and both comment styles."""
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while self._pos < len(self._source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise DevilLexError("unterminated block comment", start)
-            else:
-                return
-
-    def _lex_bit_pattern(self) -> Token:
-        start = self._location()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            char = self._peek()
-            if char == "'":
-                self._advance()
-                break
-            if char == "" or char == "\n":
-                raise DevilLexError("unterminated bit pattern", start)
-            if char not in BITPATTERN_CHARS:
-                raise DevilLexError(
-                    f"invalid character {char!r} in bit pattern "
-                    f"(allowed: 0 1 . * -)", self._location())
-            chars.append(char)
-            self._advance()
-        if not chars:
-            raise DevilLexError("empty bit pattern", start)
-        return Token(TokenKind.BITPATTERN, "".join(chars), start)
-
-    def _lex_number(self) -> Token:
-        start = self._location()
-        begin = self._pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            if not self._peek().isalnum():
-                raise DevilLexError("incomplete hexadecimal literal", start)
-            while self._peek().isalnum():
-                self._advance()
-            text = self._source[begin:self._pos]
-            try:
-                value = int(text, 16)
-            except ValueError:
-                raise DevilLexError(f"invalid hexadecimal literal {text!r}",
-                                    start) from None
-        elif self._peek() == "0" and self._peek(1) in "bB":
-            self._advance(2)
-            while self._peek().isalnum():
-                self._advance()
-            text = self._source[begin:self._pos]
-            try:
-                value = int(text, 2)
-            except ValueError:
-                raise DevilLexError(f"invalid binary literal {text!r}",
-                                    start) from None
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            text = self._source[begin:self._pos]
-            value = int(text, 10)
-            if self._peek().isalpha() or self._peek() == "_":
-                raise DevilLexError(
-                    f"identifier may not start with a digit near {text!r}",
-                    start)
-        return Token(TokenKind.INT, text, start, value=value)
-
-    def _lex_word(self) -> Token:
-        start = self._location()
-        begin = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[begin:self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, start)
-
-    def next_token(self) -> Token:
-        """Return the next token (``EOF`` forever once input is spent)."""
-        self._skip_trivia()
-        start = self._location()
-        char = self._peek()
-        if char == "":
-            return Token(TokenKind.EOF, "", start)
-        if char == "'":
-            return self._lex_bit_pattern()
-        if char.isdigit():
-            return self._lex_number()
-        if char.isalpha() or char == "_":
-            return self._lex_word()
-
-        three = self._source[self._pos:self._pos + 3]
-        if three in _PUNCTUATION_3:
-            self._advance(3)
-            return Token(_PUNCTUATION_3[three], three, start)
-        two = self._source[self._pos:self._pos + 2]
-        if two in _PUNCTUATION_2:
-            self._advance(2)
-            return Token(_PUNCTUATION_2[two], two, start)
-        if char in _PUNCTUATION_1:
-            self._advance()
-            return Token(_PUNCTUATION_1[char], char, start)
-        raise DevilLexError(f"unexpected character {char!r}", start)
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token, ending with a single ``EOF`` token."""
-        while True:
-            token = self.next_token()
-            yield token
-            if token.kind is TokenKind.EOF:
-                return
+    def tokens(self) -> list[Token]:
+        """Every token, ending with a single ``EOF`` token."""
+        return list(_scan(self._source, self._filename))
 
 
 def tokenize(source: str, filename: str = "<devil>") -> list[Token]:
     """Tokenize ``source`` completely; convenience wrapper over Lexer."""
-    return list(Lexer(source, filename).tokens())
+    return Lexer(source, filename).tokens()
+
+
+_offset_of = attrgetter("offset")
+
+
+def splice(tokens: Sequence[Token], source: str, offset: int,
+           removed: int, inserted: int) -> list[Token]:
+    """The tokens of ``source``, re-lexing only around one edit.
+
+    ``tokens`` is the complete token list of an earlier text; ``source``
+    is that text with ``removed`` characters at ``offset`` replaced by
+    ``inserted`` new ones.  The result equals ``tokenize(source)`` (or
+    the same :class:`DevilLexError` is raised).  Scanning starts at the
+    token before the edit and stops at the first token past the edit
+    that starts, on the same line, where an old token started (shifted
+    by the edit's length change): from there on the two texts are
+    identical, so the old tokens are reused, moved along the text.
+    """
+    delta = inserted - removed
+    # The token before the edit may merge with it (``a#b`` -> ``ab``);
+    # no token looks more than one character past its end, so earlier
+    # tokens cannot change.
+    index = bisect.bisect_right(tokens, offset, key=_offset_of) - 2
+    if index < 0:
+        index, scanner = 0, _scan(source, tokens[-1].location.filename)
+    else:
+        first = tokens[index]
+        location = first.location
+        scanner = _scan(source, location.filename, first.offset,
+                        location.line, first.offset - location.column + 1)
+    result = list(tokens[:index])
+    old = index
+    edit_end = offset + removed
+    for token in scanner:
+        start = token.offset - delta
+        if start >= edit_end:
+            while tokens[old].offset < start:
+                old += 1
+            then = tokens[old]
+            if then.offset == start and \
+                    then.location.line == token.location.line:
+                result.extend(_moved(
+                    tokens[old:], delta,
+                    token.location.column - then.location.column))
+                return result
+        result.append(token)
+    return result
+
+
+def _moved(tokens: Sequence[Token], delta: int,
+           column_shift: int) -> Sequence[Token]:
+    """``tokens`` moved ``delta`` characters along the text, and
+    ``column_shift`` columns on the line of the first of them."""
+    if not (delta or column_shift):
+        return tokens
+    count = 0
+    if column_shift:
+        line = tokens[0].location.line
+        while count < len(tokens) and tokens[count].location.line == line:
+            count += 1
+    # tuple.__new__ skips Token's Python-level constructor: this runs for
+    # every reused token of every mutant.
+    new = tuple.__new__
+    moved = [new(Token, (kind, text,
+                         SourceLocation(location.line,
+                                        location.column + column_shift,
+                                        location.filename),
+                         offset + delta, value))
+             for kind, text, location, offset, value in tokens[:count]]
+    moved += [new(Token, (kind, text, location, offset + delta, value))
+              for kind, text, location, offset, value in tokens[count:]]
+    return moved

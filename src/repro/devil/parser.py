@@ -17,6 +17,8 @@ The grammar covers everything exercised by the paper's figures:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from . import ast
 from .errors import DevilParseError, SourceLocation
 from .lexer import Lexer, Token, TokenKind
@@ -26,8 +28,11 @@ from .types import EnumDirection
 class Parser:
     """Parses one Devil source text into a :class:`ast.DeviceDecl`."""
 
-    def __init__(self, source: str, filename: str = "<devil>"):
-        self._tokens = list(Lexer(source, filename).tokens())
+    def __init__(self, source: str, filename: str = "<devil>",
+                 tokens: Sequence[Token] | None = None):
+        if tokens is None:
+            tokens = Lexer(source, filename).tokens()
+        self._tokens = tokens
         self._index = 0
 
     # ------------------------------------------------------------------
@@ -535,6 +540,12 @@ class Parser:
         return ast.EnumItemExpr(name, pattern, direction, location)
 
 
-def parse(source: str, filename: str = "<devil>") -> ast.DeviceDecl:
-    """Parse a complete Devil specification from ``source``."""
-    return Parser(source, filename).parse_device()
+def parse(source: str, filename: str = "<devil>",
+          tokens: Sequence[Token] | None = None) -> ast.DeviceDecl:
+    """Parse a complete Devil specification from ``source``.
+
+    ``tokens``, when given, is the token list of ``source`` (for
+    example spliced by :func:`~.lexer.splice`) and is used instead of
+    lexing it again.
+    """
+    return Parser(source, filename, tokens).parse_device()

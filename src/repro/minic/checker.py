@@ -25,6 +25,7 @@ are exactly the silent failures the paper's experiment quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .lexer import C_KEYWORDS, CLexError, CToken, CTokenKind, tokenize_c
 
@@ -81,20 +82,23 @@ class CheckResult:
 
 def check_c(source: str,
             externals: dict[str, int | None] | None = None,
-            constants: frozenset[str] | set[str] | None = None
-            ) -> CheckResult:
+            constants: frozenset[str] | set[str] | None = None,
+            tokens: Sequence[CToken] | None = None) -> CheckResult:
     """Check one C fragment.
 
     ``externals`` maps pre-declared function names to their arity (or
     None when unknown) — the kernel environment (``inb``/``outb``) for
     the C corpus, the generated stub prototypes for the CDevil corpus.
     ``constants`` pre-declares value symbols (the enum constants of a
-    generated header).  Raises :class:`CParseError` /
+    generated header).  ``tokens``, when given, is the token list of
+    ``source`` (for example spliced by :func:`~.lexer.splice_c`) and is
+    checked instead of lexing it again.  Raises :class:`CParseError` /
     :class:`~.lexer.CLexError` when the fragment is not syntactically
     valid (mutants that do not parse are excluded from the analysis,
     per the paper's rules).
     """
-    tokens = tokenize_c(source)
+    if tokens is None:
+        tokens = tokenize_c(source)
     checker = _Checker(tokens, externals or {}, constants or set())
     checker.run()
     return checker.result
@@ -116,7 +120,7 @@ def kernel_externals() -> dict[str, int | None]:
 class _Checker:
     """Single-pass parser + symbol checker."""
 
-    def __init__(self, tokens: list[CToken],
+    def __init__(self, tokens: Sequence[CToken],
                  externals: dict[str, int | None],
                  constants: frozenset[str] | set[str] = frozenset()):
         self._tokens = tokens
@@ -493,18 +497,25 @@ class _Checker:
         ["==", "!="], ["<", ">", "<=", ">="],
         ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
     ]
+    #: Binary operator -> its level (higher binds tighter).
+    _PRECEDENCE = {operator: level
+                   for level, operators in enumerate(_BINARY_LEVELS)
+                   for operator in operators}
 
-    def _binary_expression(self, level: int) -> bool:
-        if level >= len(self._BINARY_LEVELS):
-            return self._unary_expression()
-        lvalue = self._binary_expression(level + 1)
-        operators = self._BINARY_LEVELS[level]
-        while self._current.kind is CTokenKind.OPERATOR and \
-                self._current.text in operators:
+    def _binary_expression(self, min_level: int) -> bool:
+        """Precedence climbing over :attr:`_BINARY_LEVELS`: operands
+        are parsed left to right, every operator is left-associative,
+        and only a lone operand can be an lvalue."""
+        lvalue = self._unary_expression()
+        while True:
+            token = self._current
+            level = self._PRECEDENCE.get(token.text, -1) \
+                if token.kind is CTokenKind.OPERATOR else -1
+            if level < min_level:
+                return lvalue
             self._advance()
             self._binary_expression(level + 1)
             lvalue = False
-        return lvalue
 
     def _unary_expression(self) -> bool:
         token = self._current

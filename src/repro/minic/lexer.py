@@ -7,12 +7,19 @@ this lexer covers the token classes that appear in driver code —
 identifiers, integer literals (decimal/octal/hex), character and
 string literals, the full C operator set, and preprocessor directives
 (which are delivered as single DIRECTIVE tokens, one per line).
+
+One compiled master regex recognises every lexeme; :func:`splice_c`
+re-lexes only the neighbourhood of a one-region edit and reuses the
+rest of an existing token list (the mutation campaign's fast path).
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
-from dataclasses import dataclass
+import re
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Sequence
 
 
 class CTokenKind(enum.Enum):
@@ -51,120 +58,100 @@ class CLexError(Exception):
     """The text does not form valid C tokens."""
 
 
-@dataclass(frozen=True)
-class CToken:
+class CToken(NamedTuple):
     kind: CTokenKind
     text: str
     offset: int       # character offset in the source
+    #: Line of the token's start; for a directive, of its last line.
+    #: Newlines inside character and string literals are not counted.
     line: int
 
     def __str__(self) -> str:
         return f"{self.kind.value} {self.text!r}"
 
 
-def tokenize_c(source: str) -> list[CToken]:
-    """Tokenize ``source``; raises :class:`CLexError` on bad input."""
-    tokens: list[CToken] = []
-    position = 0
-    line = 1
-    length = len(source)
+# Alternatives are tried in order at each position; every position
+# matches one of them (``other`` takes any character), so the matches
+# tile the source.  Character classes are ASCII-only, as in the C89
+# compilers the checker models.
+_LEXEME = re.compile(r"""
+    (?P<space> [ \t\r]+ )
+  | (?P<newline> \n )
+  | (?P<comment> //[^\n]* | /\*.*?\*/ )
+  | (?P<open_comment> /\* )
+  | (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<number> (?:[0-9]|\.[0-9])[0-9A-Za-z._]* )
+  | (?P<operator> """ + "|".join(map(re.escape, _OPERATORS)) + r""" )
+  | (?P<punct> [()\[\]{},;] )
+  | (?P<directive> \#(?:\\\n|[^\n])* )
+  | (?P<char> '(?:[^'\\]|\\.)*' )
+  | (?P<string> "(?:[^"\\]|\\.)*" )
+  | (?P<other> . )
+""", re.VERBOSE | re.DOTALL)
 
-    def peek(ahead: int = 0) -> str:
-        index = position + ahead
-        return source[index] if index < length else ""
+_GROUP = _LEXEME.groupindex
+_SPACE, _NEWLINE, _COMMENT, _OPEN_COMMENT = (
+    _GROUP["space"], _GROUP["newline"], _GROUP["comment"],
+    _GROUP["open_comment"])
+_IDENT, _NUMBER, _OPERATOR, _PUNCT = (
+    _GROUP["ident"], _GROUP["number"], _GROUP["operator"], _GROUP["punct"])
+_DIRECTIVE, _CHAR, _STRING = (
+    _GROUP["directive"], _GROUP["char"], _GROUP["string"])
 
-    while position < length:
-        char = source[position]
-        if char == "\n":
+#: Token kind of each group that yields a token as matched.
+_PLAIN = {_IDENT: CTokenKind.IDENT, _OPERATOR: CTokenKind.OPERATOR,
+          _PUNCT: CTokenKind.PUNCT, _STRING: CTokenKind.STRING}
+
+
+def _scan(source: str, pos: int = 0, line: int = 1) -> Iterator[CToken]:
+    """Yield the tokens of ``source`` from ``pos``, ending with ``EOF``.
+
+    ``pos`` must be where a lexeme (or trivia) may begin, on ``line``.
+    """
+    make = CToken
+    plain = _PLAIN
+    for match in _LEXEME.finditer(source, pos):
+        group = match.lastindex
+        if group == _SPACE:
+            continue
+        if group == _NEWLINE:
             line += 1
-            position += 1
             continue
-        if char in " \t\r":
-            position += 1
-            continue
-        if char == "/" and peek(1) == "/":
-            while position < length and source[position] != "\n":
-                position += 1
-            continue
-        if char == "/" and peek(1) == "*":
-            end = source.find("*/", position + 2)
-            if end < 0:
-                raise CLexError(f"line {line}: unterminated comment")
-            line += source.count("\n", position, end)
-            position = end + 2
-            continue
-        if char == "#":
-            start = position
-            # A directive runs to the end of line, honouring \ splices.
-            while position < length and source[position] != "\n":
-                if source[position] == "\\" and peek(1) == "\n":
-                    position += 2
-                    line += 1
-                    continue
-                position += 1
-            tokens.append(CToken(CTokenKind.DIRECTIVE,
-                                 source[start:position], start, line))
-            continue
-        if char.isdigit() or (char == "." and peek(1).isdigit()):
-            start = position
-            while position < length and (source[position].isalnum()
-                                         or source[position] in "._"):
-                position += 1
-            text = source[start:position]
+        start = match.start()
+        kind = plain.get(group)
+        if kind is not None:
+            yield make(kind, match.group(), start, line)
+        elif group == _NUMBER:
+            text = match.group()
             _validate_number(text, line)
-            tokens.append(CToken(CTokenKind.NUMBER, text, start, line))
-            continue
-        if char.isalpha() or char == "_":
-            start = position
-            while position < length and (source[position].isalnum()
-                                         or source[position] == "_"):
-                position += 1
-            tokens.append(CToken(CTokenKind.IDENT, source[start:position],
-                                 start, line))
-            continue
-        if char == "'":
-            start = position
-            position += 1
-            while position < length and source[position] != "'":
-                if source[position] == "\\":
-                    position += 1
-                position += 1
-            if position >= length:
-                raise CLexError(f"line {line}: unterminated char literal")
-            position += 1
-            text = source[start:position]
+            yield make(CTokenKind.NUMBER, text, start, line)
+        elif group == _COMMENT:
+            line += source.count("\n", start, match.end())
+        elif group == _DIRECTIVE:
+            text = match.group()
+            # A directive runs to the end of line, honouring \ splices.
+            line += text.count("\\\n")
+            yield make(CTokenKind.DIRECTIVE, text, start, line)
+        elif group == _CHAR:
+            text = match.group()
             if len(text) < 3:
                 raise CLexError(f"line {line}: empty char literal")
-            tokens.append(CToken(CTokenKind.CHAR, text, start, line))
-            continue
-        if char == '"':
-            start = position
-            position += 1
-            while position < length and source[position] != '"':
-                if source[position] == "\\":
-                    position += 1
-                position += 1
-            if position >= length:
-                raise CLexError(f"line {line}: unterminated string")
-            position += 1
-            tokens.append(CToken(CTokenKind.STRING,
-                                 source[start:position], start, line))
-            continue
-        for operator in _OPERATORS:
-            if source.startswith(operator, position):
-                tokens.append(CToken(CTokenKind.OPERATOR, operator,
-                                     position, line))
-                position += len(operator)
-                break
+            yield make(CTokenKind.CHAR, text, start, line)
+        elif group == _OPEN_COMMENT:
+            raise CLexError(f"line {line}: unterminated comment")
         else:
-            if char in _PUNCTUATION:
-                tokens.append(CToken(CTokenKind.PUNCT, char, position,
-                                     line))
-                position += 1
-            else:
-                raise CLexError(f"line {line}: stray character {char!r}")
-    tokens.append(CToken(CTokenKind.EOF, "", length, line))
-    return tokens
+            char = match.group()
+            if char == "'":
+                raise CLexError(f"line {line}: unterminated char literal")
+            if char == '"':
+                raise CLexError(f"line {line}: unterminated string")
+            raise CLexError(f"line {line}: stray character {char!r}")
+    yield make(CTokenKind.EOF, "", len(source), line)
+
+
+def tokenize_c(source: str) -> list[CToken]:
+    """Tokenize ``source``; raises :class:`CLexError` on bad input."""
+    return list(_scan(source))
 
 
 def _validate_number(text: str, line: int) -> None:
@@ -203,3 +190,62 @@ def number_value(text: str) -> int | float:
     if "." in body or "e" in body.lower():
         return float(body)
     return int(body, 10)
+
+
+_offset_of = attrgetter("offset")
+
+
+def _start_line(token: CToken) -> int:
+    """The line the scanner was on when ``token`` began."""
+    if token.kind is CTokenKind.DIRECTIVE:
+        return token.line - token.text.count("\\\n")
+    return token.line
+
+
+def splice_c(tokens: Sequence[CToken], source: str, offset: int,
+             removed: int, inserted: int) -> list[CToken]:
+    """The tokens of ``source``, re-lexing only around one edit.
+
+    ``tokens`` is the complete token list of an earlier text; ``source``
+    is that text with ``removed`` characters at ``offset`` replaced by
+    ``inserted`` new ones.  The result equals ``tokenize_c(source)`` (or
+    the same :class:`CLexError` is raised).  Scanning starts at the
+    token before the edit and stops at the first token past the edit
+    that starts, on the same line, where an old token started (shifted
+    by the edit's length change): from there on the two texts are
+    identical, so the old tokens are reused with shifted offsets.
+    """
+    delta = inserted - removed
+    index = bisect.bisect_right(tokens, offset, key=_offset_of) - 2
+    # Tokens look one character past their end, except that '.' looks
+    # two ('..' then '.' is '...'): step back past such a '.'.
+    while index > 0 and tokens[index - 1].text == "." and \
+            tokens[index - 1].offset + 3 > offset:
+        index -= 1
+    if index < 0:
+        index, scanner = 0, _scan(source)
+    else:
+        first = tokens[index]
+        scanner = _scan(source, first.offset, _start_line(first))
+    result = list(tokens[:index])
+    old = index
+    edit_end = offset + removed
+    for token in scanner:
+        start = token.offset - delta
+        if start >= edit_end:
+            while tokens[old].offset < start:
+                old += 1
+            then = tokens[old]
+            if then.offset == start and then.line == token.line:
+                if not delta:
+                    result.extend(tokens[old:])
+                else:
+                    # tuple.__new__ skips CToken's Python-level
+                    # constructor: this runs for every reused token.
+                    new = tuple.__new__
+                    result.extend([
+                        new(CToken, (kind, text, token_offset + delta, line))
+                        for kind, text, token_offset, line in tokens[old:]])
+                return result
+        result.append(token)
+    return result

@@ -144,7 +144,7 @@ def _analyze_site(target: LanguageTarget, site: MutationSite,
                 baseline_norm:
             continue
         mutated = mutant.apply(target.source)
-        verdict = target.classify(mutated)
+        verdict = target.classify(mutated, mutant)
         if verdict == "invalid":
             continue
         outcome.mutants += 1

@@ -10,9 +10,11 @@ Target construction is *hoisted and memoized per process*:
 :func:`get_target` builds each :class:`~.targets.LanguageTarget` at
 most once, under a lock, exactly like ``repro.specs.compile_shipped``
 — so campaign-scale runs (and repeated :func:`~.experiment.run_table1`
-calls) never repay the baseline spec parse, classifier-environment
-construction, or site extraction.  :data:`BUILD_COUNT` counts actual
-builds, which is what the memoization regression test pins.
+calls) never repay the baseline lex and parse, classifier-environment
+construction, or site extraction.  Each target's baseline token list
+is built here once, as an immutable tuple every mutant's splice reads,
+so fleet worker threads share it safely.  :data:`BUILD_COUNT` counts
+actual builds, which is what the memoization regression test pins.
 
 With the process fleet's default ``fork`` start method, worker
 processes inherit the parent's warm registry: the parent enumerates

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
 
 #: Token-class alphabets for insert/replace edits.
 DIGITS = "0123456789"
@@ -80,31 +79,24 @@ def alphabet_for(site: MutationSite) -> str:
     raise ValueError(f"unknown site kind {site.kind!r}")
 
 
-def _all_edits(site: MutationSite) -> Iterator[Mutant]:
-    """Every removal, insertion and replacement, in a stable order."""
-    text = site.text
-    alphabet = alphabet_for(site)
-    # Number tokens keep their radix prefix intact: mutating '0x' into
-    # 'ax' is a lexical error, not a typo class the paper studies.
-    protected = 2 if (site.kind == "number"
-                      and text.lower().startswith("0x")) else 0
-    for index in range(protected, len(text)):
-        if len(text) > max(1, protected):
-            removed = text[:index] + text[index + 1:]
-            if removed != text:
-                yield Mutant(site, removed,
-                             f"remove {text[index]!r} at {index}")
-    for index in range(protected, len(text) + 1):
-        for char in alphabet:
-            inserted = text[:index] + char + text[index:]
-            yield Mutant(site, inserted, f"insert {char!r} at {index}")
-    for index in range(protected, len(text)):
-        for char in alphabet:
-            if char == text[index]:
-                continue
-            replaced = text[:index] + char + text[index + 1:]
-            yield Mutant(site, replaced, f"replace {text[index]!r} with "
-                                         f"{char!r} at {index}")
+def _edited_tokens(text: str, alphabet: str,
+                   protected: int) -> tuple[list[str], list[str], list[str]]:
+    """Every removal, insertion and replacement, in a stable order.
+
+    Insertions and replacements take ``len(alphabet)`` slots per index
+    (a character replaced by itself gives ``text`` back), so an edit's
+    place in its list locates its index and character.
+    """
+    removals = [text[:index] + text[index + 1:]
+                for index in range(protected, len(text))] \
+        if len(text) > max(1, protected) else []
+    insertions = [text[:index] + char + text[index:]
+                  for index in range(protected, len(text) + 1)
+                  for char in alphabet]
+    replacements = [text[:index] + char + text[index + 1:]
+                    for index in range(protected, len(text))
+                    for char in alphabet]
+    return removals, insertions, replacements
 
 
 def mutants_for_site(site: MutationSite,
@@ -113,19 +105,46 @@ def mutants_for_site(site: MutationSite,
 
     When ``max_mutants`` is given, a deterministic site-seeded sample of
     that size is drawn (stratified over the full edit enumeration), so
-    partial runs measure the same population every time.
+    partial runs measure the same population every time.  Duplicates
+    are removed and the sample drawn on the mutated token strings;
+    only the kept tokens become :class:`Mutant` objects.
     """
-    all_mutants = list(_all_edits(site))
-    # Distinct mutated tokens only (different edits can collide).
-    unique: dict[str, Mutant] = {}
-    for mutant in all_mutants:
-        unique.setdefault(mutant.mutated_token, mutant)
-    population = list(unique.values())
-    if max_mutants is None or len(population) <= max_mutants:
-        return population
-    seed = int.from_bytes(
-        hashlib.sha256(site.key().encode()).digest()[:8], "big")
-    stride = max(1, len(population) // max_mutants)
-    start = seed % stride
-    sample = population[start::stride][:max_mutants]
-    return sample
+    text = site.text
+    alphabet = alphabet_for(site)
+    # Number tokens keep their radix prefix intact: mutating '0x' into
+    # 'ax' is a lexical error, not a typo class the paper studies.
+    protected = 2 if (site.kind == "number"
+                      and text.lower().startswith("0x")) else 0
+    removals, insertions, replacements = _edited_tokens(text, alphabet,
+                                                        protected)
+    edits = removals + insertions + replacements
+    # Distinct mutated tokens only (different edits can collide, and
+    # ``text`` itself is no mutant); the first edit giving a token
+    # describes it.
+    first = dict(zip(reversed(edits), range(len(edits) - 1, -1, -1)))
+    population = [token for token in dict.fromkeys(edits) if token != text]
+    if max_mutants is not None and len(population) > max_mutants:
+        seed = int.from_bytes(
+            hashlib.sha256(site.key().encode()).digest()[:8], "big")
+        stride = max(1, len(population) // max_mutants)
+        start = seed % stride
+        population = population[start::stride][:max_mutants]
+    inserts_from = len(removals)
+    replaces_from = inserts_from + len(insertions)
+    mutants = []
+    for token in population:
+        position = first[token]
+        if position < inserts_from:
+            index = protected + position
+            description = f"remove {text[index]!r} at {index}"
+        elif position < replaces_from:
+            index, char = divmod(position - inserts_from, len(alphabet))
+            description = f"insert {alphabet[char]!r} at " \
+                          f"{protected + index}"
+        else:
+            index, char = divmod(position - replaces_from, len(alphabet))
+            index += protected
+            description = f"replace {text[index]!r} with " \
+                          f"{alphabet[char]!r} at {index}"
+        mutants.append(Mutant(site, token, description))
+    return mutants

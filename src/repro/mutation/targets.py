@@ -29,13 +29,15 @@ enum constants pre-declared).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from ..devil.compiler import compile_spec
 from ..devil.errors import DevilCheckError, DevilLexError, DevilParseError
 from ..devil.lexer import Lexer as DevilLexer
+from ..devil.lexer import Token as DevilToken
 from ..devil.lexer import TokenKind as DevilTokenKind
+from ..devil.lexer import splice
 from ..devil.model import ResolvedDevice
 from ..devil.types import EnumType
 from ..minic import (
@@ -46,9 +48,9 @@ from ..minic import (
     kernel_externals,
     tokenize_c,
 )
-from ..minic.lexer import C_KEYWORDS, number_value
+from ..minic.lexer import C_KEYWORDS, CToken, number_value, splice_c
 from .corpus import mutation_regions
-from .rules import MutationSite
+from .rules import Mutant, MutationSite
 
 INVALID = "invalid"
 DETECTED = "detected"
@@ -73,13 +75,21 @@ _C_MUTABLE_OPERATORS = {
 
 @dataclass
 class LanguageTarget:
-    """One program in one language, ready for mutation analysis."""
+    """One program in one language, ready for mutation analysis.
+
+    ``classify(text, mutant=None)`` returns INVALID, DETECTED or
+    UNDETECTED for ``text``.  When ``mutant`` is given, ``text`` must be
+    ``mutant.apply(source)``: the classifier then splices ``tokens``
+    (the baseline lex of ``source``, built once and never mutated)
+    instead of lexing the whole text again.
+    """
 
     name: str
     language: str                      # "C", "Devil" or "CDevil"
     source: str
+    tokens: tuple
     sites: list[MutationSite]
-    classify: Callable[[str], str]     # returns INVALID/DETECTED/UNDETECTED
+    classify: Callable[..., str]
     lines_of_code: int = 0
 
     def __post_init__(self) -> None:
@@ -116,7 +126,8 @@ def _token_number_value(text: str) -> int | float:
 # ---------------------------------------------------------------------------
 
 
-def _c_sites(source: str) -> list[MutationSite]:
+def _c_sites(source: str,
+             tokens: Sequence[CToken]) -> list[MutationSite]:
     regions = mutation_regions(source) or [(0, len(source))]
     sites: list[MutationSite] = []
 
@@ -133,7 +144,7 @@ def _c_sites(source: str) -> list[MutationSite]:
                 token.text in _C_MUTABLE_OPERATORS:
             add("operator", token.text, offset, line)
 
-    for token in tokenize_c(source):
+    for token in tokens:
         if not any(start <= token.offset < end for start, end in regions):
             continue
         if token.kind is CTokenKind.DIRECTIVE and \
@@ -150,25 +161,36 @@ def _c_sites(source: str) -> list[MutationSite]:
     return sites
 
 
-def _make_c_classifier(baseline_source: str,
-                       externals: dict[str, int | None],
-                       constants: set[str],
-                       warnings_detect: bool) -> Callable[[str], str]:
-    baseline = check_c(baseline_source, externals, constants)
+def _c_target(name: str, language: str, source: str,
+              externals: dict[str, int | None], constants: set[str],
+              warnings_detect: bool,
+              ranges: dict[str, list[ArgumentRange]] | None = None
+              ) -> LanguageTarget:
+    tokens = tuple(tokenize_c(source))
+    baseline = check_c(source, externals, constants, tokens=tokens)
     baseline_interface = frozenset(baseline.defined_functions)
 
-    def classify(source: str) -> str:
+    def classify(text: str, mutant: Mutant | None = None) -> str:
         try:
-            result = check_c(source, externals, constants)
+            if mutant is None:
+                lexed = tokenize_c(text)
+            else:
+                lexed = splice_c(tokens, text, mutant.site.offset,
+                                 len(mutant.site.text),
+                                 len(mutant.mutated_token))
+            result = check_c(text, externals, constants, tokens=lexed)
         except (CLexError, CParseError):
             return INVALID
         if result.detected(warnings_detect):
             return DETECTED
         if frozenset(result.defined_functions) != baseline_interface:
             return DETECTED  # renamed entry point: caught at link time
+        if ranges is not None and not _constant_args_ok(lexed, ranges):
+            return DETECTED
         return UNDETECTED
 
-    return classify
+    return LanguageTarget(name, language, source, tokens,
+                          _c_sites(source, tokens), classify)
 
 
 def c_target(name: str, source: str,
@@ -176,8 +198,7 @@ def c_target(name: str, source: str,
              warnings_detect: bool = True) -> LanguageTarget:
     """A hand-written C driver fragment, checked the way gcc would."""
     resolved = externals if externals is not None else kernel_externals()
-    classify = _make_c_classifier(source, resolved, set(), warnings_detect)
-    return LanguageTarget(name, "C", source, _c_sites(source), classify)
+    return _c_target(name, "C", source, resolved, set(), warnings_detect)
 
 
 def stub_externals(model: ResolvedDevice,
@@ -271,14 +292,14 @@ def _value_legal(value: int, legal: ArgumentRange) -> bool:
     return minimum <= value <= maximum
 
 
-def _constant_args_ok(source: str,
+def _constant_args_ok(tokens: Sequence[CToken],
                       ranges: dict[str, list[ArgumentRange]]) -> bool:
     """Compile-time range check of constant stub arguments.
 
-    Scans calls of known set-stubs; any argument that is a single
-    integer literal is validated against the variable's Devil type.
+    Scans ``tokens`` for calls of known set-stubs; any argument that is
+    a single integer literal is validated against the variable's Devil
+    type.
     """
-    tokens = tokenize_c(source)
     for index, token in enumerate(tokens):
         if token.kind is not CTokenKind.IDENT or token.text not in ranges:
             continue
@@ -347,25 +368,14 @@ def cdevil_target(name: str, source: str,
     """
     externals = kernel_externals()
     constants: set[str] = set()
-    ranges: dict[str, list[frozenset[int] | None]] = {}
+    ranges: dict[str, list[ArgumentRange]] = {}
     for model, prefix in specs:
         stub_funcs, stub_consts = stub_externals(model, prefix)
         externals.update(stub_funcs)
         constants.update(stub_consts)
         ranges.update(stub_argument_ranges(model, prefix))
-    c_classify = _make_c_classifier(source, externals, constants,
-                                    warnings_detect)
-
-    def classify(mutated: str) -> str:
-        verdict = c_classify(mutated)
-        if verdict != UNDETECTED:
-            return verdict
-        if not _constant_args_ok(mutated, ranges):
-            return DETECTED
-        return UNDETECTED
-
-    return LanguageTarget(name, "CDevil", source, _c_sites(source),
-                          classify)
+    return _c_target(name, "CDevil", source, externals, constants,
+                     warnings_detect, ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -373,33 +383,24 @@ def cdevil_target(name: str, source: str,
 # ---------------------------------------------------------------------------
 
 
-def _devil_sites(source: str) -> list[MutationSite]:
+def _devil_sites(tokens: Sequence[DevilToken]) -> list[MutationSite]:
     sites: list[MutationSite] = []
-    lexer = DevilLexer(source)
-    # The Devil lexer reports line/column; re-derive character offsets
-    # by scanning line starts once.
-    line_offsets = [0]
-    for line in source.splitlines(keepends=True):
-        line_offsets.append(line_offsets[-1] + len(line))
-    for token in lexer.tokens():
-        if token.kind is DevilTokenKind.EOF:
-            break
-        offset = line_offsets[token.location.line - 1] + \
-            token.location.column - 1
+    for token in tokens:
+        line = token.location.line
         if token.kind is DevilTokenKind.IDENT:
-            sites.append(MutationSite("ident", token.text, offset,
-                                      token.location.line))
+            sites.append(MutationSite("ident", token.text, token.offset,
+                                      line))
         elif token.kind is DevilTokenKind.INT:
-            sites.append(MutationSite("number", token.text, offset,
-                                      token.location.line))
+            sites.append(MutationSite("number", token.text, token.offset,
+                                      line))
         elif token.kind is DevilTokenKind.BITPATTERN:
             # offset points at the opening quote; the pattern text
             # starts one character later.
             sites.append(MutationSite("bitpattern", token.text,
-                                      offset + 1, token.location.line))
+                                      token.offset + 1, line))
         elif token.kind in _DEVIL_OPERATOR_KINDS:
-            sites.append(MutationSite("operator", token.text, offset,
-                                      token.location.line))
+            sites.append(MutationSite("operator", token.text, token.offset,
+                                      line))
     return sites
 
 
@@ -413,11 +414,16 @@ def devil_interface(model: ResolvedDevice,
 
 def devil_target(name: str, source: str) -> LanguageTarget:
     """A Devil specification, checked by this repository's compiler."""
-    baseline_interface = devil_interface(compile_spec(source).model)
+    tokens = tuple(DevilLexer(source).tokens())
+    baseline_interface = devil_interface(
+        compile_spec(source, tokens=tokens).model)
 
-    def classify(mutated: str) -> str:
+    def classify(text: str, mutant: Mutant | None = None) -> str:
         try:
-            spec = compile_spec(mutated)
+            lexed = None if mutant is None else splice(
+                tokens, text, mutant.site.offset, len(mutant.site.text),
+                len(mutant.mutated_token))
+            spec = compile_spec(text, tokens=lexed)
         except (DevilLexError, DevilParseError):
             return INVALID
         except DevilCheckError:
@@ -428,5 +434,5 @@ def devil_target(name: str, source: str) -> LanguageTarget:
             return DETECTED
         return UNDETECTED
 
-    return LanguageTarget(name, "Devil", source, _devil_sites(source),
-                          classify)
+    return LanguageTarget(name, "Devil", source, tokens,
+                          _devil_sites(tokens), classify)

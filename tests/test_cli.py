@@ -38,6 +38,13 @@ class TestCheck:
         assert main(["check", bad_spec]) == 1
         assert "never used" in capsys.readouterr().err
 
+    def test_non_ascii_digit_is_a_lex_error(self, tmp_path, capsys):
+        path = tmp_path / "superscript.devil"
+        path.write_text("device chip (base : bit[8] port @ {\u00b2}) {}\n")
+        assert main(["check", str(path)]) == 1
+        assert "1:36: unexpected character '\u00b2'" in \
+            capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         with pytest.raises(OSError):
             main(["check", "/nonexistent/never.devil"])

@@ -1,6 +1,8 @@
 """Unit tests for the mini-C lexer and semantic checker."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.minic import (
     CLexError,
@@ -11,6 +13,7 @@ from repro.minic import (
     number_value,
     tokenize_c,
 )
+from repro.minic.checker import _Checker
 
 
 class TestLexer:
@@ -214,3 +217,74 @@ class TestCorpusCleanliness:
             constants.update(consts)
         result = check_c(source, externals, constants)
         assert not result.detected(), [str(d) for d in result.diagnostics]
+
+
+class _LadderChecker(_Checker):
+    """The checker with the recursive one-call-per-level expression
+    ladder that precedence climbing replaced."""
+
+    def _binary_expression(self, level):
+        if level >= len(self._BINARY_LEVELS):
+            return self._unary_expression()
+        lvalue = self._binary_expression(level + 1)
+        operators = self._BINARY_LEVELS[level]
+        while self._current.kind is CTokenKind.OPERATOR and \
+                self._current.text in operators:
+            self._advance()
+            self._binary_expression(level + 1)
+            lvalue = False
+        return lvalue
+
+
+def _diagnose(checker_class, source):
+    """Diagnostics in order, plus the parse error that ended the run."""
+    checker = checker_class(tokenize_c(source), kernel_externals(),
+                            {"K"})
+    try:
+        checker.run()
+        ending = None
+    except CParseError as error:
+        ending = str(error)
+    return [str(d) for d in checker.result.diagnostics], ending
+
+
+_OPERANDS = ["x", "y", "nope", "K", "1", "(x)", "f(x)", "inb(1, 2)",
+             "*p", "&x", "-x", "!y", "x++", "--y", "x[1]", "s.m", "p->m"]
+_OPERATORS = [op for level in _Checker._BINARY_LEVELS for op in level] + \
+    ["=", "+=", "<<=", "?", ":", ",", "++"]
+_EXPRESSION = st.lists(st.sampled_from(_OPERANDS + _OPERATORS +
+                                       ["(", ")"]),
+                       min_size=1, max_size=12).map(" ".join)
+
+
+class TestPrecedenceClimbing:
+    """Same diagnostics, in the same order, as the recursive ladder."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_EXPRESSION, min_size=1, max_size=3))
+    def test_expressions_match_ladder(self, statements):
+        source = "int x; int y; int *p;\n" + "\n".join(
+            f"{statement};" for statement in statements)
+        assert _diagnose(_Checker, source) == \
+            _diagnose(_LadderChecker, source)
+
+    @pytest.mark.parametrize("source", [
+        "x = 1 + 2 * 3 << 4 == 5 && x || y;",
+        "1 + 2 = x;",
+        "x * y = 1;",
+        "(x) = a - b - c;",
+        "x = y ? a : b = 3;",
+        "x = 1 +;",
+    ])
+    def test_named_cases(self, source):
+        source = "int x; int y;\n" + source
+        assert _diagnose(_Checker, source) == \
+            _diagnose(_LadderChecker, source)
+
+    def test_corpus_programs(self):
+        from repro.mutation import corpus
+        for source in (corpus.BUSMOUSE_C, corpus.IDE_C, corpus.NE2000_C,
+                       corpus.BUSMOUSE_CDEVIL, corpus.IDE_CDEVIL,
+                       corpus.NE2000_CDEVIL):
+            assert _diagnose(_Checker, source) == \
+                _diagnose(_LadderChecker, source)

@@ -72,6 +72,62 @@ class TestRules:
         assert mutated.startswith("abc ") and mutated.endswith(" def")
 
 
+def _reference_population(site, max_mutants=None):
+    """Every edit as a Mutant, then dedup and sample: the enumeration
+    ``mutants_for_site`` must reproduce without building them all."""
+    import hashlib
+
+    from repro.mutation.rules import Mutant
+
+    text, alphabet = site.text, alphabet_for(site)
+    protected = 2 if (site.kind == "number"
+                      and text.lower().startswith("0x")) else 0
+    edits = []
+    if len(text) > max(1, protected):
+        edits += [Mutant(site, text[:i] + text[i + 1:],
+                         f"remove {text[i]!r} at {i}")
+                  for i in range(protected, len(text))]
+    edits += [Mutant(site, text[:i] + c + text[i:], f"insert {c!r} at {i}")
+              for i in range(protected, len(text) + 1) for c in alphabet]
+    edits += [Mutant(site, text[:i] + c + text[i + 1:],
+                     f"replace {text[i]!r} with {c!r} at {i}")
+              for i in range(protected, len(text)) for c in alphabet
+              if c != text[i]]
+    unique = {}
+    for mutant in edits:
+        unique.setdefault(mutant.mutated_token, mutant)
+    population = list(unique.values())
+    if max_mutants is None or len(population) <= max_mutants:
+        return population
+    seed = int.from_bytes(
+        hashlib.sha256(site.key().encode()).digest()[:8], "big")
+    stride = max(1, len(population) // max_mutants)
+    return population[seed % stride::stride][:max_mutants]
+
+
+class TestPopulationReference:
+    @pytest.mark.parametrize("cap", [None, 1, 3, 8, 12])
+    @pytest.mark.parametrize("kind,text", [
+        ("ident", "aab_bba"), ("ident", "XX_Y"), ("ident", "a"),
+        ("number", "0x3c"), ("number", "0x"), ("number", "100"),
+        ("number", "7"), ("operator", "<<="), ("operator", "=="),
+        ("bitpattern", "1..0**--"), ("bitpattern", "."),
+    ])
+    def test_equals_full_enumeration(self, kind, text, cap):
+        site = MutationSite(kind, text, 17, 3)
+        assert mutants_for_site(site, cap) == \
+            _reference_population(site, cap)
+
+    def test_every_shipped_site_at_campaign_budget(self):
+        from repro.mutation.registry import get_target, target_ids
+        caps = MutantCaps.quick(8)
+        for target_id in target_ids():
+            for site in get_target(target_id).sites:
+                cap = caps.for_kind(site.kind)
+                assert mutants_for_site(site, cap) == \
+                    _reference_population(site, cap), site
+
+
 class TestRegions:
     def test_marker_extraction(self):
         regions = mutation_regions(BUSMOUSE_C)
