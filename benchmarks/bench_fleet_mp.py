@@ -25,10 +25,19 @@ both backends.  It carries no floor: it records how far the process
 transport's per-request IPC cost puts it behind threads on I/O, which
 is why the adaptive selector sends I/O-bound mixes to threads.
 
-Exactness is enforced unconditionally on both legs: merged accounting
-and byte-identical per-device end-state across every backend and
-worker count.  A scheduling or merge bug fails this benchmark even on
-a single-core machine where the throughput floor is waived.
+Each cell (variant x worker count) builds its fleet once and warms it
+with one untimed run of the schedule, so worker start-up stays out of
+the timer.  Then every round runs the schedule once on every cell of
+the leg, rotating the cell order from round to round, so a shared
+host's drift lands on all cells alike.  A cell reports the median
+[quartiles] of its ``ROUNDS`` round rates; speedups and the ceiling
+and floor use the medians.
+
+Exactness is enforced unconditionally on both legs: every cell runs
+the schedule equally often and must end with the same merged
+accounting and byte-identical per-device state as every other backend
+and worker count.  A scheduling or merge bug fails this benchmark even
+on a single-core machine where the throughput floor is waived.
 
 Runs standalone (``python benchmarks/bench_fleet_mp.py [--quick]``,
 the CI concurrency-job step) and under pytest via
@@ -40,7 +49,9 @@ recorded alongside (a 1-CPU container's numbers are labeled as such).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -73,6 +84,9 @@ PROCESS_CPU_FLOOR = 2.0
 PROCESS_FLOOR_MIN_CPUS = 4
 
 WORKER_COUNTS = (1, 2, 4)
+
+#: Timed rounds per leg: each runs the schedule once on every cell.
+ROUNDS = 7
 
 #: CPU leg: four disks, every request a GIL-holding checksum.
 CPU_FLEET = ["ide"] * 4
@@ -116,61 +130,69 @@ def _build(backend: str, devices, workers: int,
                word_latency_us=word_latency_us, **fleet_kwargs)
 
 
-def run_once(backend: str, devices, workers: int, schedule,
-             latency_us: float = 0.0, word_latency_us: float = 0.0,
-             **fleet_kwargs):
-    """One timed run; returns (req/s, accounting, device states)."""
-    with _build(backend, devices, workers, latency_us,
-                word_latency_us, **fleet_kwargs) as fleet:
-        start = time.perf_counter()
-        fleet.run(schedule)
-        elapsed = time.perf_counter() - start
-        accounting = fleet.accounting
-        if backend == "thread":
-            accounting = accounting.snapshot()
-        states = fleet.device_states()
-        assert fleet.completed() == len(schedule)
-    return len(schedule) / elapsed, accounting, states
-
-
 def scaling_leg(variants, devices, schedule, latency_us: float = 0.0,
-                word_latency_us: float = 0.0):
+                word_latency_us: float = 0.0, rounds: int = ROUNDS):
     """Every variant at every worker count, with exactness checks.
 
-    Speedups are relative to each variant's own single-worker run, so
-    they isolate scaling from the (constant) per-transport overhead.
-    Every run must land identical accounting and byte-identical
-    device end-state — backend and worker count may change *when*
-    work happens, never *what* reaches the wire.
+    Rates are medians of ``rounds`` interleaved rounds on fleets built
+    and warmed beforehand (see the module docstring).  Speedups are
+    relative to each variant's own single-worker median, so they
+    isolate scaling from the (constant) per-transport overhead.  Every
+    cell must land identical accounting and byte-identical device
+    end-state — backend and worker count may change *when* work
+    happens, never *what* reaches the wire.
     """
-    rows = []
-    reference = None
-    for label, backend, fleet_kwargs in variants:
-        base_rate = None
-        for workers in WORKER_COUNTS:
-            rate, accounting, states = run_once(
-                backend, devices, workers, schedule,
-                latency_us, word_latency_us, **fleet_kwargs)
+    cells = [(label, backend, workers, fleet_kwargs)
+             for label, backend, fleet_kwargs in variants
+             for workers in WORKER_COUNTS]
+    rates: list[list[float]] = [[] for _ in cells]
+    with contextlib.ExitStack() as stack:
+        fleets = []
+        for _, backend, workers, fleet_kwargs in cells:
+            fleet = stack.enter_context(_build(
+                backend, devices, workers, latency_us, word_latency_us,
+                **fleet_kwargs))
+            fleet.run(schedule)  # warm-up: start-up and first calls
+            fleets.append(fleet)
+        order = list(range(len(cells)))
+        for index in range(rounds):
+            shift = index % len(cells)
+            for cell in order[shift:] + order[:shift]:
+                start = time.perf_counter()
+                fleets[cell].run(schedule)
+                rates[cell].append(
+                    len(schedule) / (time.perf_counter() - start))
+        reference = None
+        for (label, _, workers, _), fleet in zip(cells, fleets):
+            assert fleet.completed() == len(schedule) * (rounds + 1)
+            accounting = fleet.accounting
+            states = fleet.device_states()
             if reference is None:
                 reference = (accounting, states)
-            else:
-                if accounting != reference[0]:
-                    raise AssertionError(
-                        f"accounting diverged ({label}, {workers} "
-                        f"workers):\n  reference: {reference[0]}\n"
-                        f"  this run : {accounting}")
-                if states != reference[1]:
-                    diverged = sorted(
-                        name for name in reference[1]
-                        if states.get(name) != reference[1][name])
-                    raise AssertionError(
-                        f"device end-state diverged ({label}, "
-                        f"{workers} workers): {diverged}")
-            if base_rate is None:
-                base_rate = rate
-            rows.append({"label": label, "backend": backend,
-                         "workers": workers, "rps": rate,
-                         "speedup": rate / base_rate})
+                continue
+            if accounting != reference[0]:
+                raise AssertionError(
+                    f"accounting diverged ({label}, {workers} "
+                    f"workers):\n  reference: {reference[0]}\n"
+                    f"  this run : {accounting}")
+            if states != reference[1]:
+                diverged = sorted(
+                    name for name in reference[1]
+                    if states.get(name) != reference[1][name])
+                raise AssertionError(
+                    f"device end-state diverged ({label}, "
+                    f"{workers} workers): {diverged}")
+    rows = []
+    base_rate = None
+    for (label, backend, workers, _), values in zip(cells, rates):
+        q1, median, q3 = statistics.quantiles(values, n=4,
+                                              method="inclusive")
+        if workers == WORKER_COUNTS[0]:
+            base_rate = median
+        rows.append({"label": label, "backend": backend,
+                     "workers": workers, "rps": median,
+                     "rps_quartiles": [q1, q3],
+                     "speedup": median / base_rate})
     return rows, reference[0]
 
 
@@ -222,34 +244,40 @@ def check_floors(cpu_rows, cpu_count: int):
 def render(cpu_rows, io_rows, verdicts, cpu_schedule_len,
            io_schedule_len, cpu_count: int) -> str:
     def table(rows):
-        lines = [f"{'variant':>10} | {'workers':>7} | {'req/s':>10} | "
-                 f"{'speedup':>8}",
-                 "-" * 46]
+        lines = [f"{'variant':>10} | {'workers':>7} | "
+                 f"{'req/s median [q1-q3]':>24} | {'speedup':>8}",
+                 "-" * 60]
         for row in rows:
+            q1, q3 = row["rps_quartiles"]
+            cell = f"{row['rps']:.1f} [{q1:.1f}-{q3:.1f}]"
             lines.append(
                 f"{row['label']:>10} | {row['workers']:>7} | "
-                f"{row['rps']:>10.1f} | {row['speedup']:>7.2f}x")
+                f"{cell:>24} | {row['speedup']:>7.2f}x")
         return lines
 
     lines = [
         "Thread fleet vs process fleet "
         f"(os.cpu_count()={cpu_count})",
+        f"req/s: median [quartiles] of {ROUNDS} interleaved rounds per "
+        "cell, cell order rotated per round, fleets built and warmed "
+        "before timing; speedup: medians vs each variant's own "
+        "1-worker median",
         "",
         f"CPU-bound leg: 4x IDE, {cpu_schedule_len} x "
-        f"ide_sector_checksum (GIL-holding; speedup vs each "
-        f"variant's own 1-worker run)",
+        f"ide_sector_checksum per round (GIL-holding)",
     ]
     lines += table(cpu_rows)
     lines += [
         "",
-        f"Sleeping-I/O leg: mixed fleet, {io_schedule_len} requests, "
-        f"{IO_LATENCY_US:.0f}us/op + {IO_WORD_LATENCY_US:.1f}us/word "
+        f"Sleeping-I/O leg: mixed fleet, {io_schedule_len} requests "
+        f"per round, {IO_LATENCY_US:.0f}us/op + {IO_WORD_LATENCY_US:.1f}us/word "
         f"(GIL-releasing; no floor)",
     ]
     lines += table(io_rows)
     lines += ["",
               "exactness: merged accounting and per-device end-state "
-              "byte-identical across every variant and worker count",
+              "byte-identical across every variant and worker count "
+              "after all rounds",
               ""]
     lines += verdicts
     return "\n".join(lines)
@@ -278,6 +306,7 @@ def main(argv=None) -> int:
     record("BENCH_fleet_mp", table, data={
         "quick": args.quick,
         "cpu_count": cpu_count,
+        "rounds": ROUNDS,
         "cpu_leg": {"devices": CPU_FLEET,
                     "requests": len(cpu_schedule),
                     "rows": cpu_rows},
@@ -303,7 +332,7 @@ def main(argv=None) -> int:
 
 
 def test_fleet_mp_bench_quick():
-    """Pytest entry: tiny schedules, exactness only.
+    """Pytest entry: tiny schedules, two rounds, exactness only.
 
     The throughput ceilings/floors are waived here (wall-clock floors
     are flaky under a loaded test runner) and enforced by the
@@ -313,11 +342,12 @@ def test_fleet_mp_bench_quick():
     """
     variants = cpu_variants()
     cpu_rows, accounting = scaling_leg(
-        variants, CPU_FLEET, [("ide", ide_sector_checksum)] * 6)
+        variants, CPU_FLEET, [("ide", ide_sector_checksum)] * 6,
+        rounds=2)
     assert accounting.total_ops > 0
     assert len(cpu_rows) == len(variants) * len(WORKER_COUNTS)
     io_rows, _ = scaling_leg(VARIANTS, IO_FLEET, mixed_schedule(2),
-                             IO_LATENCY_US, IO_WORD_LATENCY_US)
+                             IO_LATENCY_US, IO_WORD_LATENCY_US, rounds=2)
     assert len(io_rows) == len(VARIANTS) * len(WORKER_COUNTS)
 
 

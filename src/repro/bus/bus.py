@@ -35,6 +35,17 @@ class MappedDevice(Protocol):
 
     ``offset`` is relative to the base address the device was mapped
     at; ``width`` is the access width in bits (8, 16 or 32).
+
+    A device may also define ``io_read_block(offset, count, width)``,
+    which :meth:`Bus.block_read` then calls once per ``rep insw`` (for
+    ``count > 0``) instead of calling :meth:`io_read` ``count`` times.
+    Its contract: it returns the list that ``count`` successive
+    ``io_read(offset, width)`` calls would return and leaves the model
+    in the same state; if a word fails, it raises the exception that
+    word's ``io_read`` would raise, after the same earlier words were
+    consumed.  Its values must fit in ``width`` bits, as ``io_read``'s
+    should: the bus masks each per-word read but hands the block's list
+    back as is.  The per-word loop is the reference it is tested against.
     """
 
     def io_read(self, offset: int, width: int) -> int:
@@ -193,6 +204,24 @@ def iter_operations(trace: Iterable[IoTraceEntry]) \
         for _ in range(entry.count - 1):
             words.append(next(entries))
         yield tuple(words)
+
+
+def read_words(device: MappedDevice, offset: int, count: int,
+               width: int) -> list[int]:
+    """The device side of a block read: ``count`` values of one port.
+
+    One ``io_read_block`` call when the device has that method (see
+    :class:`MappedDevice`), else one ``io_read`` per word, masked to
+    ``width``.  ``count == 0`` calls no device.  Shared by every bus
+    class's ``block_read``.
+    """
+    if not count:
+        return []
+    read_block = getattr(device, "io_read_block", None)
+    if read_block is not None:
+        return read_block(offset, count, width)
+    mask = (1 << width) - 1
+    return [device.io_read(offset, width) & mask for _ in range(count)]
 
 
 @dataclass
@@ -375,6 +404,12 @@ class Bus:
         if width not in (8, 16, 32):
             raise BusError(f"unsupported access width {width}")
 
+    @staticmethod
+    def _check_block_read(count: int, width: int) -> None:
+        Bus._check_width(width)
+        if count < 0:
+            raise BusError(f"negative block count {count}")
+
     def read(self, port: int, width: int = 8) -> int:
         """One port read of ``width`` bits (``inb``/``inw``/``inl``)."""
         mapping = self._port_cache.get(port)
@@ -466,15 +501,13 @@ class Bus:
         Accounted as a single block operation; the per-word traffic is
         recorded in ``block_words`` so the performance model can charge
         hardware-paced transfer time without per-instruction overhead.
+        A device that defines ``io_read_block`` serves the whole
+        transfer in one call (see :func:`read_words`).
         """
-        self._check_width(width)
-        if count < 0:
-            raise BusError(f"negative block count {count}")
+        self._check_block_read(count, width)
         mapping = self._find(port)
-        offset = port - mapping.base
-        mask = (1 << width) - 1
-        values = [mapping.device.io_read(offset, width) & mask
-                  for _ in range(count)]
+        values = read_words(mapping.device, port - mapping.base, count,
+                            width)
         self.accounting.block_ops += 1
         self.accounting.block_words += count
         self.accounting.record_block(width, count)

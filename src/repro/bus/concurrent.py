@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 
-from .bus import Bus, BusError, IoAccounting, IoTraceEntry
+from .bus import Bus, BusError, IoAccounting, IoTraceEntry, read_words
 
 
 class ThreadSafeBus(Bus):
@@ -189,15 +189,11 @@ class ThreadSafeBus(Bus):
 
     def block_read(self, port: int, count: int,
                    width: int = 16) -> list[int]:
-        self._check_width(width)
-        if count < 0:
-            raise BusError(f"negative block count {count}")
+        self._check_block_read(count, width)
         mapping = self._find(port)
-        offset = port - mapping.base
-        mask = (1 << width) - 1
         with mapping.lock:
-            values = [mapping.device.io_read(offset, width) & mask
-                      for _ in range(count)]
+            values = read_words(mapping.device, port - mapping.base,
+                                count, width)
             shard = mapping.shard
             shard.block_ops += 1
             shard.block_words += count

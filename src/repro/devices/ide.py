@@ -23,6 +23,7 @@ The media itself is a plain :class:`bytearray` of 512-byte sectors.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from ..bus import BusError
@@ -120,6 +121,35 @@ class IdeDiskModel:
             self.irq_pending = False  # reading status acks INTRQ
             return self.status
         raise BusError(f"IDE has no readable offset {offset}")
+
+    def io_read_block(self, offset: int, count: int,
+                      width: int) -> list[int]:
+        """``count`` successive :meth:`io_read` calls in one (``rep insw``).
+
+        On the data port each DRQ block's remaining whole words come out
+        of one ``struct.unpack_from``; a trailing partial word (a 32-bit
+        read with 2 bytes left) and every other port go word by word.
+        """
+        if offset != 0 or width not in (16, 32):
+            return [self.io_read(offset, width) for _ in range(count)]
+        size = width // 8
+        code = "H" if width == 16 else "I"
+        values: list[int] = []
+        while count > 0:
+            buffer, pos = self._buffer, self._buffer_pos
+            words = min(count, (len(buffer) - pos) // size)
+            if words <= 0 or not self.status & DRQ or \
+                    self._direction != "read":
+                # A trailing partial word, or the word that fails.
+                values.append(self._data_read(width))
+                count -= 1
+                continue
+            values += struct.unpack_from(f"<{words}{code}", buffer, pos)
+            count -= words
+            self._buffer_pos = pos + words * size
+            if self._buffer_pos >= len(buffer):
+                self._read_buffer_drained()
+        return values
 
     def io_write(self, offset: int, value: int, width: int) -> None:
         if offset == 0:
@@ -270,13 +300,17 @@ class IdeDiskModel:
         self._buffer_pos += size
         value = int.from_bytes(chunk, "little")
         if self._buffer_pos >= len(self._buffer):
-            if self._remaining > 0:
-                self._load_read_block()
-                self._raise_irq()
-            else:
-                self.status &= ~DRQ
-                self._direction = ""
+            self._read_buffer_drained()
         return value
+
+    def _read_buffer_drained(self) -> None:
+        """Load the next DRQ block and raise INTRQ, or end the read."""
+        if self._remaining > 0:
+            self._load_read_block()
+            self._raise_irq()
+        else:
+            self.status &= ~DRQ
+            self._direction = ""
 
     def _data_write(self, value: int, width: int) -> None:
         if not self.status & DRQ or self._direction != "write":

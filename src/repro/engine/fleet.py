@@ -136,6 +136,7 @@ class LatencyBus(ThreadSafeBus):
 
     def block_read(self, port: int, count: int,
                    width: int = 16) -> list[int]:
+        self._check_block_read(count, width)  # before a negative sleep
         if self._op_latency:
             time.sleep(self._op_latency + count * self._word_latency)
         return super().block_read(port, count, width)
