@@ -1,26 +1,44 @@
-"""Compiler performance: front-end and backends over the spec library.
+"""Compiler performance: each front-end phase and backend per spec.
 
 Not a paper table, but the practical cost a driver build pays per
-specification: parse + check, then each backend.
+specification, one row per (phase, spec): ``lex`` (the whole token
+list), ``parse`` (a full parse of those tokens), ``check`` (the static
+verification of that tree), then ``emit_c`` and ``emit_python`` (the
+two backends over the checked model).  Each phase starts from the
+previous one's output, built outside the timer.
 """
 
 import pytest
 
-from repro.devil.compiler import compile_spec
+from repro.devil.checker import check
+from repro.devil.codegen.c_backend import generate_c_header
+from repro.devil.lexer import tokenize
+from repro.devil.parser import parse
+from repro.devil.specialize import generate_python_module
 from repro.specs import SPEC_NAMES, load_source
+
+PHASES = ("lex", "parse", "check", "emit_c", "emit_python")
 
 
 @pytest.mark.parametrize("name", SPEC_NAMES)
-def test_compile_spec(benchmark, name):
+@pytest.mark.parametrize("phase", PHASES)
+def test_phase(benchmark, phase, name):
     source = load_source(name)
-    benchmark(compile_spec, source)
+    tokens = tokenize(source)
+    syntax = parse(source, tokens=tokens)
+    model = check(syntax)
+    if phase == "emit_c":
+        def forget_header():
+            # The header is memoized on the model: drop it, untimed,
+            # so that every round emits.
+            model.__dict__.pop("_c_header_memo", None)
 
-
-def test_emit_c_busmouse(benchmark):
-    spec = compile_spec(load_source("busmouse"))
-    benchmark(spec.emit_c)
-
-
-def test_emit_python_ne2000(benchmark):
-    spec = compile_spec(load_source("ne2000"))
-    benchmark(spec.emit_python)
+        benchmark.pedantic(generate_c_header, args=(model,),
+                           setup=forget_header, rounds=100)
+        return
+    benchmark({
+        "lex": lambda: tokenize(source),
+        "parse": lambda: parse(source, tokens=tokens),
+        "check": lambda: check(syntax),
+        "emit_python": lambda: generate_python_module(model),
+    }[phase])

@@ -15,17 +15,23 @@ from ``bench_coalesce.py``'s busy-wait latency, which holds the GIL
 and would (correctly) show that pure Python bookkeeping does not scale
 across threads.  What scales is what scales on hardware: the I/O wait.
 
-Reported per worker count:
+Each worker count's fleet is built once and warmed with one untimed
+run of the schedule, so thread start-up and first calls stay out of
+the timer.  Then every round runs the schedule once on every worker
+count, rotating their order from round to round, so a shared host's
+drift lands on all counts alike.  Reported per worker count:
 
-* requests/sec over the whole mixed schedule;
-* speedup vs the single worker;
+* requests/sec over the whole mixed schedule: the median [quartiles]
+  of ``ROUNDS`` round rates;
+* speedup of the median vs the single worker's median;
 * scaling efficiency (speedup / workers);
-* exactness — merged accounting totals must be identical across all
-  worker counts (the deterministic round-robin schedule guarantees it,
-  the thread-safe bus makes it true under contention).
+* exactness — merged accounting totals after all rounds must be
+  identical across all worker counts (the deterministic round-robin
+  schedule guarantees it, the thread-safe bus makes it true under
+  contention).
 
-Acceptance floors (CI-enforced): >= 2.5x throughput at 4 workers, and
-identical port-op totals at every worker count.  An 8-thread
+Acceptance floors (CI-enforced): >= 2.5x median throughput at 4
+workers, and identical port-op totals at every worker count.  An 8-thread
 single-device stress leg (exact accounting + state parity vs a serial
 reference, every strategy — native included when a C compiler is
 present) rides along so a scheduling or locking regression fails this
@@ -38,6 +44,8 @@ CI smoke step) and under pytest via :func:`test_fleet_bench_quick`.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -62,75 +70,96 @@ MIN_SPEEDUP_AT_4 = 2.5
 
 WORKER_COUNTS = (1, 2, 4, 8)
 
+#: Timed rounds: each runs the schedule once at every worker count.
+ROUNDS = 7
+
 #: The mixed fleet: 4 disks, 4 GPUs, 4 NICs on one bus.
 FLEET = ["ide"] * 4 + ["permedia2"] * 4 + ["ne2000"] * 4
 
 
-def run_fleet(workers: int, schedule, strategy: str,
-              latency_us: float, word_latency_us: float,
-              backend: str = "thread"):
-    """One timed run; returns (requests/sec, accounting snapshot)."""
-    cls = ProcessFleet if backend == "process" else Fleet
-    with cls(FLEET, strategy=strategy, workers=workers,
-             policy="round-robin", queue_depth=64,
-             op_latency_us=latency_us,
-             word_latency_us=word_latency_us) as fleet:
-        start = time.perf_counter()
-        fleet.run(schedule)
-        elapsed = time.perf_counter() - start
-        accounting = fleet.accounting
-        if backend == "thread":
-            accounting = accounting.snapshot()
-        assert fleet.completed() == len(schedule)
-    return len(schedule) / elapsed, accounting
-
-
 def scaling_table(schedule, strategy: str, latency_us: float,
-                  word_latency_us: float, backend: str = "thread"):
-    """Throughput at each worker count + exactness cross-check."""
+                  word_latency_us: float, backend: str = "thread",
+                  rounds: int = ROUNDS):
+    """Throughput at each worker count + exactness cross-check.
+
+    Rates are medians of ``rounds`` interleaved rounds on fleets built
+    and warmed beforehand (see the module docstring); returns the rows
+    and the accounting every fleet ended with.
+    """
+    cls = ProcessFleet if backend == "process" else Fleet
+    rates: list[list[float]] = [[] for _ in WORKER_COUNTS]
+    with contextlib.ExitStack() as stack:
+        fleets = []
+        for workers in WORKER_COUNTS:
+            fleet = stack.enter_context(cls(
+                FLEET, strategy=strategy, workers=workers,
+                policy="round-robin", queue_depth=64,
+                op_latency_us=latency_us,
+                word_latency_us=word_latency_us))
+            fleet.run(schedule)  # warm-up: start-up and first calls
+            fleets.append(fleet)
+        order = list(range(len(fleets)))
+        for index in range(rounds):
+            shift = index % len(fleets)
+            for cell in order[shift:] + order[:shift]:
+                start = time.perf_counter()
+                fleets[cell].run(schedule)
+                rates[cell].append(
+                    len(schedule) / (time.perf_counter() - start))
+        reference = None
+        for workers, fleet in zip(WORKER_COUNTS, fleets):
+            assert fleet.completed() == len(schedule) * (rounds + 1)
+            accounting = fleet.accounting
+            if backend == "thread":
+                accounting = accounting.snapshot()
+            if reference is None:
+                reference = accounting
+            elif accounting != reference:
+                raise AssertionError(
+                    f"accounting diverged at {workers} workers:\n"
+                    f"  1 worker : {reference}\n"
+                    f"  {workers} workers: {accounting}")
     rows = []
-    reference = None
     base_rate = None
-    for workers in WORKER_COUNTS:
-        rate, accounting = run_fleet(workers, schedule, strategy,
-                                     latency_us, word_latency_us,
-                                     backend)
-        if reference is None:
-            reference = accounting
-            base_rate = rate
-        elif accounting != reference:
-            raise AssertionError(
-                f"accounting diverged at {workers} workers:\n"
-                f"  1 worker : {reference}\n"
-                f"  {workers} workers: {accounting}")
-        speedup = rate / base_rate
-        rows.append({"workers": workers, "rps": rate,
-                     "speedup": speedup,
+    for workers, values in zip(WORKER_COUNTS, rates):
+        q1, median, q3 = statistics.quantiles(values, n=4,
+                                              method="inclusive")
+        if base_rate is None:
+            base_rate = median
+        speedup = median / base_rate
+        rows.append({"workers": workers, "rps": median,
+                     "rps_quartiles": [q1, q3], "speedup": speedup,
                      "efficiency": speedup / workers})
     return rows, reference
 
 
 def render(rows, accounting, strategy, schedule_len, latency_us,
            word_latency_us, stress_iterations,
-           backend: str = "thread") -> str:
+           backend: str = "thread", rounds: int = ROUNDS) -> str:
     lines = [
         "Fleet throughput: mixed workload "
         "(4x IDE sector read, 4x PM2 fill rect, 4x NE2000 ring poll)",
         f"backend={backend}  strategy={strategy}  "
-        f"requests={schedule_len}  "
+        f"requests={schedule_len} per round  "
         f"latency={latency_us:.1f}us/op + {word_latency_us:.2f}us/word",
+        f"req/s: median [quartiles] of {rounds} interleaved rounds per "
+        "worker count, order rotated per round, fleets built and warmed "
+        "before timing; speedup: medians vs the 1-worker median",
         "",
-        f"{'workers':>8} | {'req/s':>10} | {'speedup':>8} | "
-        f"{'efficiency':>10}",
-        "-" * 46,
+        f"{'workers':>8} | {'req/s median [q1-q3]':>26} | "
+        f"{'speedup':>8} | {'efficiency':>10}",
+        "-" * 62,
     ]
     for row in rows:
+        q1, q3 = row["rps_quartiles"]
+        cell = f"{row['rps']:.1f} [{q1:.1f}-{q3:.1f}]"
         lines.append(
-            f"{row['workers']:>8} | {row['rps']:>10.1f} | "
+            f"{row['workers']:>8} | {cell:>26} | "
             f"{row['speedup']:>7.2f}x | {row['efficiency']:>9.0%}")
     lines += [
         "",
-        f"port ops (identical at every worker count): "
+        f"port ops after warm-up + {rounds} rounds (identical at every "
+        f"worker count): "
         f"total={accounting.total_ops} reads={accounting.reads} "
         f"writes={accounting.writes} block_ops={accounting.block_ops} "
         f"block_words={accounting.block_words}",
@@ -199,6 +228,7 @@ def main(argv=None) -> int:
         "backend": args.backend,
         "strategy": args.strategy,
         "requests": len(schedule),
+        "rounds": ROUNDS,
         "latency_us": args.latency_us,
         "word_latency_us": args.word_latency_us,
         "rows": rows,
@@ -219,16 +249,16 @@ def main(argv=None) -> int:
               f"floor applies to the thread backend)")
         return 0
     if at4["speedup"] < MIN_SPEEDUP_AT_4:
-        print(f"FAIL: {at4['speedup']:.2f}x at 4 workers "
+        print(f"FAIL: {at4['speedup']:.2f}x median at 4 workers "
               f"(floor {MIN_SPEEDUP_AT_4}x)", file=sys.stderr)
         return 1
-    print(f"OK: {at4['speedup']:.2f}x at 4 workers "
+    print(f"OK: {at4['speedup']:.2f}x median at 4 workers "
           f"(floor {MIN_SPEEDUP_AT_4}x)")
     return 0
 
 
 def test_fleet_bench_quick():
-    """Pytest entry: tiny schedule, no acceptance floor on speed.
+    """Pytest entry: tiny schedule, two rounds, no floor on speed.
 
     Exactness (identical accounting at every worker count) and the
     stress leg still assert; only the throughput floor is waived — CI
@@ -236,7 +266,8 @@ def test_fleet_bench_quick():
     and the floor is enforced by the standalone CI smoke run instead.
     """
     schedule = mixed_schedule(8)
-    rows, accounting = scaling_table(schedule, "specialize", 20.0, 0.2)
+    rows, accounting = scaling_table(schedule, "specialize", 20.0, 0.2,
+                                     rounds=2)
     assert accounting.total_ops > 0
     assert len(rows) == len(WORKER_COUNTS)
     stress_leg(3)

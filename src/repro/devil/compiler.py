@@ -20,7 +20,7 @@ from .checker import check
 from .errors import Diagnostic, DiagnosticSink
 from .lexer import Token
 from .model import ResolvedDevice
-from .parser import parse
+from .parser import Outline, parse
 from .runtime import DeviceInstance
 
 
@@ -106,15 +106,20 @@ class CompiledSpec:
 
 
 def compile_spec(source: str, filename: str = "<devil>",
-                 tokens: Sequence[Token] | None = None) -> CompiledSpec:
+                 tokens: Sequence[Token] | None = None,
+                 baseline: Outline | None = None,
+                 span: tuple[int, int] = (0, 0)) -> CompiledSpec:
     """Compile one Devil specification from source text.
 
     ``tokens``, when given, is the token list of ``source`` and is
-    parsed instead of lexing it again.  Raises
+    parsed instead of lexing it again; with ``baseline`` and ``span``
+    only the declarations around a splice are parsed again (see
+    :func:`~repro.devil.parser.parse`).  Raises
     :class:`~repro.devil.errors.DevilParseError` or
     :class:`~repro.devil.errors.DevilCheckError` on invalid input.
     """
-    syntax = parse(source, filename, tokens=tokens)
+    syntax = parse(source, filename, tokens=tokens, baseline=baseline,
+                   span=span)
     sink = DiagnosticSink()
     model = check(syntax, sink)
     return CompiledSpec(source, filename, syntax, model,

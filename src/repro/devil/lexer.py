@@ -222,17 +222,23 @@ _offset_of = attrgetter("offset")
 
 
 def splice(tokens: Sequence[Token], source: str, offset: int,
-           removed: int, inserted: int) -> list[Token]:
+           removed: int, inserted: int) -> tuple[list[Token], int, int]:
     """The tokens of ``source``, re-lexing only around one edit.
 
     ``tokens`` is the complete token list of an earlier text; ``source``
     is that text with ``removed`` characters at ``offset`` replaced by
-    ``inserted`` new ones.  The result equals ``tokenize(source)`` (or
+    ``inserted`` new ones.  The list equals ``tokenize(source)`` (or
     the same :class:`DevilLexError` is raised).  Scanning starts at the
     token before the edit and stops at the first token past the edit
     that starts, on the same line, where an old token started (shifted
     by the edit's length change): from there on the two texts are
     identical, so the old tokens are reused, moved along the text.
+
+    Returns ``(new, first, reuse)``: ``new[:first]`` is
+    ``tokens[:first]``, ``new[first:reuse]`` was re-lexed, and
+    ``new[reuse:]`` is ``tokens[reuse - len(new) + len(tokens):]``
+    moved along the text (``reuse == len(new)`` when the scan reached
+    the end).  Only tokens on the line of ``new[reuse]`` changed column.
     """
     delta = inserted - removed
     # The token before the edit may merge with it (``a#b`` -> ``ab``);
@@ -257,12 +263,13 @@ def splice(tokens: Sequence[Token], source: str, offset: int,
             then = tokens[old]
             if then.offset == start and \
                     then.location.line == token.location.line:
+                reuse = len(result)
                 result.extend(_moved(
                     tokens[old:], delta,
                     token.location.column - then.location.column))
-                return result
+                return result, index, reuse
         result.append(token)
-    return result
+    return result, index, len(result)
 
 
 def _moved(tokens: Sequence[Token], delta: int,

@@ -13,16 +13,36 @@ The grammar covers everything exercised by the paper's figures:
 * structures with conditional serialization,
 * boolean, integer, integer-set and enumerated types, plus named
   ``type`` declarations.
+
+Each declaration ends at its own ``;`` and is parsed without looking at
+what precedes it, so an edited copy of a parsed token list can be
+re-parsed from the declaration holding the edit up to the first
+declaration from which the two lists agree (see :func:`outline` and
+:meth:`Parser.parse_device`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import bisect
+from typing import NamedTuple, Sequence
 
 from . import ast
 from .errors import DevilParseError, SourceLocation
 from .lexer import Lexer, Token, TokenKind
 from .types import EnumDirection
+
+
+class Outline(NamedTuple):
+    """A parsed token list, kept so that edited copies of it can be
+    re-parsed from the edit on (:func:`parse`'s ``baseline``)."""
+
+    syntax: ast.DeviceDecl
+    #: First-token index of each of ``syntax.declarations``.
+    starts: tuple[int, ...]
+    #: Index of the ``device`` keyword.
+    header: int
+    #: Length of the token list.
+    size: int
 
 
 class Parser:
@@ -34,6 +54,10 @@ class Parser:
             tokens = Lexer(source, filename).tokens()
         self._tokens = tokens
         self._index = 0
+        # First-token index of each declaration parsed, and of the
+        # ``device`` keyword (see :func:`outline`).
+        self._starts: list[int] = []
+        self._header = 0
 
     # ------------------------------------------------------------------
     # Token-stream helpers
@@ -94,22 +118,60 @@ class Parser:
     # Entry point
     # ------------------------------------------------------------------
 
-    def parse_device(self) -> ast.DeviceDecl:
-        """Parse a whole specification (types + one device declaration)."""
-        leading_types: list[ast.TypeDecl] = []
-        while self._check_keyword("type"):
-            leading_types.append(self._parse_type_decl())
-        location = self._location()
-        self._expect_keyword("device", "at start of specification")
-        name = self._expect_ident("as device name").text
-        self._expect(TokenKind.LPAREN, "after device name")
-        params = [self._parse_port_param()]
-        while self._accept(TokenKind.COMMA):
-            params.append(self._parse_port_param())
-        self._expect(TokenKind.RPAREN, "after device parameters")
-        self._expect(TokenKind.LBRACE, "to open device body")
-        declarations: list[ast.Declaration] = list(leading_types)
+    def parse_device(self, baseline: Outline | None = None,
+                     span: tuple[int, int] = (0, 0)) -> ast.DeviceDecl:
+        """Parse a whole specification (types + one device declaration).
+
+        ``baseline`` is the :func:`outline` of an earlier token list
+        that this parser's tokens repeat outside ``span``, the
+        ``(first, reuse)`` indices :func:`~.lexer.splice` returns.
+        Parsing then resumes at the baseline declaration holding token
+        ``first - 1`` and stops at the first declaration start that
+        begins the baseline's unchanged rest: at ``reuse`` or later,
+        a baseline declaration start once shifted by the change in
+        token count, and on a later line than token ``reuse`` (the one
+        line whose columns a splice moves).  The declarations from
+        there on are the baseline's nodes, so the tree equals a full
+        parse, and an error is the one a full parse raises.  Edits in
+        the ``device`` header parse in full.
+        """
+        starts = self._starts
+        declarations: list[ast.Declaration] = []
+        resumed = baseline is not None and \
+            self._resume(baseline, span, declarations)
+        if not resumed or self._index < baseline.header:
+            while self._check_keyword("type"):
+                position = self._resync(leading=True) if resumed else -1
+                if position >= 0:
+                    syntax = baseline.syntax
+                    return ast.DeviceDecl(
+                        syntax.name, syntax.params,
+                        declarations + syntax.declarations[position:],
+                        syntax.location)
+                starts.append(self._index)
+                declarations.append(self._parse_type_decl())
+            self._header = self._index
+            location = self._location()
+            self._expect_keyword("device", "at start of specification")
+            name = self._expect_ident("as device name").text
+            self._expect(TokenKind.LPAREN, "after device name")
+            params = [self._parse_port_param()]
+            while self._accept(TokenKind.COMMA):
+                params.append(self._parse_port_param())
+            self._expect(TokenKind.RPAREN, "after device parameters")
+            self._expect(TokenKind.LBRACE, "to open device body")
+        else:
+            syntax = baseline.syntax
+            name, params, location = (syntax.name, syntax.params,
+                                      syntax.location)
         while not self._check(TokenKind.RBRACE):
+            position = self._resync(leading=False) if resumed else -1
+            if position >= 0:
+                return ast.DeviceDecl(
+                    name, params,
+                    declarations + baseline.syntax.declarations[position:],
+                    location)
+            starts.append(self._index)
             declarations.append(self._parse_declaration())
         self._expect(TokenKind.RBRACE, "to close device body")
         if not self._check(TokenKind.EOF):
@@ -117,6 +179,42 @@ class Parser:
                 f"unexpected {self._current} after device declaration",
                 self._location())
         return ast.DeviceDecl(name, params, declarations, location)
+
+    def _resume(self, baseline: Outline, span: tuple[int, int],
+                declarations: list[ast.Declaration]) -> bool:
+        """Stand on the baseline declaration holding token ``first - 1``
+        with the declarations before it parsed; False for an edit in
+        the ``device`` header."""
+        first, reuse = span
+        starts = baseline.starts
+        position = bisect.bisect_right(starts, first - 1) - 1
+        if position < 0 or starts[position] < baseline.header < first:
+            return False
+        tokens = self._tokens
+        self._baseline = baseline
+        self._shift = len(tokens) - baseline.size
+        self._reuse = reuse
+        self._edit_line = tokens[reuse].location.line \
+            if reuse < len(tokens) else 0
+        declarations += baseline.syntax.declarations[:position]
+        self._index = starts[position]
+        return True
+
+    def _resync(self, leading: bool) -> int:
+        """The baseline position of the declaration starting here, if
+        the rest of the token list is the baseline's (see
+        :meth:`parse_device`); else -1."""
+        if self._index < self._reuse or \
+                self._current.location.line <= self._edit_line:
+            return -1
+        baseline = self._baseline
+        start = self._index - self._shift
+        starts = baseline.starts
+        position = bisect.bisect_left(starts, start)
+        if position == len(starts) or starts[position] != start or \
+                (start < baseline.header) != leading:
+            return -1
+        return position
 
     # ------------------------------------------------------------------
     # Device parameters
@@ -541,11 +639,26 @@ class Parser:
 
 
 def parse(source: str, filename: str = "<devil>",
-          tokens: Sequence[Token] | None = None) -> ast.DeviceDecl:
+          tokens: Sequence[Token] | None = None,
+          baseline: Outline | None = None,
+          span: tuple[int, int] = (0, 0)) -> ast.DeviceDecl:
     """Parse a complete Devil specification from ``source``.
 
     ``tokens``, when given, is the token list of ``source`` (for
     example spliced by :func:`~.lexer.splice`) and is used instead of
-    lexing it again.
+    lexing it again.  With ``baseline`` and ``span``, only the
+    declarations around the splice are parsed again (see
+    :meth:`Parser.parse_device`).
     """
-    return Parser(source, filename, tokens).parse_device()
+    return Parser(source, filename, tokens).parse_device(baseline, span)
+
+
+def outline(source: str, filename: str = "<devil>",
+            tokens: Sequence[Token] | None = None) -> Outline:
+    """Parse ``source`` in full, keeping the first-token index of every
+    declaration next to the tree: the ``baseline`` of :func:`parse`
+    for edited copies of ``tokens``."""
+    parser = Parser(source, filename, tokens)
+    syntax = parser.parse_device()
+    return Outline(syntax, tuple(parser._starts), parser._header,
+                   len(parser._tokens))

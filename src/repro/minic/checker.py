@@ -24,8 +24,10 @@ are exactly the silent failures the paper's experiment quantifies.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 from .lexer import C_KEYWORDS, CLexError, CToken, CTokenKind, tokenize_c
 
@@ -57,12 +59,27 @@ class Symbol:
     arity: int | None = None  # known parameter count, if any
 
 
+class Checkpoint(NamedTuple):
+    """The checker's state where a top-level item (or EOF) begins."""
+
+    index: int
+    #: Diagnostics reported before the item.
+    diagnostics: int
+    scope: dict[str, Symbol]
+    defined_functions: frozenset[str]
+
+
 @dataclass
 class CheckResult:
     diagnostics: list[CDiagnostic] = field(default_factory=list)
     #: Names of functions the fragment defines or prototypes — the link
     #: surface the surrounding driver refers to.
     defined_functions: set[str] = field(default_factory=set)
+    #: One per top-level item and one at EOF, for a full check: what
+    #: checking an edited copy of the tokens resumes from (``baseline``
+    #: of :func:`check_c`).
+    checkpoints: list[Checkpoint] = field(default_factory=list,
+                                          compare=False, repr=False)
 
     @property
     def errors(self) -> list[CDiagnostic]:
@@ -83,7 +100,9 @@ class CheckResult:
 def check_c(source: str,
             externals: dict[str, int | None] | None = None,
             constants: frozenset[str] | set[str] | None = None,
-            tokens: Sequence[CToken] | None = None) -> CheckResult:
+            tokens: Sequence[CToken] | None = None,
+            baseline: CheckResult | None = None,
+            span: tuple[int, int] = (0, 0)) -> CheckResult:
     """Check one C fragment.
 
     ``externals`` maps pre-declared function names to their arity (or
@@ -96,13 +115,26 @@ def check_c(source: str,
     :class:`~.lexer.CLexError` when the fragment is not syntactically
     valid (mutants that do not parse are excluded from the analysis,
     per the paper's rules).
+
+    ``baseline`` is a full check, with the same ``externals`` and
+    ``constants``, of an earlier token list that ``tokens`` repeats
+    outside ``span``, the ``(first, reuse)`` indices
+    :func:`~.lexer.splice_c` returns.  Checking then resumes from the
+    baseline's last checkpoint at or before token ``first - 1`` (an
+    item reads at most one token past its end) and stops at the first
+    item boundary at ``reuse`` or later that is a baseline checkpoint
+    (shifted by the change in token count) holding the same global
+    scope and defined functions: the baseline's later diagnostics are
+    appended.  The result equals a full check.
     """
     if tokens is None:
         tokens = tokenize_c(source)
     checker = _Checker(tokens, externals or {}, constants or set())
-    checker.run()
+    checker.run(baseline, span)
     return checker.result
 
+
+_index_of = attrgetter("index")
 
 _DEFAULT_EXTERNALS: dict[str, int | None] = {
     "inb": 1, "outb": 2, "inw": 1, "outw": 2, "inl": 1, "outl": 2,
@@ -200,8 +232,69 @@ class _Checker:
     # Top level
     # ------------------------------------------------------------------
 
-    def run(self) -> None:
+    def run(self, baseline: CheckResult | None = None,
+            span: tuple[int, int] = (0, 0)) -> None:
+        """Check every top-level item: all of them, saving a checkpoint
+        before each and at EOF, or, given ``baseline``, those around
+        ``span`` (see :func:`check_c`)."""
+        if baseline is not None:
+            self._resume(baseline, span)
+            return
+        checkpoints = self.result.checkpoints
+        while True:
+            checkpoints.append(self._checkpoint(
+                checkpoints[-1] if checkpoints else None))
+            if self._current.kind is CTokenKind.EOF:
+                return
+            self._top_level()
+
+    def _checkpoint(self, previous: Checkpoint | None) -> Checkpoint:
+        """The state here, sharing ``previous``'s copies where equal."""
+        scope = self._scopes[0]
+        defined = self.result.defined_functions
+        if previous is None or previous.scope != scope:
+            scope = dict(scope)
+        else:
+            scope = previous.scope
+        if previous is None or previous.defined_functions != defined:
+            defined = frozenset(defined)
+        else:
+            defined = previous.defined_functions
+        return Checkpoint(self._index, len(self.result.diagnostics),
+                          scope, defined)
+
+    def _resume(self, baseline: CheckResult,
+                span: tuple[int, int]) -> None:
+        """Check from the checkpoint before ``span`` until the state
+        and the rest of the tokens are the baseline's again (see
+        :func:`check_c`)."""
+        first, reuse = span
+        checkpoints = baseline.checkpoints
+        result = self.result
+        position = bisect.bisect_right(checkpoints, first - 1,
+                                       key=_index_of) - 1
+        if position >= 0:
+            start = checkpoints[position]
+            self._index = start.index
+            self._scopes = [dict(start.scope)]
+            result.diagnostics = \
+                baseline.diagnostics[:start.diagnostics]
+            result.defined_functions = set(start.defined_functions)
+        shift = len(self._tokens) - 1 - checkpoints[-1].index
         while self._current.kind is not CTokenKind.EOF:
+            if self._index >= reuse:
+                position = bisect.bisect_left(
+                    checkpoints, self._index - shift, key=_index_of)
+                same = checkpoints[position]
+                if same.index == self._index - shift and \
+                        same.scope == self._scopes[0] and \
+                        same.defined_functions == \
+                        result.defined_functions:
+                    result.diagnostics += \
+                        baseline.diagnostics[same.diagnostics:]
+                    result.defined_functions = \
+                        set(baseline.defined_functions)
+                    return
             self._top_level()
 
     def _top_level(self) -> None:

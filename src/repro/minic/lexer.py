@@ -203,17 +203,24 @@ def _start_line(token: CToken) -> int:
 
 
 def splice_c(tokens: Sequence[CToken], source: str, offset: int,
-             removed: int, inserted: int) -> list[CToken]:
+             removed: int, inserted: int
+             ) -> tuple[list[CToken], int, int]:
     """The tokens of ``source``, re-lexing only around one edit.
 
     ``tokens`` is the complete token list of an earlier text; ``source``
     is that text with ``removed`` characters at ``offset`` replaced by
-    ``inserted`` new ones.  The result equals ``tokenize_c(source)`` (or
+    ``inserted`` new ones.  The list equals ``tokenize_c(source)`` (or
     the same :class:`CLexError` is raised).  Scanning starts at the
     token before the edit and stops at the first token past the edit
     that starts, on the same line, where an old token started (shifted
     by the edit's length change): from there on the two texts are
     identical, so the old tokens are reused with shifted offsets.
+
+    Returns ``(new, first, reuse)`` as :func:`repro.devil.lexer.splice`
+    does: ``new[:first]`` is ``tokens[:first]``, ``new[first:reuse]``
+    was re-lexed, and ``new[reuse:]`` is the last ``len(new) - reuse``
+    old tokens with shifted offsets (``reuse == len(new)`` when the
+    scan reached the end).
     """
     delta = inserted - removed
     index = bisect.bisect_right(tokens, offset, key=_offset_of) - 2
@@ -237,6 +244,7 @@ def splice_c(tokens: Sequence[CToken], source: str, offset: int,
                 old += 1
             then = tokens[old]
             if then.offset == start and then.line == token.line:
+                reuse = len(result)
                 if not delta:
                     result.extend(tokens[old:])
                 else:
@@ -246,6 +254,6 @@ def splice_c(tokens: Sequence[CToken], source: str, offset: int,
                     result.extend([
                         new(CToken, (kind, text, token_offset + delta, line))
                         for kind, text, token_offset, line in tokens[old:]])
-                return result
+                return result, index, reuse
         result.append(token)
-    return result
+    return result, index, len(result)

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ..devil.checker import check
 from ..devil.compiler import compile_spec
 from ..devil.errors import DevilCheckError, DevilLexError, DevilParseError
 from ..devil.lexer import Lexer as DevilLexer
@@ -39,8 +40,10 @@ from ..devil.lexer import Token as DevilToken
 from ..devil.lexer import TokenKind as DevilTokenKind
 from ..devil.lexer import splice
 from ..devil.model import ResolvedDevice
+from ..devil.parser import Outline, outline
 from ..devil.types import EnumType
 from ..minic import (
+    CheckResult,
     CLexError,
     CParseError,
     CTokenKind,
@@ -81,13 +84,18 @@ class LanguageTarget:
     UNDETECTED for ``text``.  When ``mutant`` is given, ``text`` must be
     ``mutant.apply(source)``: the classifier then splices ``tokens``
     (the baseline lex of ``source``, built once and never mutated)
-    instead of lexing the whole text again.
+    instead of lexing the whole text again, and re-parses (Devil) or
+    re-checks (C, CDevil) only around the splice, resuming from the
+    baseline parse or check the classifier keeps.
     """
 
     name: str
     language: str                      # "C", "Devil" or "CDevil"
     source: str
     tokens: tuple
+    #: The full parse (Devil) or check (C, CDevil, with checkpoints)
+    #: of ``tokens`` that mutants resume from; never mutated.
+    baseline: Outline | CheckResult
     sites: list[MutationSite]
     classify: Callable[..., str]
     lines_of_code: int = 0
@@ -174,11 +182,13 @@ def _c_target(name: str, language: str, source: str,
         try:
             if mutant is None:
                 lexed = tokenize_c(text)
+                result = check_c(text, externals, constants, tokens=lexed)
             else:
-                lexed = splice_c(tokens, text, mutant.site.offset,
-                                 len(mutant.site.text),
-                                 len(mutant.mutated_token))
-            result = check_c(text, externals, constants, tokens=lexed)
+                lexed, first, reuse = splice_c(
+                    tokens, text, mutant.site.offset,
+                    len(mutant.site.text), len(mutant.mutated_token))
+                result = check_c(text, externals, constants, tokens=lexed,
+                                 baseline=baseline, span=(first, reuse))
         except (CLexError, CParseError):
             return INVALID
         if result.detected(warnings_detect):
@@ -189,7 +199,7 @@ def _c_target(name: str, language: str, source: str,
             return DETECTED
         return UNDETECTED
 
-    return LanguageTarget(name, language, source, tokens,
+    return LanguageTarget(name, language, source, tokens, baseline,
                           _c_sites(source, tokens), classify)
 
 
@@ -415,15 +425,19 @@ def devil_interface(model: ResolvedDevice,
 def devil_target(name: str, source: str) -> LanguageTarget:
     """A Devil specification, checked by this repository's compiler."""
     tokens = tuple(DevilLexer(source).tokens())
-    baseline_interface = devil_interface(
-        compile_spec(source, tokens=tokens).model)
+    baseline = outline(source, tokens=tokens)
+    baseline_interface = devil_interface(check(baseline.syntax))
 
     def classify(text: str, mutant: Mutant | None = None) -> str:
         try:
-            lexed = None if mutant is None else splice(
-                tokens, text, mutant.site.offset, len(mutant.site.text),
-                len(mutant.mutated_token))
-            spec = compile_spec(text, tokens=lexed)
+            if mutant is None:
+                spec = compile_spec(text)
+            else:
+                lexed, first, reuse = splice(
+                    tokens, text, mutant.site.offset,
+                    len(mutant.site.text), len(mutant.mutated_token))
+                spec = compile_spec(text, tokens=lexed, baseline=baseline,
+                                    span=(first, reuse))
         except (DevilLexError, DevilParseError):
             return INVALID
         except DevilCheckError:
@@ -434,5 +448,5 @@ def devil_target(name: str, source: str) -> LanguageTarget:
             return DETECTED
         return UNDETECTED
 
-    return LanguageTarget(name, "Devil", source, tokens,
+    return LanguageTarget(name, "Devil", source, tokens, baseline,
                           _devil_sites(tokens), classify)

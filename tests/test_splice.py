@@ -5,7 +5,9 @@ re-lex only from the token before an edit until the token starts line up
 with the old ones again, and reuse the rest.  The mutation campaign
 classifies every mutant that way, so the spliced list must equal a full
 lex of the mutated text (tokens, offsets and locations), or raise the
-same error, and the verdict must not change.
+same error, the span it reports must be exact, and the verdict must not
+change.  ``tests/test_resume.py`` covers the parse and check that
+resume from the span.
 """
 
 import importlib.util
@@ -18,12 +20,19 @@ from hypothesis import strategies as st
 
 from repro.devil.errors import DevilLexError
 from repro.devil.lexer import splice, tokenize
+from repro.devil.parser import outline
+from repro.minic import check_c
 from repro.minic.lexer import CLexError, splice_c, tokenize_c
 from repro.mutation.analysis import MutantCaps
 from repro.mutation.campaign import (CampaignConfig, evaluate_unit,
                                      generate_units)
 from repro.mutation.registry import get_target, target_ids
 from repro.mutation.rules import mutants_for_site
+from tests.test_resume import (
+    assert_c_resumes_exactly,
+    assert_devil_resumes_exactly,
+    c_environment,
+)
 
 LEXERS = {"devil": (tokenize, splice), "c": (tokenize_c, splice_c)}
 
@@ -35,15 +44,28 @@ def _outcome(lex, *args):
         return (type(error), str(error))
 
 
+def _spliced(splice_function, tokens, *edit):
+    """The spliced list, after checking the span it reports: the tokens
+    before ``first`` are the old ones, and those from ``reuse`` on are
+    the old list's last ones (moved along the text)."""
+    new, first, reuse = splice_function(tokens, *edit)
+    assert 0 <= first <= reuse <= len(new)
+    assert new[:first] == list(tokens[:first])
+    kept = len(new) - reuse
+    assert [(t.kind, t.text) for t in new[reuse:]] == \
+        [(t.kind, t.text) for t in tokens[len(tokens) - kept:]]
+    return new
+
+
 def check_edit(language, source, offset, old, new):
     """Splice replacing ``old`` at ``offset`` with ``new``; returns the
     full lex of the edited text after checking the splice equals it."""
     assert source[offset:offset + len(old)] == old
     text = source[:offset] + new + source[offset + len(old):]
-    lex, spliced = LEXERS[language]
+    lex, splice_function = LEXERS[language]
     expected = _outcome(lex, text)
-    assert _outcome(spliced, tuple(lex(source)), text, offset, len(old),
-                    len(new)) == expected
+    assert _outcome(_spliced, splice_function, tuple(lex(source)), text,
+                    offset, len(old), len(new)) == expected
     return expected
 
 
@@ -95,6 +117,21 @@ class TestResyncEdgeCases:
                 for t in tokens[3:6]] == [(";", 1, 8), ("c", 1, 10),
                                           ("d", 2, 1)]
         assert [t.offset for t in tokens[3:6]] == [7, 9, 11]
+
+    def test_span_of_a_resynced_edit(self):
+        source = "a = b; c\nd e"
+        text = "a = bbb; c\nd e"
+        _, first, reuse = splice(tuple(tokenize(source)), text, 4, 1, 3)
+        # Re-lexed from '=' (the token before 'b') to ';', which
+        # realigns.
+        assert (first, reuse) == (1, 3)
+
+    def test_span_of_an_edit_that_never_realigns(self):
+        source = "x = 1;\ny = 2;"
+        text = "x = 1;\n\ny = 2;"
+        new, first, reuse = splice_c(tuple(tokenize_c(source)), text, 6,
+                                     0, 1)
+        assert (first, reuse) == (2, len(new))
 
     def test_edit_in_the_first_token(self):
         check_edit("devil", "device d (p : bit[8] port)", 0, "device",
@@ -175,19 +212,30 @@ def recorded_campaign():
 def test_every_campaign_mutant_splices_exactly(target_id, tmp_path,
                                                recorded_campaign):
     """Every mutant of every site at the campaign's ``quick(8)`` budget
-    splices to exactly its full lex, and every site's verdict record
+    splices to exactly its full lex, its parse or check resumed from the
+    target's baseline equals a full one, every site's verdict record
     equals the one recorded from full compiles
-    (``perfbench/expected/campaign.json``)."""
+    (``perfbench/expected/campaign.json``), and the baseline is left
+    as a fresh full parse or check builds it."""
     expected, digest = recorded_campaign
     caps = MutantCaps.quick(expected["caps"])
     target = get_target(target_id)
-    lex, spliced = LEXERS["devil" if target.language == "Devil" else "c"]
+    devil = target.language == "Devil"
+    lex, splice_function = LEXERS["devil" if devil else "c"]
+    environment = None if devil else c_environment(target_id)
     for site in target.sites:
         for mutant in mutants_for_site(site, caps.for_kind(site.kind)):
             text = mutant.apply(target.source)
-            assert _outcome(spliced, target.tokens, text, site.offset,
-                            len(site.text), len(mutant.mutated_token)) == \
-                _outcome(lex, text), (site, mutant)
+            edit = (text, site.offset, len(site.text),
+                    len(mutant.mutated_token))
+            assert _outcome(_spliced, splice_function, target.tokens,
+                            *edit) == _outcome(lex, text), (site, mutant)
+            if devil:
+                assert_devil_resumes_exactly(target.baseline,
+                                             target.tokens, *edit)
+            else:
+                assert_c_resumes_exactly(target.baseline, environment,
+                                         target.tokens, *edit)
     spec, _, style = target_id.partition("/")
     units = generate_units(CampaignConfig(specs=(spec,), styles=(style,),
                                           caps=caps))
@@ -196,3 +244,9 @@ def test_every_campaign_mutant_splices_exactly(target_id, tmp_path,
         record = evaluate_unit(unit.token(), str(tmp_path))
         assert digest(record) == \
             expected["digests"][f"{target_id}#{unit.site_index}"], record
+    if devil:
+        assert target.baseline == outline(target.source)
+    else:
+        fresh = check_c(target.source, *environment)
+        assert target.baseline == fresh
+        assert target.baseline.checkpoints == fresh.checkpoints
