@@ -1,8 +1,8 @@
 """Campaign engine: fleet scaling and verdict-cache incrementality.
 
-Runs one mutation campaign scope cold on all three execution
-substrates (serial reference, thread fleet, process fleet), asserts
-the reports are byte-identical, then re-runs against the warm verdict
+Runs one mutation campaign scope cold on both execution substrates
+(serial reference, process fleet), asserts the reports are
+byte-identical, then re-runs against the warm verdict
 cache and measures the speedup — the campaign's incrementality claim
 (an unchanged immediate re-run must be at least an order of magnitude
 faster, since it evaluates nothing).
@@ -53,7 +53,6 @@ def test_campaign_backends_and_cache(benchmark):
     runs: dict[str, dict] = {}
 
     with tempfile.TemporaryDirectory() as serial_root, \
-            tempfile.TemporaryDirectory() as thread_root, \
             tempfile.TemporaryDirectory() as process_root:
         serial_cfg = CampaignConfig(backend="serial", **scope)
         serial = benchmark.pedantic(
@@ -63,16 +62,13 @@ def test_campaign_backends_and_cache(benchmark):
         reference = serial.report.to_json()
         runs["serial"] = serial.stats()
 
-        for backend, root in (("thread", thread_root),
-                              ("process", process_root)):
-            result, elapsed = _timed(
-                CampaignConfig(backend=backend, workers=workers,
-                               **scope),
-                VerdictCache(root))
-            assert result.report.to_json() == reference, \
-                f"{backend} report diverged from serial"
-            assert result.salvaged == 0
-            runs[backend] = result.stats() | {"elapsed_s": elapsed}
+        result, elapsed = _timed(
+            CampaignConfig(backend="process", workers=workers, **scope),
+            VerdictCache(process_root))
+        assert result.report.to_json() == reference, \
+            "process report diverged from serial"
+        assert result.salvaged == 0
+        runs["process"] = result.stats() | {"elapsed_s": elapsed}
 
         warm, warm_elapsed = _timed(serial_cfg,
                                     VerdictCache(serial_root))
@@ -90,7 +86,7 @@ def test_campaign_backends_and_cache(benchmark):
         f"{'backend':<10} {'workers':>7} {'evaluated':>9} "
         f"{'elapsed_s':>10} {'speedup':>8}",
     ]
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         stats = runs[backend]
         lines.append(
             f"{backend:<10} {stats['workers'] if backend != 'serial' else 1:>7} "
@@ -100,7 +96,7 @@ def test_campaign_backends_and_cache(benchmark):
         f"{'warm':<10} {1:>7} {warm.evaluated:>9} "
         f"{warm_elapsed:>10.3f} {speedup:>8.1f}")
     lines.append("")
-    lines.append("all three backends byte-identical; warm re-run "
+    lines.append("both backends byte-identical; warm re-run "
                  f"served {warm.cache_hits}/{warm.units} verdicts "
                  "from cache")
     rows = serial.report.table1_rows()

@@ -66,7 +66,7 @@ from repro.devices.ide import REGION_SIZE as IDE_REGION
 from repro.devices.ide import IdeControlPort, IdeDiskModel
 from repro.devices.permedia2 import REGION_SIZE as PM2_REGION
 from repro.devices.permedia2 import Permedia2Aperture, Permedia2Model
-from repro.specs import compile_shipped
+from repro.obs.workloads import bind_stubs
 
 IDE_BASE = 0x1F0
 IDE_CTRL = 0x3F6
@@ -193,35 +193,6 @@ def _machine(name: str,
     raise ValueError(f"no machine for {name!r}")
 
 
-_GENERATED_CLASSES: dict[str, type] = {}
-
-
-def _generated_class(name: str) -> type:
-    cls = _GENERATED_CLASSES.get(name)
-    if cls is None:
-        namespace: dict = {}
-        exec(compile(compile_shipped(name).emit_python(),
-                     f"<gen:{name}>", "exec"), namespace)
-        for value in namespace.values():
-            if isinstance(value, type) and \
-                    value.__name__.endswith("Stubs"):
-                cls = value
-        assert cls is not None, f"no stub class generated for {name}"
-        _GENERATED_CLASSES[name] = cls
-    return cls
-
-
-def _bind(name: str, strategy: str, bus: Bus, bases: dict[str, int],
-          shadow_cache: bool):
-    spec = compile_shipped(name)
-    if strategy == "generated":
-        cls = _generated_class(name)
-        return cls(bus, *[bases[param] for param in spec.model.params],
-                   debug=False, shadow_cache=shadow_cache)
-    return spec.bind(bus, bases, debug=False, strategy=strategy,
-                     shadow_cache=shadow_cache)
-
-
 def _variant_driver(workload, variant):
     _, _, plain, txn = workload
     return plain if variant == "plain" else txn
@@ -237,8 +208,8 @@ def _ops_per_iteration(workload, variant: str, strategy: str,
     name, machine, _, _ = workload
     drive = _variant_driver(workload, variant)
     bus, bases = _machine(machine)
-    device = _bind(machine, strategy, bus, bases,
-                   shadow_cache=(variant == "txn+shadow"))
+    device = bind_stubs(machine, strategy, bus, bases,
+                        shadow_cache=(variant == "txn+shadow"))
     drive(device, 0)  # warm the shadow/register caches
     before = bus.accounting.snapshot()
     for index in range(1, iterations + 1):
@@ -259,8 +230,8 @@ def _iters_per_sec(workload, variant: str, strategy: str,
     _, machine, _, _ = workload
     drive = _variant_driver(workload, variant)
     bus, bases = _machine(machine, latency_s)
-    device = _bind(machine, strategy, bus, bases,
-                   shadow_cache=(variant == "txn+shadow"))
+    device = bind_stubs(machine, strategy, bus, bases,
+                        shadow_cache=(variant == "txn+shadow"))
     drive(device, 0)
     best = float("inf")
     for _ in range(repeats):

@@ -36,18 +36,19 @@ Two guards:
 Records ``results/BENCH_obs_overhead.{txt,json}``.
 
 The **fleet leg** (``--fleet-only`` / skipped with ``--no-fleet``)
-extends the ladder to the live telemetry plane of PR 7: the same
+extends the ladder to the live telemetry plane: the same
 latency-model mixed workload driven through a thread fleet and a
-process fleet with ``telemetry=`` off and on, interleaved A/B in one
-process.  Enabled overhead on the thread backend is asserted ≤5%
-(heartbeats, the flight recorder and latency histograms live at
-request boundaries, off the port-I/O path).  Records
-``results/BENCH_obs_live.{txt,json}``.
+process fleet with ``telemetry=`` off and on, timed in interleaved
+rounds in one process.  Enabled overhead of the median on the thread
+backend is asserted ≤5% (heartbeats, the flight recorder and latency
+histograms live at request boundaries, off the port-I/O path).
+Records ``results/BENCH_obs_live.{txt,json}``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -67,7 +68,7 @@ from bench_stub_dispatch import (
     WORKLOADS,
     _machine,
 )
-from conftest import RESULTS_DIR, record
+from conftest import RESULTS_DIR, record, time_rounds
 
 from repro import obs
 from repro.bus import Bus, IoTraceEntry
@@ -146,7 +147,7 @@ def _bind_config(machine: str, strategy: str, bus, bases,
 
 def _calls_per_sec(workload, strategy: str, config: str,
                    iterations: int, repeats: int) -> float:
-    _, machine, setup, op = workload
+    _, machine, setup, stub, args = workload
     if config == "on-collecting":
         # Port attribution rides the trace hook; a bounded ring keeps
         # the trace from growing for the duration of the timed loops.
@@ -160,14 +161,15 @@ def _calls_per_sec(workload, strategy: str, config: str,
     collector = getattr(device, "_bench_collector", None)
     if setup is not None:
         setup(device)
-    op(device)  # warm caches and lazy paths outside the timed loop
+    call = getattr(device, stub)
+    call(*args)  # warm caches and lazy paths outside the timed loop
     best = float("inf")
     for _ in range(repeats):
         if collector is not None:
             collector.clear()  # keep span accumulation out of memory
         start = time.perf_counter()
         for _ in range(iterations):
-            op(device)
+            call(*args)
         best = min(best, time.perf_counter() - start)
     return iterations / best
 
@@ -180,23 +182,24 @@ def _ab_overhead(workload, strategy: str, iterations: int,
     telemetry-off configuration shows against a bus without the
     telemetry hot path.
     """
-    _, machine, setup, op = workload
+    _, machine, setup, stub, args = workload
     obs.disable()
-    devices = []
+    calls = []
     for factory in (Bus, _BareBus):
         bus, bases = _machine(machine, tracing=False,
                               bus_factory=factory)
         device = bind_stubs(machine, strategy, bus, bases, debug=False)
         if setup is not None:
             setup(device)
-        op(device)
-        devices.append(device)
+        call = getattr(device, stub)
+        call(*args)
+        calls.append(call)
     # Calibrate so each timed chunk runs >=20ms: sub-millisecond chunks
     # are dominated by scheduler jitter, not the code under test.
     while True:
         start = time.perf_counter()
         for _ in range(iterations):
-            op(devices[0])
+            calls[0](*args)
         if time.perf_counter() - start >= 0.02:
             break
         iterations *= 2
@@ -208,10 +211,10 @@ def _ab_overhead(workload, strategy: str, iterations: int,
         # cache effects cancel instead of biasing one side.
         order = (0, 1) if repeat % 2 == 0 else (1, 0)
         for index in order:
-            device = devices[index]
+            call = calls[index]
             start = time.perf_counter()
             for _ in range(iterations):
-                op(device)
+                call(*args)
             best[index] = min(best[index],
                               time.perf_counter() - start)
     bus_rate, bare_rate = (iterations / elapsed for elapsed in best)
@@ -351,14 +354,14 @@ FLEET_OVERHEAD_BOUND = 0.05
 FLEET_DEVICES = ("ide", "permedia2", "ne2000")
 
 
-def _fleet_rate_pair(backend: str, schedule, rounds: int,
-                     workers: int = 2) -> dict[str, float]:
-    """Interleaved A/B requests/sec: ``telemetry=`` off vs on.
+def _fleet_rates(backend: str, schedule, rounds: int,
+                 workers: int = 2) -> dict:
+    """Requests/sec with ``telemetry=`` off and on, interleaved.
 
-    Both fleets live for the whole measurement; each round runs the
-    full schedule (submit + drain) on each side, alternating which
-    side goes first, and the best round per side is kept — the same
-    drift-immunity discipline as the stub-dispatch A/B above.
+    Both fleets live for the whole measurement and are timed by
+    :func:`conftest.time_rounds` (each round runs the full schedule,
+    submit + drain, on both sides, alternating which goes first);
+    returns ``side -> (q1, median, q3)``.
     """
     from repro.engine import Fleet, ProcessFleet
 
@@ -368,18 +371,9 @@ def _fleet_rate_pair(backend: str, schedule, rounds: int,
     fleets = {"off": fleet_cls(list(FLEET_DEVICES), **kwargs),
               "on": fleet_cls(list(FLEET_DEVICES), telemetry=True,
                               **kwargs)}
-    best = {"off": float("inf"), "on": float("inf")}
     try:
-        for fleet in fleets.values():
-            fleet.run(schedule)  # warm workers, caches, lazy imports
-        for repeat in range(rounds):
-            order = ("off", "on") if repeat % 2 == 0 else ("on", "off")
-            for key in order:
-                fleet = fleets[key]
-                start = time.perf_counter()
-                fleet.run(schedule)
-                best[key] = min(best[key],
-                                time.perf_counter() - start)
+        stats = time_rounds({side: functools.partial(fleet.run, schedule)
+                             for side, fleet in fleets.items()}, rounds)
         # The enabled plane must actually have been alive, not elided.
         telemetry = fleets["on"].telemetry
         assert telemetry.observed_p95_us() > 0.0
@@ -387,8 +381,7 @@ def _fleet_rate_pair(backend: str, schedule, rounds: int,
     finally:
         for fleet in fleets.values():
             fleet.shutdown()
-    return {key: len(schedule) / elapsed
-            for key, elapsed in best.items()}
+    return stats
 
 
 def run_fleet_bench(quick: bool = False,
@@ -398,42 +391,48 @@ def run_fleet_bench(quick: bool = False,
     from repro.engine import mixed_schedule
 
     requests_per_spec = requests_per_spec or (8 if quick else 32)
-    rounds = rounds or (3 if quick else 7)
+    rounds = rounds or (9 if quick else 15)
     schedule = mixed_schedule(requests_per_spec)
 
     rows = []
     for backend in ("thread", "process"):
-        rates = _fleet_rate_pair(backend, schedule, rounds)
+        stats = _fleet_rates(backend, schedule, rounds)
+        rates = {side: stats[side][1] for side in stats}
         rows.append({
             "backend": backend,
             "requests": len(schedule),
             "rounds": rounds,
             "req_per_sec": rates,
+            "quartiles": {side: [stats[side][0], stats[side][2]]
+                          for side in stats},
             "overhead_enabled": rates["off"] / rates["on"] - 1.0,
         })
 
     lines = [
-        f"Live fleet telemetry overhead, req/s (best of {rounds} x "
-        f"{len(schedule)} latency-model requests, 2 workers):",
+        "Live fleet telemetry overhead, req/s: median [quartiles] of "
+        f"{rounds} interleaved rounds x {len(schedule)} latency-model "
+        "requests, 2 workers:",
         "",
-        f"{'backend':<10} {'telemetry off':>14} {'telemetry on':>14} "
+        f"{'backend':<10} {'telemetry off':>20} {'telemetry on':>20} "
         f"{'enabled%':>9}",
     ]
     for row in rows:
-        rates = row["req_per_sec"]
-        lines.append(f"{row['backend']:<10} {rates['off']:>14,.0f} "
-                     f"{rates['on']:>14,.0f} "
+        cells = [f"{row['req_per_sec'][side]:,.0f} "
+                 f"[{row['quartiles'][side][0]:,.0f}-"
+                 f"{row['quartiles'][side][1]:,.0f}]"
+                 for side in ("off", "on")]
+        lines.append(f"{row['backend']:<10} {cells[0]:>20} "
+                     f"{cells[1]:>20} "
                      f"{100 * row['overhead_enabled']:>8.1f}%")
     lines += [
         "",
-        "enabled% = slowdown with the live plane attached (heartbeats, "
-        "request-latency",
-        "histograms, flight recorder), interleaved in-process; the "
-        "thread backend is",
-        f"asserted <= {100 * FLEET_OVERHEAD_BOUND:.0f}% (the process "
-        "backend's number is informational — its",
-        "heartbeats cross shared memory and ride worker-side request "
-        "execution).",
+        "enabled% = slowdown of the median with the live plane attached "
+        "(heartbeats,",
+        "request-latency histograms, flight recorder); the thread "
+        f"backend is asserted <= {100 * FLEET_OVERHEAD_BOUND:.0f}%",
+        "(the process backend's number is informational — its "
+        "heartbeats cross shared",
+        "memory and ride worker-side request execution).",
     ]
 
     report = {"quick": quick, "requests": len(schedule),

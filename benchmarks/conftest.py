@@ -6,6 +6,10 @@ one round); the reproduced table is printed and also written to
 ``results/<name>.txt`` — plus a machine-readable ``results/<name>.json``
 companion so downstream tooling (CI trend lines, EXPERIMENTS.md
 generators) does not have to parse the human-oriented text.
+
+The stub-dispatch, fleet and live-telemetry benchmarks time every
+cell through :func:`time_rounds`, so each reports the same statistic:
+the median [quartiles] of interleaved rounds.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import sys
+import time
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -53,3 +59,31 @@ def record(name: str, content: str, data: object = None) -> None:
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\n=== {name} ===")
     print(content)
+
+
+def time_rounds(cells: dict, rounds: int) -> dict:
+    """Rates of warmed cells, timed in interleaved rounds.
+
+    ``cells`` maps a name to a zero-argument callable that does one
+    round of work and returns how many operations it did.  Every cell
+    runs once untimed (start-up, first calls and lazy paths stay out
+    of the timer); then each of ``rounds`` rounds times every cell
+    once, rotating the order by one from round to round so the slow
+    drift of a shared host lands on all cells alike.  Returns ``name
+    -> (q1, median, q3)`` of the per-round rates, operations per
+    second.
+    """
+    for cell in cells.values():
+        cell()
+    names = list(cells)
+    rates: dict[str, list[float]] = {name: [] for name in names}
+    for index in range(rounds):
+        shift = index % len(names)
+        for name in names[shift:] + names[:shift]:
+            start = time.perf_counter()
+            operations = cells[name]()
+            rates[name].append(operations /
+                               (time.perf_counter() - start))
+    return {name: tuple(statistics.quantiles(values, n=4,
+                                             method="inclusive"))
+            for name, values in rates.items()}

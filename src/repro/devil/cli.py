@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(deterministic; disables the exact "
                                "Table 1 projection)")
     campaign.add_argument("--backend", default="serial",
-                          choices=("serial", "thread", "process"),
+                          choices=("serial", "process"),
                           help="execution substrate (default: serial; "
                                "'process' is what scales this "
                                "CPU-bound workload)")

@@ -13,31 +13,27 @@ from __future__ import annotations
 
 from .build import (NativeBuildError, build_library, cache_dir,
                     find_compiler, load_library, native_available)
-from .instance import MODELS_ENV, NativeDeviceInstance, models_enabled
+from .instance import NativeDeviceInstance
 from .shim import generate_shim, native_stub_table
 
 
 def bind_native(model, bus, bases, debug: bool = True,
                 composition: str = "cache",
-                shadow_cache: bool = False,
-                with_models: bool | None = None) -> NativeDeviceInstance:
+                shadow_cache: bool = False) -> NativeDeviceInstance:
     """Bind ``model`` with the compiled C dispatch core.
 
-    ``with_models`` selects the ``--with-models`` shim variant (C ports
-    of the IDE and Permedia2 hot registers for zero-crossing direct
-    batches); ``None`` follows the ``DEVIL_NATIVE_MODELS`` environment
-    default (on).  Raises :class:`NativeBuildError` when no C compiler
-    is available; ``bind(strategy="auto")`` catches that upstream and
-    falls back to the specializer.
+    The library is the ``--with-models`` shim variant (C ports of the
+    IDE and Permedia2 hot registers for zero-crossing direct batches).
+    Raises :class:`NativeBuildError` when no C compiler is available;
+    ``bind(strategy="auto")`` catches that upstream and falls back to
+    the specializer.
     """
     return NativeDeviceInstance(model, bus, bases, debug=debug,
                                 composition=composition,
-                                shadow_cache=shadow_cache,
-                                with_models=with_models)
+                                shadow_cache=shadow_cache)
 
 
 __all__ = [
-    "MODELS_ENV",
     "NativeBuildError",
     "NativeDeviceInstance",
     "bind_native",
@@ -46,7 +42,6 @@ __all__ = [
     "find_compiler",
     "generate_shim",
     "load_library",
-    "models_enabled",
     "native_available",
     "native_stub_table",
 ]

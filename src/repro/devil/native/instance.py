@@ -35,7 +35,6 @@ abort the C frames and re-raise unchanged.
 from __future__ import annotations
 
 import ctypes
-import os
 from ctypes import (CFUNCTYPE, POINTER, Structure, c_char, c_char_p,
                     c_int, c_ubyte, c_uint, c_ulong, c_ulonglong,
                     c_void_p)
@@ -50,15 +49,6 @@ from . import build
 from .build import NativeBuildError
 from .shim import (STATUS_CHECK, STATUS_DEVERR, STATUS_NODEV,
                    STATUS_PYERR, generate_shim, native_stub_table)
-
-#: Environment kill-switch for the C-resident device models (the
-#: ``--with-models`` shim variant).  On by default: parity is pinned by
-#: the four-way suites, and non-modelled devices are unaffected.
-MODELS_ENV = "DEVIL_NATIVE_MODELS"
-
-
-def models_enabled() -> bool:
-    return os.environ.get(MODELS_ENV, "1") not in ("0", "no", "off", "")
 
 #: Capacity of the C flight-recorder ring (last N direct-mode accesses).
 RING_CAPACITY = 256
@@ -163,25 +153,21 @@ class _NativeCore:
         self.bus = instance.bus
         model = instance.model
         self.prefix = model.name
-        self.with_models = instance.with_models
         header = generate_c_header(model, debug=instance.debug)
-        shim_source = generate_shim(model,
-                                    with_models=self.with_models)
+        # The ``--with-models`` variant: C ports of the IDE and
+        # Permedia2 hot registers serve direct batches on the fleet bus.
+        shim_source = generate_shim(model, with_models=True)
         self.library_path = build.build_library(
             model.name, header, shim_source, instance.debug)
         lib = build.load_library(self.library_path)
         self._bind_entries(lib)
-        if self.with_models:
-            from .models import ModelRegistry, check_model_abi
-            try:
-                check_model_abi(lib, self.prefix)
-            except RuntimeError as exc:
-                raise NativeBuildError(
-                    f"{exc}; clear {build.cache_dir()} and re-bind") \
-                    from exc
-            self.models = ModelRegistry()
-        else:
-            self.models = None
+        from .models import ModelRegistry, check_model_abi
+        try:
+            check_model_abi(lib, self.prefix)
+        except RuntimeError as exc:
+            raise NativeBuildError(
+                f"{exc}; clear {build.cache_dir()} and re-bind") from exc
+        self.models = ModelRegistry()
 
         struct_cls = _state_struct(model, instance.debug)
         if self.lib_state_size() != ctypes.sizeof(struct_cls):
@@ -472,7 +458,7 @@ class _NativeCore:
         own_bases = set(self.instance.bases.values())
         devices: list = []
         bindings: list = []
-        own_modelled = self.models is not None
+        own_modelled = True
         for i, mapping in enumerate(mappings):
             entries[i].base = mapping.base
             entries[i].size = mapping.size
@@ -482,7 +468,7 @@ class _NativeCore:
             # Only mappings this instance *owns* get a C model: another
             # instance's device must not be mirrored from here, or two
             # cores would clobber each other's sync points.
-            if self.models is not None and mapping.base in own_bases:
+            if mapping.base in own_bases:
                 attached = self.models.binding_for(device)
             if attached is not None:
                 kind, binding = attached
@@ -755,8 +741,7 @@ class NativeDeviceInstance(DeviceInstance):
 
     def __init__(self, model, bus, bases, debug: bool = True,
                  composition: str = "cache",
-                 shadow_cache: bool = False,
-                 with_models: bool | None = None):
+                 shadow_cache: bool = False):
         if composition != "cache":
             raise DevilRuntimeError(
                 f"strategy='native' supports only composition='cache' "
@@ -771,8 +756,6 @@ class NativeDeviceInstance(DeviceInstance):
                          composition="cache", strategy="interpret",
                          shadow_cache=False)
         self.strategy = "native"
-        self.with_models = models_enabled() if with_models is None \
-            else bool(with_models)
         self._native = _NativeCore(self)
         self._native.install()
         if self._instrumented:

@@ -24,8 +24,7 @@ byte-comparable against each other and against a serial reference
 (``tests/test_fleet_mp.py``).
 
 See ``docs/CONCURRENCY.md`` for the locking/sharding model and
-``benchmarks/bench_fleet.py`` / ``benchmarks/bench_fleet_mp.py`` for
-the throughput numbers.
+``benchmarks/bench_fleet.py`` for the throughput numbers.
 """
 
 from .compute import COMPUTE_SPEC, compute_fleet

@@ -33,26 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..bus import ThreadSafeBus
-from ..devices.busmouse import REGION_SIZE as MOUSE_REGION
-from ..devices.busmouse import BusmouseModel
-from ..devices.cs4236 import REGION_SIZE as CS_REGION
-from ..devices.cs4236 import Cs4236Model
-from ..devices.dma8237 import REGION_SIZE as DMA_REGION
-from ..devices.dma8237 import Dma8237Model
-from ..devices.ide import REGION_SIZE as IDE_REGION
-from ..devices.ide import IdeControlPort, IdeDiskModel
-from ..devices.ne2000 import REGION_SIZE as NE_REGION
-from ..devices.ne2000 import (
-    Ne2000DataPort,
-    Ne2000Model,
-    Ne2000ResetPort,
-)
-from ..devices.permedia2 import REGION_SIZE as PM2_REGION
-from ..devices.permedia2 import Permedia2Aperture, Permedia2Model
-from ..devices.pic8259 import REGION_SIZE as PIC_REGION
-from ..devices.pic8259 import Pic8259Model
-from ..devices.piix4 import REGION_SIZE as BM_REGION
-from ..devices.piix4 import Piix4Model
 from .pool import WorkerPool
 from .scheduler import SCHEDULERS
 
@@ -148,66 +128,36 @@ class LatencyBus(ThreadSafeBus):
         return super().block_write(port, values, width)
 
 
+#: Each spec's port bases relative to its fleet slot (the IDE control
+#: port sits at slot+0x200, not at the canonical machine's 0x3F6).
+FLEET_OFFSETS = {
+    "busmouse": {"base": 0},
+    "dma8237": {"base": 0},
+    "pic8259": {"base": 0},
+    "ne2000": {"base": 0, "data": 0x10, "rst": 0x1F},
+    "cs4236": {"base": 0},
+    "ide": {"cmd": 0, "data": 0, "data32": 0, "ctrl": 0x200},
+    "piix4": {"io": 0, "dtp": 4},
+    "permedia2": {"regs": 0, "fb": 0x800},
+}
+
+
 def map_fleet_device(bus, name: str, slot: int, label: str):
     """Map one instance of spec ``name`` into ``bus`` at base ``slot``.
 
     Returns ``(aux, bases)`` with the same shapes as
-    :func:`repro.obs.workloads.build_machine`, so every shipped
-    workload and transactional workload runs unmodified against a fleet
-    device.  Auxiliary models get the same deterministic seeding as the
-    single-device machines (the parity suites compare final state).
+    :func:`repro.obs.workloads.build_machine` (the same
+    :func:`~repro.obs.workloads.map_models` seeds the models), so every
+    shipped workload and transactional workload runs unmodified
+    against a fleet device.
     """
-    if name == "busmouse":
-        mouse = BusmouseModel()
-        mouse.move(5, -3)
-        mouse.set_buttons(0b101)
-        bus.map_device(slot, MOUSE_REGION, mouse, label)
-        return {"mouse": mouse}, {"base": slot}
-    if name == "dma8237":
-        dma = Dma8237Model()
-        bus.map_device(slot, DMA_REGION, dma, label)
-        return {"dma": dma}, {"base": slot}
-    if name == "pic8259":
-        pic = Pic8259Model()
-        bus.map_device(slot, PIC_REGION, pic, label)
-        return {"pic": pic}, {"base": slot}
-    if name == "ne2000":
-        nic = Ne2000Model()
-        bus.map_device(slot, NE_REGION, nic, label)
-        bus.map_device(slot + 0x10, 2, Ne2000DataPort(nic),
-                       f"{label}-data")
-        bus.map_device(slot + 0x1F, 1, Ne2000ResetPort(nic),
-                       f"{label}-reset")
-        return {"nic": nic}, \
-            {"base": slot, "data": slot + 0x10, "rst": slot + 0x1F}
-    if name == "cs4236":
-        chip = Cs4236Model()
-        bus.map_device(slot, CS_REGION, chip, label)
-        return {"chip": chip}, {"base": slot}
-    if name == "ide":
-        disk = IdeDiskModel(total_sectors=16)
-        for index in range(0, len(disk.store), 3):
-            disk.store[index] = (index * 7) & 0xFF
-        bus.map_device(slot, IDE_REGION, disk, label)
-        bus.map_device(slot + 0x200, 1, IdeControlPort(disk),
-                       f"{label}-ctrl")
-        return {"disk": disk}, \
-            {"cmd": slot, "data": slot, "data32": slot,
-             "ctrl": slot + 0x200}
-    if name == "piix4":
-        disk = IdeDiskModel(total_sectors=16)
-        memory = bytearray(1 << 16)
-        busmaster = Piix4Model(disk, memory)
-        bus.map_device(slot, BM_REGION, busmaster, label)
-        return {"busmaster": busmaster, "memory": memory}, \
-            {"io": slot, "dtp": slot + 4}
-    if name == "permedia2":
-        gpu = Permedia2Model(width=64, height=48)
-        bus.map_device(slot, PM2_REGION, gpu, label)
-        bus.map_device(slot + 0x800, 1, Permedia2Aperture(gpu),
-                       f"{label}-fb")
-        return {"gpu": gpu}, {"regs": slot, "fb": slot + 0x800}
-    raise ValueError(f"no fleet mapping for spec {name!r}")
+    from ..obs.workloads import map_models
+
+    if name not in FLEET_OFFSETS:
+        raise ValueError(f"no fleet mapping for spec {name!r}")
+    bases = {port: slot + offset
+             for port, offset in FLEET_OFFSETS[name].items()}
+    return map_models(bus, name, bases, label), bases
 
 
 @dataclass

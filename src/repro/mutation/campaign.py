@@ -15,8 +15,7 @@ devices.  :func:`run_campaign` scales it into a scheduled workload:
    holds are served without evaluation; everything else is scheduled.
 4. **Scheduling** — pending units are encoded as picklable fleet
    requests (``functools.partial`` over
-   :func:`evaluate_unit_request`) and run on a serial loop, the thread
-   :class:`~repro.engine.fleet.Fleet`, or the
+   :func:`evaluate_unit_request`) and run on a serial loop or the
    :class:`~repro.engine.mp.ProcessFleet` (built by
    :func:`repro.engine.compute.compute_fleet`).  Placement happens at
    submit time under a deterministic policy, so a campaign's
@@ -54,8 +53,9 @@ from ..specs import SPEC_NAMES
 #: change (classification rules, site analysis); part of every unit key.
 CAMPAIGN_VERSION = 1
 
-#: Campaign execution backends.
-BACKENDS = ("serial", "thread", "process")
+#: Campaign execution backends.  Classification is GIL-bound Python,
+#: so only separate processes run it in parallel.
+BACKENDS = ("serial", "process")
 
 
 def _caps_tuple(caps: MutantCaps) -> tuple:
@@ -286,8 +286,7 @@ def _run_units_fleet(config, pending, cache_root, telemetry,
     placement record (``label -> completed``)."""
     from ..engine.compute import compute_fleet
 
-    fleet = compute_fleet(config.backend, config.workers,
-                          telemetry=telemetry)
+    fleet = compute_fleet(config.workers, telemetry=telemetry)
     monitor = None
     if health_log:
         from ..obs.live import LiveMonitor

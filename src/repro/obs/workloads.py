@@ -60,6 +60,78 @@ STRATEGIES = ("interpret", "specialize", "generated")
 # ---------------------------------------------------------------------------
 
 
+#: Each spec's canonical base addresses on its single-device machine.
+MACHINE_BASES = {
+    "busmouse": {"base": MOUSE_BASE},
+    "dma8237": {"base": DMA_BASE},
+    "pic8259": {"base": PIC_BASE},
+    "ne2000": {"base": NE_BASE, "data": NE_DATA, "rst": NE_RESET},
+    "cs4236": {"base": CS_BASE},
+    "ide": {"cmd": IDE_BASE, "data": IDE_BASE, "data32": IDE_BASE,
+            "ctrl": IDE_CTRL},
+    "piix4": {"io": BM_BASE, "dtp": BM_BASE + 4},
+    "permedia2": {"regs": PM2_REGS, "fb": PM2_FB},
+}
+
+
+def map_models(bus, name: str, bases: dict, label: str) -> dict:
+    """Map fresh models of spec ``name`` onto ``bus`` at ``bases``.
+
+    The primary mapping is named ``label`` and auxiliary ports
+    ``<label>-data``/``-reset``/``-ctrl``/``-fb``.  Models are seeded
+    deterministically (the parity suites compare final state), so the
+    single-device machines and every fleet device start alike.
+    Returns the auxiliary models a workload pokes directly.
+    """
+    if name == "busmouse":
+        mouse = BusmouseModel()
+        mouse.move(5, -3)
+        mouse.set_buttons(0b101)
+        bus.map_device(bases["base"], MOUSE_REGION, mouse, label)
+        return {"mouse": mouse}
+    if name == "dma8237":
+        dma = Dma8237Model()
+        bus.map_device(bases["base"], DMA_REGION, dma, label)
+        return {"dma": dma}
+    if name == "pic8259":
+        pic = Pic8259Model()
+        bus.map_device(bases["base"], PIC_REGION, pic, label)
+        return {"pic": pic}
+    if name == "ne2000":
+        nic = Ne2000Model()
+        bus.map_device(bases["base"], NE_REGION, nic, label)
+        bus.map_device(bases["data"], 2, Ne2000DataPort(nic),
+                       f"{label}-data")
+        bus.map_device(bases["rst"], 1, Ne2000ResetPort(nic),
+                       f"{label}-reset")
+        return {"nic": nic}
+    if name == "cs4236":
+        chip = Cs4236Model()
+        bus.map_device(bases["base"], CS_REGION, chip, label)
+        return {"chip": chip}
+    if name == "ide":
+        disk = IdeDiskModel(total_sectors=16)
+        for index in range(0, len(disk.store), 3):
+            disk.store[index] = (index * 7) & 0xFF
+        bus.map_device(bases["cmd"], IDE_REGION, disk, label)
+        bus.map_device(bases["ctrl"], 1, IdeControlPort(disk),
+                       f"{label}-ctrl")
+        return {"disk": disk}
+    if name == "piix4":
+        disk = IdeDiskModel(total_sectors=16)
+        memory = bytearray(1 << 16)
+        busmaster = Piix4Model(disk, memory)
+        bus.map_device(bases["io"], BM_REGION, busmaster, label)
+        return {"busmaster": busmaster, "memory": memory}
+    if name == "permedia2":
+        gpu = Permedia2Model(width=64, height=48)
+        bus.map_device(bases["regs"], PM2_REGION, gpu, label)
+        bus.map_device(bases["fb"], 1, Permedia2Aperture(gpu),
+                       f"{label}-fb")
+        return {"gpu": gpu}
+    raise ValueError(f"no machine builder for {name!r}")
+
+
 def build_machine(name: str, tracing: bool = True,
                   trace_limit: int | None = None):
     """A fresh simulated machine for spec ``name``.
@@ -67,54 +139,11 @@ def build_machine(name: str, tracing: bool = True,
     Returns ``(bus, aux, bases)``: the tracing bus, auxiliary device
     models the workload pokes directly, and the base-address dict.
     """
+    if name not in MACHINE_BASES:
+        raise ValueError(f"no machine builder for {name!r}")
     bus = Bus(tracing=tracing, trace_limit=trace_limit)
-    if name == "busmouse":
-        mouse = BusmouseModel()
-        mouse.move(5, -3)
-        mouse.set_buttons(0b101)
-        bus.map_device(MOUSE_BASE, MOUSE_REGION, mouse, "busmouse")
-        return bus, {"mouse": mouse}, {"base": MOUSE_BASE}
-    if name == "dma8237":
-        dma = Dma8237Model()
-        bus.map_device(DMA_BASE, DMA_REGION, dma, "dma8237")
-        return bus, {"dma": dma}, {"base": DMA_BASE}
-    if name == "pic8259":
-        pic = Pic8259Model()
-        bus.map_device(PIC_BASE, PIC_REGION, pic, "pic8259")
-        return bus, {"pic": pic}, {"base": PIC_BASE}
-    if name == "ne2000":
-        nic = Ne2000Model()
-        bus.map_device(NE_BASE, NE_REGION, nic, "ne2000")
-        bus.map_device(NE_DATA, 2, Ne2000DataPort(nic), "ne2000-data")
-        bus.map_device(NE_RESET, 1, Ne2000ResetPort(nic), "ne2000-reset")
-        return bus, {"nic": nic}, \
-            {"base": NE_BASE, "data": NE_DATA, "rst": NE_RESET}
-    if name == "cs4236":
-        chip = Cs4236Model()
-        bus.map_device(CS_BASE, CS_REGION, chip, "cs4236")
-        return bus, {"chip": chip}, {"base": CS_BASE}
-    if name == "ide":
-        disk = IdeDiskModel(total_sectors=16)
-        for index in range(0, len(disk.store), 3):
-            disk.store[index] = (index * 7) & 0xFF
-        bus.map_device(IDE_BASE, IDE_REGION, disk, "ide")
-        bus.map_device(IDE_CTRL, 1, IdeControlPort(disk), "ide-ctrl")
-        return bus, {"disk": disk}, \
-            {"cmd": IDE_BASE, "data": IDE_BASE, "data32": IDE_BASE,
-             "ctrl": IDE_CTRL}
-    if name == "piix4":
-        disk = IdeDiskModel(total_sectors=16)
-        memory = bytearray(1 << 16)
-        busmaster = Piix4Model(disk, memory)
-        bus.map_device(BM_BASE, BM_REGION, busmaster, "piix4")
-        return bus, {"busmaster": busmaster, "memory": memory}, \
-            {"io": BM_BASE, "dtp": BM_BASE + 4}
-    if name == "permedia2":
-        gpu = Permedia2Model(width=64, height=48)
-        bus.map_device(PM2_REGS, PM2_REGION, gpu, "permedia2")
-        bus.map_device(PM2_FB, 1, Permedia2Aperture(gpu), "permedia2-fb")
-        return bus, {"gpu": gpu}, {"regs": PM2_REGS, "fb": PM2_FB}
-    raise ValueError(f"no machine builder for {name!r}")
+    bases = dict(MACHINE_BASES[name])
+    return bus, map_models(bus, name, bases, name), bases
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Each property case is generated from a seeded :class:`random.Random`:
 a random spec subset drawn from the cheap end of the shipped pool, a
-random uniform mutant budget, a random per-target site budget, a
-random fleet backend and random worker counts.  Whatever the draw, the
+random uniform mutant budget, a random per-target site budget and a
+random process-fleet worker count.  Whatever the draw, the
 campaign invariants must hold:
 
 * **Verdict equality** — the fleet-scheduled report is byte-identical
@@ -56,15 +56,13 @@ SLOW_SEEDS = range(4, 12)
 def generate_case(seed: int) -> dict:
     rng = random.Random(seed)
     specs = tuple(sorted(rng.sample(SPEC_POOL, rng.randint(1, 3))))
-    backend = rng.choice(("thread", "process"))
     return {
         "seed": seed,
         "specs": specs,
         "budget": rng.randint(1, 3),
         "max_sites": rng.randint(3, 8),
-        "backend": backend,
-        "workers": rng.randint(1, 3) if backend == "thread"
-        else rng.randint(1, 2),
+        "backend": "process",
+        "workers": rng.randint(1, 2),
     }
 
 
@@ -214,7 +212,7 @@ def test_shrinker_minimises_a_synthetic_failure():
     scope and verify it reduces to that one spec with every knob at
     its floor."""
     case = {"seed": 0, "specs": ("busmouse", "cs4236", "pic8259"),
-            "budget": 3, "max_sites": 7, "backend": "thread",
+            "budget": 3, "max_sites": 7, "backend": "process",
             "workers": 3}
 
     def fake_check(candidate):

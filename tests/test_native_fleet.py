@@ -30,21 +30,16 @@ from pathlib import Path
 import pytest
 
 from repro.bus import Bus, BusError, ThreadSafeBus
-from repro.devil.native import (
-    MODELS_ENV,
-    bind_native,
-    models_enabled,
-    native_available,
-)
+from repro.devil.native import bind_native, native_available
 from repro.devil.native import build as native_build
 from repro.engine import SLOT_STRIDE, Fleet, map_fleet_device
 from repro.obs.workloads import WORKLOADS, bind_stubs, build_machine
 from tests.conftest import shipped_spec
 
 
-def _bind_native(spec: str, bus, bases, **kwargs):
+def _bind_native(spec: str, bus, bases):
     return bind_native(shipped_spec(spec).model, bus, bases,
-                       debug=False, **kwargs)
+                       debug=False)
 
 pytestmark = pytest.mark.concurrency
 
@@ -189,28 +184,12 @@ def test_direct_mode_gate_decisions():
     stubs = _bind_native("busmouse", tsb, bases)
     assert stubs._native.enter_direct() is False
 
-    # Models disabled at bind time: even IDE stays in callback mode
-    # on the fleet bus (and still runs exactly, elsewhere verified).
-    tsb = ThreadSafeBus()
-    aux, bases = _tsb_machine("ide", tsb)
-    stubs = _bind_native("ide", tsb, bases, with_models=False)
-    assert stubs._native.enter_direct() is False
-
     # The latency-modelling subclass never qualifies: its per-access
     # sleep hooks are semantics, not observation.
     latency = LatencyBus(op_latency_us=1.0)
     aux, bases = _tsb_machine("ide", latency)
     stubs = _bind_native("ide", latency, bases)
     assert stubs._native.enter_direct() is False
-
-
-@needs_cc
-def test_models_env_gate(monkeypatch):
-    assert isinstance(models_enabled(), bool)
-    monkeypatch.setenv(MODELS_ENV, "0")
-    assert models_enabled() is False
-    monkeypatch.setenv(MODELS_ENV, "1")
-    assert models_enabled() is True
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +235,7 @@ def test_c_model_error_messages_match_python(tmp_path):
 def test_native_thread_fleet_overlaps_cpu_bound_requests():
     """Smoke the tentpole claim at test scale: a 2-worker native
     thread fleet executes dispatch-bound requests without error and
-    exactly (full-scale speedup lives in bench_fleet_native.py)."""
+    exactly (full-scale speedup lives in bench_fleet.py's churn leg)."""
     from repro.engine import ide_taskfile_churn
 
     import functools
