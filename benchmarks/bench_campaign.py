@@ -2,10 +2,11 @@
 
 Runs one mutation campaign scope cold on both execution substrates
 (serial reference, process fleet), asserts the reports are
-byte-identical, then re-runs against the warm verdict
-cache and measures the speedup — the campaign's incrementality claim
-(an unchanged immediate re-run must be at least an order of magnitude
-faster, since it evaluates nothing).
+byte-identical, then times cold serial runs (a fresh verdict cache
+each round) against warm re-runs (the reference's cache) in
+interleaved rounds of :func:`conftest.time_rounds` — the campaign's
+incrementality claim: an unchanged immediate re-run evaluates nothing,
+so its median must be at least an order of magnitude faster.
 
 Default scope: all 8 shipped specs, all styles, uniform quick budget —
 Table 1 at campaign scale, with the paper's rows emitted as the
@@ -15,11 +16,12 @@ specs, minimal budget).
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import time
 
-from conftest import record
+from conftest import record, time_rounds
 
 from repro.mutation import (
     CampaignConfig,
@@ -30,15 +32,17 @@ from repro.mutation import (
 )
 
 #: Cold-vs-warm floor: an unchanged re-run serves every verdict from
-#: disk, so it must beat the evaluation run by at least this factor.
+#: disk, so its median must beat the cold median by at least this.
 WARM_SPEEDUP_FLOOR = 10.0
 
 
-def _scope() -> dict:
+def _scope() -> tuple[dict, int]:
+    """Campaign scope and timed cold/warm rounds (a cold full-scope
+    run takes about half a minute, a quick-scope one a second or two)."""
     if os.environ.get("DEVIL_MUTATION_QUICK"):
         return {"specs": ("busmouse", "pic8259"),
-                "caps": MutantCaps.quick(2)}
-    return {"caps": MutantCaps.quick(8)}  # all 8 specs, all styles
+                "caps": MutantCaps.quick(2)}, 5
+    return {"caps": MutantCaps.quick(8)}, 3  # all 8 specs, all styles
 
 
 def _timed(config: CampaignConfig, cache: VerdictCache):
@@ -48,37 +52,54 @@ def _timed(config: CampaignConfig, cache: VerdictCache):
 
 
 def test_campaign_backends_and_cache(benchmark):
-    scope = _scope()
+    scope, rounds = _scope()
     workers = min(4, os.cpu_count() or 1)
     runs: dict[str, dict] = {}
 
-    with tempfile.TemporaryDirectory() as serial_root, \
-            tempfile.TemporaryDirectory() as process_root:
+    with tempfile.TemporaryDirectory() as root:
         serial_cfg = CampaignConfig(backend="serial", **scope)
-        serial = benchmark.pedantic(
-            lambda: run_campaign(serial_cfg,
-                                 cache=VerdictCache(serial_root)),
-            rounds=1, iterations=1)
+        warm_cache = VerdictCache(os.path.join(root, "warm"))
+        serial = run_campaign(serial_cfg, cache=warm_cache)
         reference = serial.report.to_json()
         runs["serial"] = serial.stats()
 
         result, elapsed = _timed(
             CampaignConfig(backend="process", workers=workers, **scope),
-            VerdictCache(process_root))
+            VerdictCache(os.path.join(root, "process")))
         assert result.report.to_json() == reference, \
             "process report diverged from serial"
         assert result.salvaged == 0
         runs["process"] = result.stats() | {"elapsed_s": elapsed}
 
-        warm, warm_elapsed = _timed(serial_cfg,
-                                    VerdictCache(serial_root))
-        assert warm.evaluated == 0
-        assert warm.cache_hits == warm.units == serial.units
-        assert warm.report.to_json() == reference
-        speedup = serial.elapsed_s / warm_elapsed
+        fresh = itertools.count()
+        last: dict = {}
+
+        def cold() -> int:
+            cache = VerdictCache(os.path.join(root, f"cold{next(fresh)}"))
+            last["cold"] = run_campaign(serial_cfg, cache=cache)
+            return last["cold"].units
+
+        def warm() -> int:
+            last["warm"] = run_campaign(serial_cfg, cache=warm_cache)
+            return last["warm"].units
+
+        stats = benchmark.pedantic(
+            time_rounds, args=({"cold": cold, "warm": warm}, rounds),
+            rounds=1, iterations=1)
+        assert last["cold"].evaluated == serial.units
+        assert last["cold"].report.to_json() == reference
+        warm_run = last["warm"]
+        assert warm_run.evaluated == 0
+        assert warm_run.cache_hits == warm_run.units == serial.units
+        assert warm_run.report.to_json() == reference
+        # Seconds per run, from the rate quartiles (units per second).
+        seconds = {side: [serial.units / rate for rate in stats[side]]
+                   for side in stats}
+        speedup = stats["warm"][1] / stats["cold"][1]
         assert speedup >= WARM_SPEEDUP_FLOOR, \
-            (f"warm re-run only {speedup:.1f}x faster "
-             f"({serial.elapsed_s:.2f}s cold, {warm_elapsed:.2f}s warm)")
+            (f"warm re-run median only {speedup:.1f}x faster "
+             f"({seconds['cold'][1]:.2f}s cold, "
+             f"{seconds['warm'][1]:.3f}s warm)")
 
     lines = [
         f"campaign scope: {len(serial_cfg.specs)} specs, "
@@ -87,17 +108,24 @@ def test_campaign_backends_and_cache(benchmark):
         f"{'elapsed_s':>10} {'speedup':>8}",
     ]
     for backend in ("serial", "process"):
-        stats = runs[backend]
+        stats_row = runs[backend]
         lines.append(
-            f"{backend:<10} {stats['workers'] if backend != 'serial' else 1:>7} "
-            f"{stats['evaluated']:>9} {stats['elapsed_s']:>10.2f} "
-            f"{serial.elapsed_s / stats['elapsed_s']:>8.2f}")
-    lines.append(
-        f"{'warm':<10} {1:>7} {warm.evaluated:>9} "
-        f"{warm_elapsed:>10.3f} {speedup:>8.1f}")
+            f"{backend:<10} "
+            f"{stats_row['workers'] if backend != 'serial' else 1:>7} "
+            f"{stats_row['evaluated']:>9} "
+            f"{stats_row['elapsed_s']:>10.2f} "
+            f"{serial.elapsed_s / stats_row['elapsed_s']:>8.2f}")
+    lines.append("")
+    lines.append(f"cold vs warm serial, median [quartiles] of {rounds} "
+                 f"interleaved rounds (fresh cache per cold run):")
+    for side in ("cold", "warm"):
+        q3, median, q1 = seconds[side]
+        lines.append(f"{side:<10} {median:>10.3f} s [{q1:.3f}-{q3:.3f}]")
+    lines.append(f"warm speedup (medians): {speedup:.1f}x "
+                 f"(floor {WARM_SPEEDUP_FLOOR:.0f}x)")
     lines.append("")
     lines.append("both backends byte-identical; warm re-run "
-                 f"served {warm.cache_hits}/{warm.units} verdicts "
+                 f"served {warm_run.cache_hits}/{warm_run.units} verdicts "
                  "from cache")
     rows = serial.report.table1_rows()
     if rows:
@@ -108,7 +136,14 @@ def test_campaign_backends_and_cache(benchmark):
         "scope": serial_cfg.describe(),
         "units": serial.units,
         "runs": runs,
-        "warm": warm.stats() | {"elapsed_s": warm_elapsed,
-                                "speedup_vs_cold": speedup},
+        "rounds": rounds,
+        "cold": {"elapsed_s": seconds["cold"][1],
+                 "elapsed_s_quartiles": [seconds["cold"][2],
+                                         seconds["cold"][0]]},
+        "warm": warm_run.stats() | {
+            "elapsed_s": seconds["warm"][1],
+            "elapsed_s_quartiles": [seconds["warm"][2],
+                                    seconds["warm"][0]],
+            "speedup_vs_cold": speedup},
         "table1": rows,
     })

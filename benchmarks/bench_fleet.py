@@ -51,6 +51,12 @@ strategy, native included when a C compiler is present) rides along,
 so a scheduling, locking or merge bug fails this benchmark even where
 the throughput floors are waived.
 
+A **selector table** rides along with no floor: for each leg and
+worker count it sets :func:`repro.engine.select.decide`'s pick, from
+:func:`~repro.engine.select.calibrate` on that leg's schedule, against
+the measured winner between the leg's thread and process cells (their
+medians), and shows the wall time ``Fleet.auto`` spends calibrating.
+
 Runs standalone (``python benchmarks/bench_fleet.py [--quick]``, the
 CI concurrency-job steps; exits 1 on a failed floor) and under pytest
 via :func:`test_fleet_bench_quick`.  Results land in
@@ -64,6 +70,7 @@ import contextlib
 import functools
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +87,8 @@ from repro.engine import (
     CHURN_OPS,
     Fleet,
     ProcessFleet,
+    calibrate,
+    decide,
     ide_sector_checksum,
     ide_sector_read,
     ide_taskfile_churn,
@@ -125,6 +134,15 @@ CPU_VARIANTS = (("thread", "thread", "specialize", (1, 2, 4)),
 CHURN_VARIANTS = (("spec/thread", "thread", "specialize", (1, 2, 4)),
                   ("nat/thread", "thread", "native", (1, 2, 4)),
                   ("nat/process", "process", "native", (1, 2, 4)))
+
+#: Per leg: the thread and process variants the selector chooses
+#: between, and the bind strategy and latency model it calibrates with.
+SELECTOR_CELLS = {
+    "io": ("thread", "process", "specialize", IO_LATENCY_US,
+           IO_WORD_LATENCY_US),
+    "checksum": ("thread", "process", "specialize", 0.0, 0.0),
+    "churn": ("nat/thread", "nat/process", "native", 0.0, 0.0),
+}
 
 
 def scaling_leg(variants, devices, schedule, latency_us: float = 0.0,
@@ -211,6 +229,65 @@ def run_legs(io_schedule, cpu_schedule, churn_schedule,
     return legs
 
 
+def selector_rows(legs: dict, schedules: dict,
+                  cpu_count: int) -> list[dict]:
+    """The selector's pick against each leg's measured winner.
+
+    Calibrates each leg's schedule the way ``Fleet.auto`` does (same
+    strategy and latency model), timing the calibration, and compares
+    ``decide()``'s backend with whichever of the leg's thread and
+    process cells has the higher median at each worker count.
+    """
+    rows = []
+    for leg, (leg_rows, _) in legs.items():
+        thread_label, process_label, strategy, op_us, word_us = \
+            SELECTOR_CELLS[leg]
+        start = time.perf_counter()
+        choice = decide(calibrate(schedules[leg], strategy=strategy,
+                                  op_latency_us=op_us,
+                                  word_latency_us=word_us),
+                        cpu_count=cpu_count, strategy=strategy)
+        calibration_s = time.perf_counter() - start
+        for workers in sorted({row["workers"] for row in leg_rows
+                               if row["label"] == process_label}):
+            thread = _row(leg_rows, thread_label, workers)["rps"]
+            process = _row(leg_rows, process_label, workers)["rps"]
+            winner = "thread" if thread >= process else "process"
+            rows.append({"leg": leg, "workers": workers,
+                         "pick": choice.backend, "winner": winner,
+                         "thread_rps": thread, "process_rps": process,
+                         "cpu_fraction": choice.cpu_fraction,
+                         "calibration_s": calibration_s})
+    return rows
+
+
+def render_selector(rows) -> list[str]:
+    lines = [
+        "",
+        "Selector evidence (no floor): decide() from calibrate() on the "
+        "leg's schedule vs the higher median of the leg's thread and "
+        "process cells",
+        f"{'leg':>8} | {'workers':>7} | {'pick':>7} | {'winner':>7} | "
+        f"{'thread/process req/s':>21} | {'cpu':>4} | "
+        f"{'calibrate':>9}",
+        "-" * 81,
+    ]
+    for row in rows:
+        rates = f"{row['thread_rps']:.1f}/{row['process_rps']:.1f}"
+        mark = "" if row["pick"] == row["winner"] else " *"
+        lines.append(
+            f"{row['leg']:>8} | {row['workers']:>7} | {row['pick']:>7} | "
+            f"{row['winner']:>7} | {rates:>21} | "
+            f"{row['cpu_fraction']:>4.2f} | "
+            f"{row['calibration_s'] * 1e3:>7.1f}ms{mark}")
+    agree = sum(row["pick"] == row["winner"] for row in rows)
+    lines.append(f"pick = measured winner in {agree} of {len(rows)} "
+                 "cells (* = disagreement); cpu = calibrated CPU "
+                 "fraction; calibrate = wall time of calibrate() + "
+                 "decide(), as Fleet.auto spends it")
+    return lines
+
+
 def _row(rows, label: str, workers: int) -> dict:
     return next(row for row in rows
                 if row["label"] == label and row["workers"] == workers)
@@ -259,8 +336,8 @@ def check_gates(legs: dict, cpu_count: int) -> list[tuple[str, bool]]:
     return verdicts
 
 
-def render(legs: dict, titles: dict, verdicts, stress_iterations: int,
-           cpu_count: int, rounds: int) -> str:
+def render(legs: dict, titles: dict, selector, verdicts,
+           stress_iterations: int, cpu_count: int, rounds: int) -> str:
     lines = [
         f"Fleet throughput (os.cpu_count()={cpu_count}); req/s: median "
         f"[quartiles] of {rounds} interleaved rounds per cell, cell "
@@ -292,8 +369,9 @@ def render(legs: dict, titles: dict, verdicts, stress_iterations: int,
         f"stress: 8 threads x 1 device x {stress_iterations} iterations "
         "per strategy — exact accounting + state parity vs serial "
         "reference: ok",
-        "",
     ]
+    lines += render_selector(selector)
+    lines.append("")
     lines += [text for text, _ in verdicts]
     return "\n".join(lines)
 
@@ -324,6 +402,9 @@ def main(argv=None) -> int:
     legs = run_legs(io_schedule, cpu_schedule, churn_schedule)
     stress_leg(stress_iterations)
     verdicts = check_gates(legs, cpu_count)
+    selector = selector_rows(
+        legs, {"io": io_schedule, "checksum": cpu_schedule,
+               "churn": churn_schedule}, cpu_count)
 
     titles = {
         "io": f"Sleeping I/O: 4x IDE sector read, 4x PM2 fill rect, "
@@ -335,8 +416,8 @@ def main(argv=None) -> int:
         "churn": f"Dispatch-bound: 4x IDE, {len(churn_schedule)} x "
                  f"ide_taskfile_churn({churn_ops} writes) per round",
     }
-    table = render(legs, titles, verdicts, stress_iterations, cpu_count,
-                   ROUNDS)
+    table = render(legs, titles, selector, verdicts, stress_iterations,
+                   cpu_count, ROUNDS)
     record("BENCH_fleet", table, data={
         "quick": args.quick,
         "cpu_count": cpu_count,
@@ -352,6 +433,7 @@ def main(argv=None) -> int:
             "floor_min_cpus": FLOOR_MIN_CPUS,
         },
         "stress_iterations": stress_iterations,
+        "selector": selector,
         "verdicts": [text for text, _ in verdicts],
     })
 
@@ -368,12 +450,18 @@ def test_fleet_bench_quick():
     leg, and the stress leg runs.
     """
     churn = functools.partial(ide_taskfile_churn, n=256)
-    legs = run_legs(mixed_schedule(2), [("ide", ide_sector_checksum)] * 6,
-                    [("ide", churn)] * 6, rounds=2)
+    schedules = {"io": mixed_schedule(2),
+                 "checksum": [("ide", ide_sector_checksum)] * 6,
+                 "churn": [("ide", churn)] * 6}
+    legs = run_legs(schedules["io"], schedules["checksum"],
+                    schedules["churn"], rounds=2)
     assert legs["io"][1].total_ops > 0
     if "churn" in legs:
         assert legs["churn"][1].writes == 6 * 256 * 3
     stress_leg(3)
+    selector = selector_rows(legs, schedules, os.cpu_count() or 1)
+    assert {row["leg"] for row in selector} == set(legs)
+    assert "Selector evidence" in "\n".join(render_selector(selector))
 
 
 if __name__ == "__main__":

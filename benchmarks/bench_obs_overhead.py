@@ -21,9 +21,10 @@ Two guards:
 * always: an interleaved A/B — the same telemetry-off stubs driven
   against the real :class:`repro.bus.Bus` and against a bus with the
   telemetry hot-path additions (the per-access ``collector`` check)
-  removed — must show <5% cost per hot workload.  Interleaving the
-  two timed loops in one process makes the comparison immune to the
-  machine drift that plagues cross-run rate comparisons;
+  removed — must show <5% cost per hot workload, on the medians of
+  :func:`conftest.time_rounds`.  Interleaving the two timed loops in
+  one process makes the comparison immune to the machine drift that
+  plagues cross-run rate comparisons;
 * always: the PR acceptance floor of bind-time specialization
   (specialized ≥ 3x interpreted on the hot workloads) must still hold
   with telemetry code in the tree and **off** — the repository's
@@ -145,8 +146,9 @@ def _bind_config(machine: str, strategy: str, bus, bases,
     return device
 
 
-def _calls_per_sec(workload, strategy: str, config: str,
-                   iterations: int, repeats: int) -> float:
+def _ladder_cell(workload, strategy: str, config: str,
+                 iterations: int):
+    """One ladder configuration as a :func:`time_rounds` cell."""
     _, machine, setup, stub, args = workload
     if config == "on-collecting":
         # Port attribution rides the trace hook; a bounded ring keeps
@@ -162,25 +164,33 @@ def _calls_per_sec(workload, strategy: str, config: str,
     if setup is not None:
         setup(device)
     call = getattr(device, stub)
-    call(*args)  # warm caches and lazy paths outside the timed loop
-    best = float("inf")
-    for _ in range(repeats):
+
+    def cell() -> int:
         if collector is not None:
             collector.clear()  # keep span accumulation out of memory
-        start = time.perf_counter()
         for _ in range(iterations):
             call(*args)
-        best = min(best, time.perf_counter() - start)
-    return iterations / best
+        return iterations
+
+    return cell
+
+
+def _ladder_rates(workload, strategy: str, iterations: int,
+                  rounds: int) -> dict[str, float]:
+    """``config -> median calls/sec``, the configs timed interleaved."""
+    stats = time_rounds({config: _ladder_cell(workload, strategy, config,
+                                              iterations)
+                         for config in CONFIGS}, rounds)
+    return {config: stats[config][1] for config in CONFIGS}
 
 
 def _ab_overhead(workload, strategy: str, iterations: int,
-                 repeats: int) -> float:
+                 rounds: int) -> float:
     """Cost of disabled telemetry, measured interleaved in-process.
 
-    Returns ``bare_rate / bus_rate - 1``: the fractional slowdown the
-    telemetry-off configuration shows against a bus without the
-    telemetry hot path.
+    Returns ``bare_rate / bus_rate - 1`` on the medians of
+    :func:`time_rounds`: the fractional slowdown the telemetry-off
+    configuration shows against a bus without the telemetry hot path.
     """
     _, machine, setup, stub, args = workload
     obs.disable()
@@ -203,22 +213,19 @@ def _ab_overhead(workload, strategy: str, iterations: int,
         if time.perf_counter() - start >= 0.02:
             break
         iterations *= 2
-    # Noise bursts on shared machines outlast a handful of chunks;
-    # best-of-15 per side reliably catches a quiet window for both.
-    best = [float("inf"), float("inf")]
-    for repeat in range(max(repeats, 15)):
-        # Alternate which bus is timed first so scheduler bursts and
-        # cache effects cancel instead of biasing one side.
-        order = (0, 1) if repeat % 2 == 0 else (1, 0)
-        for index in order:
-            call = calls[index]
-            start = time.perf_counter()
+
+    def chunk(call):
+        def cell() -> int:
             for _ in range(iterations):
                 call(*args)
-            best[index] = min(best[index],
-                              time.perf_counter() - start)
-    bus_rate, bare_rate = (iterations / elapsed for elapsed in best)
-    return bare_rate / bus_rate - 1.0
+            return iterations
+        return cell
+
+    # At least 15 alternating rounds per side: noise bursts on shared
+    # machines outlast a handful of chunks.
+    stats = time_rounds({"bus": chunk(calls[0]), "bare": chunk(calls[1])},
+                        max(rounds, 15))
+    return stats["bare"][1] / stats["bus"][1] - 1.0
 
 
 def _committed_baseline() -> dict[str, dict[str, float]]:
@@ -236,18 +243,16 @@ def _committed_baseline() -> dict[str, dict[str, float]]:
 
 def run_bench(quick: bool = False, strict: bool = False,
               iterations: int | None = None,
-              repeats: int | None = None) -> dict:
+              rounds: int | None = None) -> dict:
     iterations = iterations or (1000 if quick else 10000)
-    repeats = repeats or (2 if quick else 3)
+    rounds = rounds or (3 if quick else 5)
     baseline = _committed_baseline()
 
     rows = []
     for workload in WORKLOADS:
         name = workload[0]
         for strategy in STRATEGIES:
-            rates = {config: _calls_per_sec(workload, strategy, config,
-                                            iterations, repeats)
-                     for config in CONFIGS}
+            rates = _ladder_rates(workload, strategy, iterations, rounds)
             row = {
                 "workload": name,
                 "strategy": strategy,
@@ -263,12 +268,13 @@ def run_bench(quick: bool = False, strict: bool = False,
                 row["overhead_off_vs_baseline"] = \
                     reference / rates["off"] - 1.0
             row["ab_overhead_off"] = _ab_overhead(
-                workload, strategy, max(iterations, 1000), repeats)
+                workload, strategy, max(iterations, 1000), rounds)
             rows.append(row)
 
     lines = [
-        "Telemetry overhead, calls/sec (best of "
-        f"{repeats} x {iterations} calls; release mode):",
+        "Telemetry overhead, calls/sec (median of "
+        f"{rounds} interleaved rounds x {iterations} calls; release "
+        "mode):",
         "",
         f"{'workload':<26} {'strategy':<11} {'off':>11} "
         f"{'on-detached':>12} {'on-collect':>11} {'det%':>6} "
@@ -301,7 +307,7 @@ def run_bench(quick: bool = False, strict: bool = False,
     ]
 
     report = {"quick": quick, "iterations": iterations,
-              "repeats": repeats, "strict": strict,
+              "rounds": rounds, "strict": strict,
               "off_overhead_bound": OFF_OVERHEAD_BOUND, "rows": rows}
     record("BENCH_obs_overhead", "\n".join(lines), data=report)
 
@@ -467,7 +473,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--iterations", type=int, default=None,
                         help="timed calls per measurement")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="measurement repeats (best is kept)")
+                        help="timed rounds per measurement (the median "
+                             "is kept)")
     parser.add_argument("--no-fleet", action="store_true",
                         help="skip the live fleet telemetry leg "
                              "(fast CI tier)")
@@ -480,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     if not options.fleet_only:
         run_bench(quick=options.quick, strict=options.strict,
                   iterations=options.iterations,
-                  repeats=options.repeats)
+                  rounds=options.repeats)
     if not options.no_fleet:
         run_fleet_bench(quick=options.quick)
     return 0

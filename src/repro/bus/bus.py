@@ -129,8 +129,8 @@ class IoAccounting:
     def add(self, other: "IoAccounting") -> "IoAccounting":
         """Accumulate ``other``'s counters into this one (returns self).
 
-        The merge half of the shard/merge API used by
-        :class:`~repro.bus.concurrent.ThreadSafeBus`: per-device shards
+        The merge half of the fleet's per-session accounting
+        (:class:`repro.engine.fleet.MergedSessions`): per-device counts
         are summed into one consistent view.
         """
         self.reads += other.reads

@@ -41,7 +41,6 @@ from ctypes import (CFUNCTYPE, POINTER, Structure, c_char, c_char_p,
 
 from ... import obs
 from ...bus.bus import Bus, BusError, IoTraceEntry
-from ...bus.concurrent import ThreadSafeBus
 from ..errors import DevilRuntimeError
 from ..runtime import DeviceInstance
 from ..codegen.c_backend import generate_c_header
@@ -68,10 +67,9 @@ class _PortEntry(Structure):
     """One bus mapping in the C port table.
 
     ``model``/``mstate`` select an optional C-resident device model;
-    the trailing counters account direct-mode accesses *per entry* so
-    :meth:`_NativeCore.sync_accounting` can merge them into the owning
-    mapping's shard on a :class:`ThreadSafeBus` (exact per-device
-    accounting) or into ``bus.accounting`` on a plain :class:`Bus`.
+    the trailing counters account direct-mode accesses, which
+    :meth:`_NativeCore.sync_accounting` merges into ``bus.accounting``
+    when the batch ends.
     """
 
     _fields_ = [("base", c_uint), ("size", c_uint), ("index", c_uint),
@@ -131,18 +129,6 @@ def _state_struct(model, debug: bool):
             fields.append((f"fetched_{structure}", c_ubyte))
     return type(f"{model.name}_nat_state", (Structure,),
                 {"_fields_": fields})
-
-
-def _merge_counts(accounting, reads: int, writes: int,
-                  w8: int, w16: int, w32: int) -> None:
-    """Fold one port entry's direct-batch counters into an
-    :class:`IoAccounting` (a shard or the plain-bus totals)."""
-    accounting.reads += reads
-    accounting.writes += writes
-    by_width = accounting.single_by_width
-    for width, count in ((8, w8), (16, w16), (32, w32)):
-        if count:
-            by_width[width] = by_width.get(width, 0) + count
 
 
 class _NativeCore:
@@ -215,9 +201,7 @@ class _NativeCore:
         self.direct_devices: list = []
         self._port_stamp: tuple | None = None
         self._port_entries = None
-        self._port_mappings: list = []
         self._table_bindings: list = []
-        self._own_all_modelled = False
         self.cbus = self._make_cbus()
         self.cbus_ptr = ctypes.cast(ctypes.pointer(self.cbus), c_void_p)
         # Per-device recursive C mutex: entry frames hold it for the
@@ -410,32 +394,20 @@ class _NativeCore:
     def enter_direct(self) -> bool:
         """Switch a batch to port-table dispatch when exactness allows.
 
-        Tracing or a collector always disqualify: those paths need the
-        per-access Python hooks, so their batches stay on the callback
-        route.  A plain :class:`Bus` qualifies unconditionally.  A
-        :class:`ThreadSafeBus` (the zero-latency fleet bus) qualifies
-        only when every mapping this instance owns has a C-resident
-        model: the batch then runs entirely in C with the GIL released
-        (ctypes drops it around the foreign call and no callback ever
-        reacquires it), serialized per device by the C mutex — the
-        Python ``mapping.lock`` is never needed because fleet sessions
-        are exclusive per device and per-entry counters merge into the
-        shard under its lock at batch exit.  Subclasses (e.g. the
-        latency-modelling fleet bus) never qualify: their per-access
-        hooks are semantics.
+        One rule: an untraced plain :class:`Bus` with no collector goes
+        direct, and every other bus stays on callbacks.  Tracing and a
+        collector need the per-access Python hooks, and a subclass's
+        hooks (the latency-modelling fleet bus sleeps per access) are
+        semantics; the check is exact-type, so subclasses fail closed.
+        A direct batch reaches C-resident models without the GIL and
+        Python-modelled devices through raw callbacks, which take the
+        GIL per access as callback mode does.
         """
         bus = self.bus
-        if bus.tracing or bus.collector is not None:
+        if type(bus) is not Bus or bus.tracing or \
+                bus.collector is not None:
             return False
-        bus_type = type(bus)
-        if bus_type is Bus:
-            self._refresh_port_table()
-        elif bus_type is ThreadSafeBus:
-            self._refresh_port_table()
-            if not self._own_all_modelled:
-                return False
-        else:
-            return False
+        self._refresh_port_table()
         for binding in self._table_bindings:
             binding.sync_to_c()
         self.cbus.direct = 1
@@ -458,7 +430,6 @@ class _NativeCore:
         own_bases = set(self.instance.bases.values())
         devices: list = []
         bindings: list = []
-        own_modelled = True
         for i, mapping in enumerate(mappings):
             entries[i].base = mapping.base
             entries[i].size = mapping.size
@@ -480,45 +451,32 @@ class _NativeCore:
                     bindings.append(binding)
             else:
                 devices.append(device)
-                if mapping.base in own_bases:
-                    own_modelled = False
         self._port_entries = entries        # keep alive
-        self._port_mappings = mappings
         self._table_bindings = bindings
-        self._own_all_modelled = own_modelled
         self.direct_devices = devices
         self.cbus.ports = entries
         self.cbus.n_ports = len(mappings)
         self._port_stamp = stamp
 
     def sync_accounting(self) -> None:
-        """Merge per-entry C counters of the last direct batch.
-
-        On a :class:`ThreadSafeBus` each entry's counts land in the
-        owning mapping's shard (under its lock), keeping
-        ``accounting_by_device()`` exact; on a plain :class:`Bus` they
-        land in ``bus.accounting`` directly.
-        """
+        """Merge the per-entry C counters of the last direct batch into
+        ``bus.accounting``."""
         entries = self._port_entries
         if entries is None:
             return
-        fallback = None
-        for entry, mapping in zip(entries, self._port_mappings):
-            reads, writes = entry.reads, entry.writes
-            if not (reads or writes):
+        accounting = self.bus.accounting
+        by_width = accounting.single_by_width
+        for entry in entries:
+            if not (entry.reads or entry.writes):
                 continue
-            w8, w16, w32 = entry.w8, entry.w16, entry.w32
+            accounting.reads += entry.reads
+            accounting.writes += entry.writes
+            for width, count in ((8, entry.w8), (16, entry.w16),
+                                 (32, entry.w32)):
+                if count:
+                    by_width[width] = by_width.get(width, 0) + count
             entry.reads = entry.writes = 0
             entry.w8 = entry.w16 = entry.w32 = 0
-            shard = getattr(mapping, "shard", None)
-            lock = getattr(mapping, "lock", None)
-            if shard is not None and lock is not None:
-                with lock:
-                    _merge_counts(shard, reads, writes, w8, w16, w32)
-            else:
-                if fallback is None:
-                    fallback = self.bus.accounting
-                _merge_counts(fallback, reads, writes, w8, w16, w32)
 
     # -- caches ---------------------------------------------------------
 

@@ -7,9 +7,8 @@ shared library:
 
 * the ``devil_nat_bus_t`` ABI struct mirrored by ctypes on the Python
   side — callback pointers, mode flags, a port table with *per-entry*
-  accounting counters (merged into the owning mapping's shard, so
-  ``ThreadSafeBus.accounting_by_device()`` stays exact under direct
-  batches), a per-device pthread mutex and a bounded trace ring;
+  accounting counters (merged into ``bus.accounting`` when a direct
+  batch ends), a per-device pthread mutex and a bounded trace ring;
 * ``devil_in``/``devil_out``/``devil_in_rep``/``devil_out_rep``
   implementations that either call back into the Python :class:`Bus`
   (exact-parity path) or dispatch through the C port table straight to
@@ -182,9 +181,8 @@ def generate_shim(model, prefix: str | None = None,
     line()
     line("/* One bus mapping.  `model`/`mstate` select an optional")
     line(" * C-resident device model; the counters account direct-mode")
-    line(" * accesses per entry so the Python side can merge them into")
-    line(" * the owning mapping's shard (exact per-device accounting")
-    line(" * on a ThreadSafeBus). */")
+    line(" * accesses until the Python side merges them into the bus")
+    line(" * accounting at the end of the batch. */")
     line("typedef struct devil_nat_port {")
     line("    unsigned base;")
     line("    unsigned size;")

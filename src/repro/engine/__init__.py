@@ -2,17 +2,19 @@
 
 Two execution substrates under one request API:
 
-* the **thread backend** (:class:`Fleet`) maps N shipped devices into
-  one port space on a shared :class:`repro.bus.ThreadSafeBus`, routes
-  requests to per-device sessions by a scheduling policy, and executes
-  them on a bounded worker pool with backpressure — it scales with the
+* the **thread backend** (:class:`Fleet`) gives each of N shipped
+  devices an exclusive session with a bus of its own, routes requests
+  to the sessions by a scheduling policy, and executes them on a
+  bounded worker pool with backpressure — it scales with the
   sleeping-I/O fraction of the mix;
-* the **process backend** (:class:`ProcessFleet`) shards the devices
-  across worker processes, each owning its devices' complete Devil
-  runtime on a private bus slice — it scales CPU-bound mixes the GIL
-  serializes, and merges accounting, traces and spans back exactly.
-  Its transport is one queue message per request and one report per
-  worker per sync point.
+* the **process backend** (:class:`ProcessFleet`) shards the same
+  sessions across worker processes — it scales CPU-bound mixes the GIL
+  serializes.  Its transport is one queue message per request and one
+  report per worker per sync point.
+
+Both backends answer accounting, per-device accounting, end-state and
+traces by merging per-session reports in global device order with one
+routine (:class:`~repro.engine.fleet.MergedSessions`).
 
 :func:`Fleet.auto` / :func:`auto_fleet` pick between the two by
 measuring a short calibration burst of the actual request mix

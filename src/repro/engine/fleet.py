@@ -1,24 +1,28 @@
 """The device fleet: N simulated devices behind one concurrent engine.
 
-A :class:`Fleet` instantiates any mix of shipped specifications on one
-shared :class:`~repro.bus.ThreadSafeBus`, each device in its own
-``0x1000``-aligned port slot, and binds one set of Devil stubs per
-device under any of the three execution strategies.  Requests —
-callables shaped exactly like the shipped workloads, ``fn(stubs,
-aux)`` — are routed by a scheduling policy to a per-device
-:class:`DeviceSession` and executed by a bounded worker pool.
+A :class:`Fleet` instantiates any mix of shipped specifications, each
+device on its own session bus (a plain :class:`~repro.bus.Bus` that
+maps only that device, at its ``0x1000``-aligned global slot), and
+binds one set of Devil stubs per device under any of the execution
+strategies.  Requests — callables shaped exactly like the shipped
+workloads, ``fn(stubs, aux)`` — are routed by a scheduling policy to a
+per-device :class:`DeviceSession` and executed by a bounded worker
+pool.
 
 Concurrency model (see ``docs/CONCURRENCY.md``):
 
 * **Sessions are exclusive.**  Each device has exactly one session, and
-  the session lock is held for the whole request.  Everything above the
-  bus — the runtime's register cache, shadow cache, transaction
-  context, the specializer's closures — therefore needs no internal
-  locking, and the single-device hot path stays the lock-free
-  straight-line code that the single-threaded benchmarks measure.
-* **The bus is shared.**  Cross-device safety lives in
-  :class:`~repro.bus.ThreadSafeBus`: per-device mapping locks, sharded
-  accounting merged on read, a locked trace ring.
+  the session lock is held for the whole request.  Everything the
+  request touches — the runtime's register cache, shadow cache,
+  transaction context, the specializer's closures, and the session's
+  own bus and device models — therefore needs no internal locking,
+  and the single-device hot path stays the lock-free straight-line
+  code that the single-threaded benchmarks measure.
+* **Reads merge the sessions.**  ``accounting``,
+  ``accounting_by_device()``, ``device_states()`` and ``trace`` read
+  each session bus under its session lock and merge the reports in
+  global device order (:class:`MergedSessions`, which the process
+  backend :class:`~repro.engine.mp.ProcessFleet` shares).
 * **Scheduling is deterministic at submit time.**  ``submit`` picks the
   session in the producer thread, so under ``round-robin`` the request
   → device assignment is a pure function of submission order — the
@@ -32,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..bus import ThreadSafeBus
+from ..bus import Bus, IoAccounting
 from .pool import WorkerPool
 from .scheduler import SCHEDULERS
 
@@ -82,8 +86,8 @@ def session_weight(weights, label: str, spec: str) -> int:
     return weight
 
 
-class LatencyBus(ThreadSafeBus):
-    """A thread-safe bus that charges wall-clock time per operation.
+class LatencyBus(Bus):
+    """A bus that charges wall-clock time per operation.
 
     Models the fixed cost of a port transaction (ISA ``inb`` ≈ 1µs;
     PCI posted writes far less) with ``time.sleep``, which releases the
@@ -93,9 +97,9 @@ class LatencyBus(ThreadSafeBus):
     latency rather than a full op per word, mirroring REP INSW against
     a ready FIFO.
 
-    The sleep happens *before* the per-device lock is taken: it models
-    the bus transaction itself, not device-side processing, so two
-    requests against different devices overlap their stalls fully.
+    A subclass, so the plain :class:`Bus` hot path carries no latency
+    branch; the sleep models the bus transaction itself and happens
+    before the device is reached.
     """
 
     def __init__(self, op_latency_us: float = 0.0,
@@ -162,17 +166,19 @@ def map_fleet_device(bus, name: str, slot: int, label: str):
 
 @dataclass
 class DeviceSession:
-    """One fleet device: its stubs, models, and the exclusive lock.
+    """One fleet device: its bus, stubs, models, and the exclusive lock.
 
     The lock serializes requests against this device.  While it is
     held the session owns the whole Devil runtime stack for the device
-    (register cache, shadow cache, transaction context), which is why
-    none of those layers needs locks of its own.
+    (register cache, shadow cache, transaction context) and its bus,
+    which is why none of those layers needs locks of its own.
     """
 
     label: str
     spec: str
     slot: int
+    #: The session's private bus: only this device is mapped on it.
+    bus: Bus
     stubs: object
     aux: dict
     bases: dict
@@ -186,6 +192,106 @@ class DeviceSession:
             result = request(self.stubs, self.aux)
             self.completed += 1
             return result
+
+    def report(self) -> "SessionReport":
+        """This session's bus as it stands; the caller keeps it still
+        (holds :attr:`lock`, or is the only thread running it)."""
+        bus = self.bus
+        return SessionReport(self.label, bus.accounting.snapshot(),
+                             bus.state_snapshot(), list(bus.trace),
+                             bus.trace_dropped)
+
+
+def open_session(spec: str, label: str, slot: int, *, strategy: str,
+                 shadow_cache: bool = False, tracing: bool = False,
+                 trace_limit: int | None = None,
+                 op_latency_us: float = 0.0,
+                 word_latency_us: float = 0.0, collector=None,
+                 weight: int = 1) -> DeviceSession:
+    """One device of spec ``spec`` at ``slot`` on a bus of its own.
+
+    The one session builder: the thread :class:`Fleet`, the process
+    workers and the selector's calibration machine all call it.  The
+    bus is a plain :class:`Bus`, or a :class:`LatencyBus` when either
+    latency is set; ``trace_limit`` bounds this device's ring.  A
+    ``collector`` is attached to the bus and learns the device's port
+    map.
+    """
+    from ..obs.workloads import bind_stubs
+
+    if op_latency_us or word_latency_us:
+        bus = LatencyBus(op_latency_us=op_latency_us,
+                         word_latency_us=word_latency_us,
+                         tracing=tracing, trace_limit=trace_limit)
+    else:
+        bus = Bus(tracing=tracing, trace_limit=trace_limit)
+    bus.collector = collector
+    aux, bases = map_fleet_device(bus, spec, slot, label)
+    stubs = bind_stubs(spec, strategy, bus, bases,
+                       shadow_cache=shadow_cache)
+    if collector is not None:
+        collector.register_ports(spec, getattr(stubs, "_obs_ports", {}))
+    return DeviceSession(label=label, spec=spec, slot=slot, bus=bus,
+                         stubs=stubs, aux=aux, bases=bases,
+                         weight=weight)
+
+
+@dataclass(frozen=True)
+class SessionReport:
+    """One session bus read at one instant; plain data, so a process
+    worker can ship it to the parent."""
+
+    label: str
+    accounting: IoAccounting
+    #: ``mapping name -> pickled device state`` (``Bus.state_snapshot``).
+    states: dict
+    trace: list
+    trace_dropped: int
+
+
+class MergedSessions:
+    """The one merge both fleet backends answer every read from.
+
+    A subclass supplies :meth:`_session_reports`, one
+    :class:`SessionReport` per device in global device order.  Traces
+    concatenate in that order, so each device's segment keeps its
+    program order and contiguous block groups, and cross-device order
+    is merge order on either backend.  Exact once the fleet is drained.
+    """
+
+    def _session_reports(self) -> list[SessionReport]:
+        raise NotImplementedError
+
+    @property
+    def accounting(self) -> IoAccounting:
+        """Merged I/O accounting across every device."""
+        total = IoAccounting()
+        for report in self._session_reports():
+            total.add(report.accounting)
+        return total
+
+    def accounting_by_device(self) -> dict:
+        """``label -> IoAccounting``; a device's auxiliary mappings
+        (``-ctrl``, ``-data``, ``-fb``, ``-reset``) are folded in."""
+        return {report.label: report.accounting.snapshot()
+                for report in self._session_reports()}
+
+    def device_states(self) -> dict[str, bytes]:
+        """Byte-comparable per-mapping end-state (see bus seam docs)."""
+        return {name: blob for report in self._session_reports()
+                for name, blob in report.states.items()}
+
+    @property
+    def trace(self) -> list:
+        """Session traces concatenated in global device order."""
+        return [entry for report in self._session_reports()
+                for entry in report.trace]
+
+    @property
+    def trace_dropped(self) -> int:
+        """Entries evicted from every device's trace ring."""
+        return sum(report.trace_dropped
+                   for report in self._session_reports())
 
 
 def resolve_strategy(strategy: str, shadow_cache: bool = False) -> str:
@@ -207,12 +313,15 @@ def resolve_strategy(strategy: str, shadow_cache: bool = False) -> str:
     return "native" if native_available() else "specialize"
 
 
-class Fleet:
-    """N shipped devices, one thread-safe bus, a scheduled worker pool.
+class Fleet(MergedSessions):
+    """N shipped devices, one bus per session, a scheduled worker pool.
 
     ``devices`` is a list of spec names, repeats meaning multiple
     instances (``["ide", "ide", "ne2000"]``).  Requests are submitted
     per spec and the policy picks which instance serves each one.
+    ``collector`` (a :class:`repro.obs.Collector`) is attached to every
+    session bus; stubs bound while :mod:`repro.obs` is enabled report
+    spans to it.
 
     Use as a context manager, or call :meth:`shutdown` explicitly::
 
@@ -232,9 +341,8 @@ class Fleet:
                  op_latency_us: float = 0.0,
                  word_latency_us: float = 0.0,
                  weights: dict | None = None,
+                 collector=None,
                  telemetry=None):
-        from ..obs.workloads import bind_stubs
-
         if not devices:
             raise ValueError("a fleet needs at least one device")
         if policy not in SCHEDULERS:
@@ -244,23 +352,15 @@ class Fleet:
         strategy = resolve_strategy(strategy, shadow_cache)
         self.strategy = strategy
         self.policy = policy
-        if op_latency_us or word_latency_us:
-            self.bus = LatencyBus(op_latency_us=op_latency_us,
-                                  word_latency_us=word_latency_us,
-                                  tracing=tracing,
-                                  trace_limit=trace_limit)
-        else:
-            self.bus = ThreadSafeBus(tracing=tracing,
-                                     trace_limit=trace_limit)
-        self.sessions: list[DeviceSession] = []
-        for name, label, slot in fleet_layout(devices):
-            aux, bases = map_fleet_device(self.bus, name, slot, label)
-            stubs = bind_stubs(name, strategy, self.bus, bases,
-                               shadow_cache=shadow_cache)
-            self.sessions.append(DeviceSession(
-                label=label, spec=name, slot=slot,
-                stubs=stubs, aux=aux, bases=bases,
-                weight=session_weight(weights, label, name)))
+        self.sessions: list[DeviceSession] = [
+            open_session(name, label, slot, strategy=strategy,
+                         shadow_cache=shadow_cache, tracing=tracing,
+                         trace_limit=trace_limit,
+                         op_latency_us=op_latency_us,
+                         word_latency_us=word_latency_us,
+                         collector=collector,
+                         weight=session_weight(weights, label, name))
+            for name, label, slot in fleet_layout(devices)]
         self.scheduler = SCHEDULERS[policy](self.sessions)
         self.pool = WorkerPool(workers, queue_depth=queue_depth)
         self.submitted = 0
@@ -366,20 +466,20 @@ class Fleet:
 
     # -- inspection -----------------------------------------------------
 
+    def _session_reports(self) -> list[SessionReport]:
+        """Each session read under its lock: a read during traffic waits
+        for the request in flight on each device, so none is torn."""
+        reports = []
+        for session in self.sessions:
+            with session.lock:
+                reports.append(session.report())
+        return reports
+
     @property
-    def accounting(self):
-        """Merged I/O accounting across every device (see bus docs)."""
-        return self.bus.accounting
-
-    def accounting_by_device(self):
-        return self.bus.accounting_by_device()
-
-    def device_states(self) -> dict[str, bytes]:
-        """Byte-comparable per-mapping end-state (see bus seam docs).
-
-        Only sound after :meth:`drain` — like every exactness check.
-        """
-        return self.bus.state_snapshot()
+    def trace_dropped(self) -> int:
+        """Summed without the session locks (an int cannot tear): the
+        live health check reads it while a request may wedge a session."""
+        return sum(session.bus.trace_dropped for session in self.sessions)
 
     def completed_by_device(self) -> dict[str, int]:
         """``label -> completed request count`` (the placement record)."""

@@ -38,16 +38,17 @@ Design rules (the same exactness contract the thread fleet obeys, see
   whose bound arguments travel by value — so both backends execute
   the identical function and unpicklable callables fail loudly in the
   submitting process.
-* **Merging is exact.**  At every sync the workers report absolute
-  per-device accounting shards, pickled device end-state
-  (:meth:`repro.bus.Bus.state_snapshot`), their trace rings (block
-  groups contiguous, per-device program order preserved) and their
-  span buffers.  The parent merges shards by label union (labels are
-  globally unique), concatenates traces in worker order and ingests
-  spans into its collector (:meth:`repro.obs.Collector.ingest`), so
-  ``accounting``/``accounting_by_device()``/``device_states()`` answer
-  with the same exact totals the thread fleet computes from its shared
-  bus.
+* **Merging is exact.**  Each worker runs its devices as the thread
+  fleet does, one session bus per device
+  (:func:`~repro.engine.fleet.open_session`).  At every sync it
+  reports one :class:`~repro.engine.fleet.SessionReport` per session
+  (absolute accounting, pickled end-state, trace ring,
+  ``trace_dropped``) plus its span buffer.  The parent puts the
+  session reports in global device order and answers
+  ``accounting``/``accounting_by_device()``/``device_states()``/
+  ``trace`` with the thread fleet's own merge
+  (:class:`~repro.engine.fleet.MergedSessions`), and ingests spans
+  into its collector (:meth:`repro.obs.Collector.ingest`).
 
 Worker failures mirror the thread pool: request exceptions are
 captured with their tracebacks and re-raised in the parent as one
@@ -66,9 +67,8 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from ..bus import IoAccounting
-from .fleet import LatencyBus, fleet_layout, map_fleet_device, \
-    resolve_strategy, session_weight
+from .fleet import MergedSessions, SessionReport, fleet_layout, \
+    open_session, resolve_strategy, session_weight
 from .pool import WorkerError
 from .requests import decode_request, encode_request
 from .scheduler import DETERMINISTIC_POLICIES, SCHEDULERS
@@ -128,26 +128,6 @@ class ProcessSession:
     completed: int = 0
 
 
-def _build_worker_bus(config: _WorkerConfig):
-    """The worker's private bus slice with its devices mapped.
-
-    A :class:`LatencyBus`/``ThreadSafeBus`` for exact interface parity
-    with the thread backend (same accounting shards, same
-    ``accounting_by_device``); its locks are process-local and
-    uncontended — the worker is single-threaded — so the hot path
-    stays lock-free in every way that matters.
-    """
-    from ..bus import ThreadSafeBus
-
-    if config.op_latency_us or config.word_latency_us:
-        return LatencyBus(op_latency_us=config.op_latency_us,
-                          word_latency_us=config.word_latency_us,
-                          tracing=config.tracing,
-                          trace_limit=config.trace_limit)
-    return ThreadSafeBus(tracing=config.tracing,
-                         trace_limit=config.trace_limit)
-
-
 def _token_label(token) -> str:
     """Cheap human-readable name for a wire token (heartbeats only)."""
     if isinstance(token, tuple):
@@ -178,23 +158,15 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
         if config.observe:
             obs.enable()
             collector = obs.Collector()
-        bus = _build_worker_bus(config)
-        if collector is not None:
-            bus.collector = collector
-
-        from ..obs.workloads import bind_stubs
-
-        sessions = []
-        completed: dict[str, int] = {}
-        for spec, label, slot in config.devices:
-            aux, bases = map_fleet_device(bus, spec, slot, label)
-            stubs = bind_stubs(spec, config.strategy, bus, bases,
-                               shadow_cache=config.shadow_cache)
-            if collector is not None:
-                collector.register_ports(
-                    spec, getattr(stubs, "_obs_ports", {}))
-            sessions.append((label, spec, stubs, aux))
-            completed[label] = 0
+        sessions = [
+            open_session(spec, label, slot, strategy=config.strategy,
+                         shadow_cache=config.shadow_cache,
+                         tracing=config.tracing,
+                         trace_limit=config.trace_limit,
+                         op_latency_us=config.op_latency_us,
+                         word_latency_us=config.word_latency_us,
+                         collector=collector)
+            for spec, label, slot in config.devices]
 
         name = f"pfleet-w{config.worker_id}"
         pulse = None
@@ -210,13 +182,12 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
         errors: list[tuple[str, str, str]] = []
 
         def execute(local_index, token) -> None:
-            label, spec, stubs, aux = sessions[local_index]
+            session = sessions[local_index]
             if pulse is None:
                 try:
-                    decode_request(token)(stubs, aux)
-                    completed[label] += 1
+                    session.execute(decode_request(token))
                 except BaseException as exc:  # noqa: BLE001 - at drain
-                    errors.append((f"{name}/{label}", repr(exc),
+                    errors.append((f"{name}/{session.label}", repr(exc),
                                    traceback.format_exc()))
                 return
             # Telemetry path: bracket the request with heartbeats and
@@ -226,20 +197,20 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
             started = time.perf_counter()
             failed = False
             try:
-                decode_request(token)(stubs, aux)
-                completed[label] += 1
+                session.execute(decode_request(token))
             except BaseException as exc:  # noqa: BLE001 - at drain
                 failed = True
-                errors.append((f"{name}/{label}", repr(exc),
+                errors.append((f"{name}/{session.label}", repr(exc),
                                traceback.format_exc()))
             elapsed_us = (time.perf_counter() - started) * 1e6
-            histogram = latency.get(spec)
+            histogram = latency.get(session.spec)
             if histogram is None:
-                histogram = latency[spec] = Histogram(
+                histogram = latency[session.spec] = Histogram(
                     "fleet.request_us", {}, LATENCY_BUCKETS_US)
             histogram.observe(elapsed_us)
             pulse.done(elapsed_us, error=failed,
-                       trace_dropped=bus.trace_dropped)
+                       trace_dropped=sum(other.bus.trace_dropped
+                                         for other in sessions))
 
         while True:
             message = requests.get()
@@ -256,12 +227,10 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
                     collector.clear()
                 report = {
                     "errors": list(errors),
-                    "completed": dict(completed),
-                    "accounting": bus.accounting,
-                    "by_device": bus.accounting_by_device(),
-                    "states": bus.state_snapshot(),
-                    "trace": list(bus.trace),
-                    "trace_dropped": bus.trace_dropped,
+                    "completed": {session.label: session.completed
+                                  for session in sessions},
+                    "sessions": [session.report()
+                                 for session in sessions],
                     "spans": spans,
                     # Latency histograms observed since the last sync
                     # (deltas, so the parent's merge never double
@@ -284,7 +253,7 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
             pulse_slot.close()
 
 
-class ProcessFleet:
+class ProcessFleet(MergedSessions):
     """N shipped devices sharded across worker processes.
 
     Drop-in for :class:`~repro.engine.fleet.Fleet` for every
@@ -541,8 +510,9 @@ class ProcessFleet:
         self._dirty = False
         if self.collector is not None:
             self.collector.record_trace_drops(
-                sum(report["trace_dropped"]
-                    for report in self._reports.values()))
+                sum(session.trace_dropped
+                    for report in self._reports.values()
+                    for session in report["sessions"]))
 
     def _raise_failures(self) -> None:
         if self._failures:
@@ -601,70 +571,31 @@ class ProcessFleet:
 
     # -- inspection (exact, post-drain) ---------------------------------
 
-    def _synced_reports(self) -> list[dict]:
+    def _sync(self) -> None:
         if self._dirty or not self._reports:
             self.drain()
-        return [self._reports[worker_id]
-                for worker_id in sorted(self._reports)]
 
-    @property
-    def accounting(self) -> IoAccounting:
-        """Exact merged totals across every worker's bus slice."""
-        total = IoAccounting()
-        for report in self._synced_reports():
-            total.add(report["accounting"])
-        return total
-
-    def accounting_by_device(self) -> dict:
-        """Label union of every worker's per-device shards (exact)."""
-        merged: dict = {}
-        for report in self._synced_reports():
-            for name, shard in report["by_device"].items():
-                if name in merged:
-                    merged[name].add(shard)
-                else:
-                    merged[name] = shard.snapshot()
-        return merged
-
-    def device_states(self) -> dict[str, bytes]:
-        """Byte-comparable per-mapping end-state across all workers."""
-        states: dict[str, bytes] = {}
-        for report in self._synced_reports():
-            states.update(report["states"])
-        return states
-
-    @property
-    def trace(self) -> list:
-        """Worker traces concatenated in worker order.
-
-        Per-device program order and block-group contiguity hold
-        within each worker's segment (each worker is single-threaded);
-        cross-worker interleaving is not meaningful and not modelled.
-        """
-        entries: list = []
-        for report in self._synced_reports():
-            entries.extend(report["trace"])
-        return entries
-
-    @property
-    def trace_dropped(self) -> int:
-        return sum(report["trace_dropped"]
-                   for report in self._synced_reports())
+    def _session_reports(self) -> list[SessionReport]:
+        """Every worker's session reports, in global device order."""
+        self._sync()
+        return [self._reports[session.worker]["sessions"]
+                [session.local_index] for session in self.sessions
+                if session.worker in self._reports]
 
     @property
     def spans(self) -> list:
         """Merged spans (requires a collector; empty list otherwise)."""
         if self.collector is None:
             return []
-        self._synced_reports()
+        self._sync()
         return self.collector.spans
 
     def completed(self) -> int:
-        self._synced_reports()
+        self._sync()
         return sum(session.completed for session in self.sessions)
 
     def completed_by_device(self) -> dict[str, int]:
-        self._synced_reports()
+        self._sync()
         return {session.label: session.completed
                 for session in self.sessions}
 

@@ -105,8 +105,7 @@ def calibrate(schedule, *, strategy: str = "specialize",
     fleet exists) and are assumed idempotent on device state — true of
     every shipped workload and request.
     """
-    from ..obs.workloads import bind_stubs
-    from .fleet import SLOT_STRIDE, map_fleet_device
+    from .fleet import SLOT_STRIDE, open_session
 
     kinds: dict = {}
     for spec, request in schedule:
@@ -119,18 +118,18 @@ def calibrate(schedule, *, strategy: str = "specialize",
 
     profiles = []
     for spec, request, count in kinds.values():
-        bus = _calibration_bus(op_latency_us, word_latency_us)
-        aux, bases = map_fleet_device(bus, spec, SLOT_STRIDE,
-                                      f"cal-{spec}")
-        stubs = bind_stubs(spec, strategy, bus, bases,
-                           shadow_cache=shadow_cache)
+        session = open_session(spec, f"cal-{spec}", SLOT_STRIDE,
+                               strategy=strategy,
+                               shadow_cache=shadow_cache,
+                               op_latency_us=op_latency_us,
+                               word_latency_us=word_latency_us)
         # One warm-up pass: specializer closures, shadow priming.
-        request(stubs, aux)
+        request(session.stubs, session.aux)
         executed = 0
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
         for _ in range(max(1, rounds)):
-            request(stubs, aux)
+            request(session.stubs, session.aux)
             executed += 1
             if time.perf_counter() - wall_start >= budget_s:
                 break
@@ -140,16 +139,6 @@ def calibrate(schedule, *, strategy: str = "specialize",
             spec=spec, request=request_label(request), count=count,
             wall_s=wall / executed, cpu_s=cpu / executed))
     return profiles
-
-
-def _calibration_bus(op_latency_us: float, word_latency_us: float):
-    from ..bus import ThreadSafeBus
-    from .fleet import LatencyBus
-
-    if op_latency_us or word_latency_us:
-        return LatencyBus(op_latency_us=op_latency_us,
-                          word_latency_us=word_latency_us)
-    return ThreadSafeBus()
 
 
 def decide(profiles, cpu_count: int | None = None,

@@ -73,23 +73,19 @@ def fleet_fingerprint(fleet: Fleet):
 def _stress_evidence(fleet, backend: str) -> dict:
     """The comparable evidence of one finished stress run.
 
-    ``states`` (byte-comparable per-mapping snapshots) and
-    ``accounting`` exist on both backends; the deep model
-    ``fingerprint`` needs in-process access to the device models, so
-    only the thread backend provides it (the process backend's models
-    live in the workers — their pickled states stand in for them).
+    ``states`` (byte-comparable per-mapping snapshots), ``accounting``
+    and the trace come from the fleet merge on both backends; the deep
+    model ``fingerprint`` needs in-process access to the device
+    models, so only the thread backend provides it (the process
+    backend's models live in the workers — their pickled states stand
+    in for them).
     """
-    if backend == "process":
-        return {"accounting": fleet.accounting,
-                "states": fleet.device_states(),
-                "fingerprint": None,
-                "trace_dropped": fleet.trace_dropped,
-                "trace_len": len(fleet.trace)}
-    return {"accounting": fleet.accounting.snapshot(),
+    return {"accounting": fleet.accounting,
             "states": fleet.device_states(),
-            "fingerprint": fleet_fingerprint(fleet),
-            "trace_dropped": fleet.bus.trace_dropped,
-            "trace_len": len(fleet.bus.trace)}
+            "fingerprint": None if backend == "process"
+            else fleet_fingerprint(fleet),
+            "trace_dropped": fleet.trace_dropped,
+            "trace_len": len(fleet.trace)}
 
 
 def run_stress(devices, schedule, workers: int = 8,

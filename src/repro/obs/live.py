@@ -523,7 +523,7 @@ class FleetHealth:
                 self._last_status[row.worker] = row.status
         beats = telemetry.heartbeats()
         if self.fleet.backend == "thread":
-            dropped = self.fleet.bus.trace_dropped
+            dropped = self.fleet.trace_dropped
         else:
             dropped = sum(beat.trace_dropped for beat in beats.values())
         telemetry.note_trace_dropped(dropped)

@@ -241,6 +241,56 @@ def test_single_device_eight_thread_stress(strategy):
                                strategy=strategy, reference=reference)
 
 
+def test_reads_during_traffic_never_tear():
+    """A reader polling the merged accounting while 4 workers run the
+    mixed schedule on sleeping port latency: no read raises, no read
+    catches a request half-done (each session is read under its lock,
+    so every device's total is a whole number of its requests, though
+    each request sleeps between its port operations), ``total_ops``
+    never goes down, and after ``drain`` the totals equal a 1-worker
+    run's."""
+    devices = ["ide", "ide", "permedia2", "ne2000"]
+    schedule = mixed_schedule(24)
+    with Fleet(devices, workers=1) as fleet:
+        fleet.run(schedule)
+        reference = (fleet.accounting, fleet.accounting_by_device())
+        per_request = {label: reference[1][label].total_ops // count
+                       for label, count
+                       in fleet.completed_by_device().items()}
+
+    totals, per_device, errors = [], [], []
+    stop = threading.Event()
+
+    def poll(fleet):
+        try:
+            while not stop.is_set():
+                totals.append(fleet.accounting.total_ops)
+                reading = {label: shard.total_ops for label, shard
+                           in fleet.accounting_by_device().items()}
+                for label, ops in reading.items():
+                    assert ops % per_request[label] == 0, (label, ops)
+                per_device.append(reading)
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    with Fleet(devices, workers=4, op_latency_us=20.0, tracing=True,
+               trace_limit=64) as fleet:
+        reader = threading.Thread(target=poll, args=(fleet,))
+        reader.start()
+        try:
+            fleet.run(schedule)
+        finally:
+            stop.set()
+            reader.join()
+        after = (fleet.accounting, fleet.accounting_by_device())
+    assert not errors, errors
+    assert len(totals) > 1 and totals == sorted(totals)
+    for label in per_request:
+        series = [reading[label] for reading in per_device]
+        assert series == sorted(series), label
+    assert after == reference
+
+
 def test_fleet_least_loaded_completes_everything():
     with Fleet(["ide", "ide", "permedia2", "ne2000"],
                policy="least-loaded", workers=4) as fleet:
@@ -290,8 +340,7 @@ def test_collector_merges_spans_across_workers():
     schedule = mixed_schedule(8)
     with obs.observe() as collector:
         with Fleet(["ide", "permedia2", "ne2000"], workers=4,
-                   tracing=True) as fleet:
-            fleet.bus.collector = collector
+                   tracing=True, collector=collector) as fleet:
             fleet.run(schedule)
     spans = collector.spans
     assert spans, "instrumented fleet produced no spans"

@@ -9,7 +9,8 @@ process backend must produce — not approximately, *byte for byte* —
 * the same exact per-device accounting shards,
 * the same span signatures (strategy- and timing-independent span
   identity), and
-* the same per-device port-operation traces
+* the same merged port-operation trace (every device's segment, in
+  global device order)
 
 as the serial single-worker reference and the thread backend, for
 every shipped specification.  Placement is deterministic at submit
@@ -29,13 +30,11 @@ import pytest
 from repro import obs
 from repro.bus import Bus, iter_operations
 from repro.engine import (
-    SLOT_STRIDE,
     Fleet,
     ProcessFleet,
     WorkerError,
     decode_request,
     encode_request,
-    fleet_layout,
     ide_sector_checksum,
     ide_sector_read,
     mixed_schedule,
@@ -51,40 +50,28 @@ needs_cc = pytest.mark.skipif(not native_available(),
                                      "compiler")
 
 
+#: ``backend -> (fleet class, workers)`` of the parity runs; "serial"
+#: is the one-worker thread fleet every other run is compared with.
+_BACKENDS = {"serial": (Fleet, 1), "thread": (Fleet, 4),
+             "process": (ProcessFleet, 2)}
+
+
 def _run_backend(backend: str, devices, schedule, **fleet_kwargs):
     """One observed fleet run; returns the full parity evidence."""
+    fleet_cls, workers = _BACKENDS[backend]
     collector = obs.Collector()
     with obs.observe(collector=collector):
-        if backend == "process":
-            fleet = ProcessFleet(devices, workers=2, tracing=True,
-                                 collector=collector, **fleet_kwargs)
-        else:
-            workers = 1 if backend == "serial" else 4
-            fleet = Fleet(devices, workers=workers, tracing=True,
-                          **fleet_kwargs)
-            fleet.bus.collector = collector
-        with fleet:
+        with fleet_cls(devices, workers=workers, tracing=True,
+                       collector=collector, **fleet_kwargs) as fleet:
             fleet.run(schedule)
-            evidence = {
+            return {
                 "states": fleet.device_states(),
                 "by_device": fleet.accounting_by_device(),
-                "accounting": fleet.accounting
-                if backend == "process"
-                else fleet.accounting.snapshot(),
+                "accounting": fleet.accounting,
                 "completed": fleet.completed_by_device(),
-                "trace": list(fleet.trace)
-                if backend == "process" else list(fleet.bus.trace),
+                "trace": fleet.trace,
                 "signatures": sorted(collector.signatures(), key=repr),
             }
-        if backend != "process":
-            fleet.bus.collector = None
-    return evidence
-
-
-def _device_trace(trace, slot):
-    """The trace entries of the device occupying ``slot``."""
-    return [entry for entry in trace
-            if slot <= entry.port < slot + SLOT_STRIDE]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +95,7 @@ def _spec_references(spec):
 def test_backend_parity_per_spec(spec):
     """Serial, thread-fleet and process-fleet runs of the shipped
     workload are byte-identical in end-state, accounting, spans and
-    per-device traces."""
+    merged traces."""
     devices = [spec, spec]
     schedule = [(spec, WORKLOADS[spec])] * 6
     serial, threaded = _spec_references(spec)
@@ -126,11 +113,10 @@ def test_backend_parity_per_spec(spec):
                 f"{backend}: end-state of {name!r} diverged for {spec}"
         assert evidence["signatures"] == serial["signatures"], \
             f"{backend}: span signatures diverged for {spec}"
-        # Per-device port-op streams, in device program order.
-        for _, label, slot in fleet_layout(devices):
-            assert _device_trace(evidence["trace"], slot) == \
-                _device_trace(serial["trace"], slot), \
-                f"{backend}: trace of {label} diverged for {spec}"
+        # The whole merged trace: device segments in global device
+        # order, each in its device's program order.
+        assert evidence["trace"] == serial["trace"], \
+            f"{backend}: trace diverged for {spec}"
 
 
 def test_backend_parity_mixed_fleet_with_txn_and_cpu_requests():
@@ -156,6 +142,8 @@ def test_backend_parity_mixed_fleet_with_txn_and_cpu_requests():
     assert process["states"] == serial["states"]
     assert threaded["by_device"] == serial["by_device"]
     assert process["by_device"] == serial["by_device"]
+    assert threaded["trace"] == serial["trace"]
+    assert process["trace"] == serial["trace"]
     assert process["signatures"] == serial["signatures"]
     # Runtime-level effects crossed the process boundary exactly: the
     # transactional writes coalesced in the workers, and the merged
@@ -170,7 +158,7 @@ def test_backend_parity_with_telemetry_enabled(backend):
     """The live telemetry plane (heartbeats, latency histograms,
     flight recorder) is pure observation: a fleet running with
     ``telemetry=True`` stays byte-equal to the untelemetered serial
-    reference — end-state, accounting, spans and per-device traces."""
+    reference — end-state, accounting, spans and the merged trace."""
     spec = "ide"
     devices = [spec, spec]
     schedule = [(spec, WORKLOADS[spec])] * 6
@@ -183,10 +171,8 @@ def test_backend_parity_with_telemetry_enabled(backend):
         assert evidence["states"][name] == blob, \
             f"telemetry perturbed the end-state of {name!r}"
     assert evidence["signatures"] == serial["signatures"]
-    for _, label, slot in fleet_layout(devices):
-        assert _device_trace(evidence["trace"], slot) == \
-            _device_trace(serial["trace"], slot), \
-            f"telemetry perturbed the trace of {label}"
+    assert evidence["trace"] == serial["trace"], \
+        "telemetry perturbed the trace"
 
 
 def test_process_fleet_telemetry_merges_worker_latency():
@@ -257,20 +243,14 @@ def _run_untraced(backend, devices, schedule, **fleet_kwargs):
     C-side accounting — so exactness here covers the fast path the
     traced harness above deliberately disables.
     """
-    if backend == "process":
-        fleet = ProcessFleet(devices, workers=2, tracing=False,
-                             **fleet_kwargs)
-    else:
-        workers = 1 if backend == "serial" else 4
-        fleet = Fleet(devices, workers=workers, tracing=False,
-                      **fleet_kwargs)
-    with fleet:
+    fleet_cls, workers = _BACKENDS[backend]
+    with fleet_cls(devices, workers=workers, tracing=False,
+                   **fleet_kwargs) as fleet:
         fleet.run(schedule)
         return {
             "states": fleet.device_states(),
             "by_device": fleet.accounting_by_device(),
-            "accounting": fleet.accounting
-            if backend == "process" else fleet.accounting.snapshot(),
+            "accounting": fleet.accounting,
             "completed": fleet.completed_by_device(),
         }
 
@@ -282,7 +262,7 @@ def test_native_backend_parity_per_spec(spec, backend):
     """Every backend running ``strategy='native'`` is byte-identical
     to the serial specializer reference on every shipped spec —
     end-state, per-device accounting shards, span signatures and
-    per-device port-op traces.  Tracing keeps the native core in
+    the merged port-op trace.  Tracing keeps the native core in
     callback mode here; direct mode is covered below."""
     devices = [spec, spec]
     schedule = [(spec, WORKLOADS[spec])] * 6
@@ -297,10 +277,8 @@ def test_native_backend_parity_per_spec(spec, backend):
             f"native/{backend}: end-state of {name!r} diverged"
     assert evidence["signatures"] == serial["signatures"], \
         f"native/{backend}: span signatures diverged for {spec}"
-    for _, label, slot in fleet_layout(devices):
-        assert _device_trace(evidence["trace"], slot) == \
-            _device_trace(serial["trace"], slot), \
-            f"native/{backend}: trace of {label} diverged for {spec}"
+    assert evidence["trace"] == serial["trace"], \
+        f"native/{backend}: trace diverged for {spec}"
 
 
 @needs_cc
@@ -337,9 +315,7 @@ def test_native_churn_request_parity_across_strategies():
         assert native["states"] == reference["states"]
         assert native["by_device"] == reference["by_device"]
         assert native["accounting"] == reference["accounting"]
-        for _, label, slot in fleet_layout(devices):
-            assert _device_trace(native["trace"], slot) == \
-                _device_trace(reference["trace"], slot), label
+        assert native["trace"] == reference["trace"], backend
 
 
 @needs_cc
@@ -497,9 +473,7 @@ def test_process_fleet_executes_partial_requests_exactly():
     process = _run_backend("process", ["ide", "ide"], schedule)
     assert process["states"] == serial["states"]
     assert process["by_device"] == serial["by_device"]
-    for _, label, slot in fleet_layout(["ide", "ide"]):
-        assert _device_trace(process["trace"], slot) == \
-            _device_trace(serial["trace"], slot), label
+    assert process["trace"] == serial["trace"]
     # The parameterized reads really did touch different sectors than
     # a default-lba-only schedule would.
     default_only = _run_backend("serial", ["ide", "ide"],

@@ -9,13 +9,13 @@ Three claims with teeth:
   uncorrupted library (the ``flock`` + second-check + atomic-publish
   discipline in :mod:`repro.devil.native.build`).
 * **The direct-mode gate is exact** — batches leave the Python bus
-  only when no observer needs per-access hooks: plain ``Bus`` always
-  qualifies, the zero-latency fleet ``ThreadSafeBus`` only when every
-  owned mapping has a C-resident model, and tracing, collectors and
-  latency-model subclasses always force callback mode.
+  only on an untraced plain ``Bus`` with no collector (every fleet
+  session bus without latency); tracing, collectors, the latency-model
+  subclass and the shared ``ThreadSafeBus`` always force callback
+  mode.
 * **The C device models are indistinguishable** — end state,
-  accounting shards and device error messages byte-match the Python
-  models they mirror.
+  accounting and device error messages byte-match the Python models
+  they mirror.
 """
 
 from __future__ import annotations
@@ -29,17 +29,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.bus import Bus, BusError, ThreadSafeBus
-from repro.devil.native import bind_native, native_available
+from repro import obs
+from repro.bus import BusError, ThreadSafeBus
+from repro.devil.native import native_available
 from repro.devil.native import build as native_build
 from repro.engine import SLOT_STRIDE, Fleet, map_fleet_device
+from repro.engine.fleet import open_session
 from repro.obs.workloads import WORKLOADS, bind_stubs, build_machine
-from tests.conftest import shipped_spec
-
-
-def _bind_native(spec: str, bus, bases):
-    return bind_native(shipped_spec(spec).model, bus, bases,
-                       debug=False)
 
 pytestmark = pytest.mark.concurrency
 
@@ -148,47 +144,40 @@ def test_cross_process_cold_binds_compile_once(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _tsb_machine(spec: str, bus):
-    aux, bases = map_fleet_device(bus, spec, SLOT_STRIDE, f"{spec}0")
-    return aux, bases
+def _fleet_session(spec: str, strategy: str = "native", **kwargs):
+    """One fleet session: ``spec`` alone on its own bus at a slot."""
+    return open_session(spec, f"{spec}0", SLOT_STRIDE, strategy=strategy,
+                        **kwargs)
 
 
 @needs_cc
 def test_direct_mode_gate_decisions():
-    """The gate's whole truth table, against the real bus classes."""
-    from repro.engine.fleet import LatencyBus
+    """The gate's whole truth table: an untraced plain ``Bus`` with no
+    collector goes direct, with or without C-resident models; every
+    other bus stays on callbacks."""
+    for spec in ("busmouse", "ide"):  # Python-modelled, C-modelled
+        core = _fleet_session(spec).stubs._native
+        assert core.enter_direct() is True, spec
+        core.leave_direct()
 
-    # Plain Bus, untraced: always direct — even without C models.
-    bus, aux, bases = build_machine("busmouse", tracing=False)
-    stubs = bind_stubs("busmouse", "native", bus, bases, debug=False)
-    core = stubs._native
-    assert core.enter_direct() is True
-    core.leave_direct()
+    # Tracing: the per-access hooks are the point.
+    assert _fleet_session("ide", tracing=True) \
+        .stubs._native.enter_direct() is False
 
-    # Tracing bus: never direct (per-access hooks are the point).
-    traced, aux, bases = build_machine("busmouse", tracing=True)
-    stubs = bind_stubs("busmouse", "native", traced, bases, debug=False)
-    assert stubs._native.enter_direct() is False
+    # A collector on an untraced bus: its I/O events need the hooks.
+    session = _fleet_session("ide")
+    session.bus.collector = obs.Collector()
+    assert session.stubs._native.enter_direct() is False
 
-    # Zero-latency fleet bus + fully modelled device: direct.
-    tsb = ThreadSafeBus()
-    aux, bases = _tsb_machine("ide", tsb)
-    stubs = _bind_native("ide", tsb, bases)
-    core = stubs._native
-    assert core.enter_direct() is True
-    core.leave_direct()
+    # The latency-modelling subclass: its per-access sleeps are
+    # semantics, not observation.
+    assert _fleet_session("ide", op_latency_us=1.0) \
+        .stubs._native.enter_direct() is False
 
-    # Same bus, device without a C model: callback mode.
-    tsb = ThreadSafeBus()
-    aux, bases = _tsb_machine("busmouse", tsb)
-    stubs = _bind_native("busmouse", tsb, bases)
-    assert stubs._native.enter_direct() is False
-
-    # The latency-modelling subclass never qualifies: its per-access
-    # sleep hooks are semantics, not observation.
-    latency = LatencyBus(op_latency_us=1.0)
-    aux, bases = _tsb_machine("ide", latency)
-    stubs = _bind_native("ide", latency, bases)
+    # The shared locked bus is a subclass too, fully modelled or not.
+    bus = ThreadSafeBus()
+    _, bases = map_fleet_device(bus, "ide", SLOT_STRIDE, "ide0")
+    stubs = bind_stubs("ide", "native", bus, bases)
     assert stubs._native.enter_direct() is False
 
 
@@ -201,18 +190,13 @@ def test_direct_mode_gate_decisions():
 @pytest.mark.parametrize("spec", ("ide", "permedia2"))
 def test_c_models_match_python_models_on_fleet_bus(spec):
     """Hot-register devices driven through the C models land the same
-    end state, merged accounting and per-device shards as the
-    specializer on an identical ThreadSafeBus."""
+    results, end state and accounting as the specializer on an
+    identical fleet session."""
     evidence = {}
     for strategy in ("specialize", "native"):
-        bus = ThreadSafeBus()
-        aux, bases = _tsb_machine(spec, bus)
-        stubs = bind_stubs(spec, strategy, bus, bases, debug=False)
-        results = WORKLOADS[spec](stubs, aux)
-        evidence[strategy] = (results,
-                              bus.state_snapshot(),
-                              bus.accounting.snapshot(),
-                              bus.accounting_by_device())
+        session = _fleet_session(spec, strategy)
+        results = WORKLOADS[spec](session.stubs, session.aux)
+        evidence[strategy] = (results, session.report())
     assert evidence["native"] == evidence["specialize"]
 
 
@@ -222,13 +206,42 @@ def test_c_model_error_messages_match_python(tmp_path):
     Python model raises: diagnostics are part of the contract."""
     messages = {}
     for strategy in ("specialize", "native"):
-        bus = ThreadSafeBus()
-        aux, bases = _tsb_machine("ide", bus)
-        stubs = bind_stubs("ide", strategy, bus, bases, debug=False)
+        stubs = _fleet_session("ide", strategy).stubs
         with pytest.raises(BusError) as info:
             stubs.read_ide_data_block(8)
         messages[strategy] = str(info.value)
     assert messages["native"] == messages["specialize"]
+
+
+def _busmouse_poll(stubs, aux):
+    """64 signature reads: one ``repeat()`` batch on native stubs."""
+    repeat = getattr(stubs, "repeat", None)
+    if repeat is not None:
+        return repeat("get_signature", 64)
+    for _ in range(64):
+        value = stubs.get_signature()
+    return value
+
+
+@needs_cc
+def test_native_thread_fleet_repeat_on_python_modelled_device():
+    """A busmouse has no C model, so a direct batch on its session bus
+    reaches the Python model through raw callbacks: the native thread
+    fleet still lands the specializer's accounting and end state, and
+    the batch really ran direct (the C flight recorder saw it)."""
+    evidence = {}
+    for strategy in ("specialize", "native"):
+        with Fleet(["busmouse", "busmouse"], workers=2,
+                   strategy=strategy) as fleet:
+            fleet.run([("busmouse", _busmouse_poll)] * 8)
+            evidence[strategy] = (fleet.accounting,
+                                  fleet.accounting_by_device(),
+                                  fleet.device_states())
+            if strategy == "native":
+                for session in fleet.sessions:
+                    assert session.stubs.flight_recorder(), session.label
+    assert evidence["native"] == evidence["specialize"]
+    assert evidence["native"][0].reads == 8 * 64
 
 
 @needs_cc

@@ -415,7 +415,7 @@ class TestThreadFleetLive:
             fleet.drain()
             fleet.health_view().check()
             dropped = fleet.telemetry.metrics.value("bus.trace_dropped")
-            assert dropped == fleet.bus.trace_dropped
+            assert dropped == fleet.trace_dropped
             assert dropped > 0
 
     def test_wedged_thread_worker_stalls_then_recovers(self, tmp_path):
