@@ -33,9 +33,21 @@ Beyond §3.1's list the checker also enforces the behaviour rules of
 variables only if it has a neutral value (``except``/``for``), and it
 warns when volatile variables share a register across structure
 boundaries (so reads cannot be made consistent).
+
+**Resumed checks.**  Passes 2-4 resolve one declaration at a time, and
+each resolution is a function of its node, the device header and the
+entries its names looked up.  :func:`record_check` records that per
+declaration; a :func:`check` with that ``baseline`` replays every
+declaration it can prove unchanged and resolves only the ones an edit
+can reach, then runs passes 5-10 over the assembled model.  Mutation
+verdicts check mutants that way (:mod:`repro.mutation.targets`), with
+a :class:`~repro.devil.errors.FirstErrorSink` that stops at the first
+error.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
 
 from . import ast
 from .errors import DevilCheckError, DiagnosticSink, SourceLocation
@@ -74,15 +86,41 @@ def _index_values(param_type: DevilType):
     return None
 
 
+def _has_actions(register: ResolvedRegister) -> bool:
+    return bool(register.pre_actions or register.post_actions
+                or register.set_actions)
+
+
 def check(device: ast.DeviceDecl,
-          sink: DiagnosticSink | None = None) -> ResolvedDevice:
+          sink: DiagnosticSink | None = None,
+          baseline: CheckBaseline | None = None) -> ResolvedDevice:
     """Verify ``device`` and return its resolved model.
 
     Raises :class:`~repro.devil.errors.DevilCheckError` summarising every
-    error found.  Pass a ``sink`` to also collect warnings.
+    error found.  Pass a ``sink`` to also collect warnings, or a
+    :class:`~repro.devil.errors.FirstErrorSink` to stop at the first
+    error.
+
+    ``baseline`` is the :func:`record_check` of an earlier declaration
+    that ``device`` repeats except around an edit, sharing its
+    unchanged declaration nodes (as a resumed
+    :func:`~repro.devil.parser.parse` does).  The check then reuses
+    the baseline's resolution of each type, register, variable and
+    structure whose node is the baseline's and whose looked-up names
+    still bind to the same baseline declarations, and resolves the
+    others again; the model and diagnostics are a full check's.  An
+    edit in the ``device`` header or a ``mode`` declaration checks in
+    full.
     """
-    checker = Checker(device, sink)
-    return checker.run()
+    if baseline is not None and baseline.resumes(device):
+        return _ResumedChecker(device, sink, baseline).run()
+    return Checker(device, sink).run()
+
+
+def record_check(device: ast.DeviceDecl) -> CheckBaseline:
+    """Check passes 1-4 of ``device`` and record, per declaration, what
+    a resumed :func:`check` needs to reuse it (see :class:`_Entry`)."""
+    return _RecordingChecker(device).record()
 
 
 class Checker:
@@ -119,21 +157,26 @@ class Checker:
         self._check_serializations()
         self._check_omissions()
         self.sink.raise_if_errors()
-        # Attach the static access plan (register volatility
-        # classification) to the verified model; all three execution
-        # strategies read it from here, so elision decisions are made
-        # once, at compile time.
-        from .plan import compute_access_plan
-        self.device.plan = compute_access_plan(self.device)
         return self.device
+
+    def _collect(self, collect, decl: ast.Declaration) -> None:
+        """Check one declaration of passes 2-4 (a type, register,
+        variable or structure) with ``collect``; a resumed check may
+        reuse what its baseline recorded for the declaration instead."""
+        collect(decl)
 
     # ------------------------------------------------------------------
     # Namespace
     # ------------------------------------------------------------------
 
+    def _find(self, table: dict, name: str):
+        """``table.get(name)``: every name a declaration looks up goes
+        through here, so that a recording check can note it."""
+        return table.get(name)
+
     def _declare(self, name: str, location: SourceLocation,
                  what: str) -> bool:
-        previous = self._namespace.get(name)
+        previous = self._find(self._namespace, name)
         if previous is not None:
             self.sink.error(
                 f"{what} {name!r} is already declared at {previous}",
@@ -210,12 +253,14 @@ class Checker:
 
     def _collect_types(self) -> None:
         for decl in self._ast.type_decls():
-            if not self._declare(decl.name, decl.location, "type"):
-                continue
-            resolved = self._resolve_type_expr(decl.type_expr,
-                                               name=decl.name)
-            if resolved is not None:
-                self.device.types[decl.name] = resolved
+            self._collect(self._collect_type, decl)
+
+    def _collect_type(self, decl: ast.TypeDecl) -> None:
+        if not self._declare(decl.name, decl.location, "type"):
+            return
+        resolved = self._resolve_type_expr(decl.type_expr, name=decl.name)
+        if resolved is not None:
+            self.device.types[decl.name] = resolved
 
     def _resolve_type_expr(self, expr: ast.TypeExpr,
                            name: str = "") -> DevilType | None:
@@ -240,7 +285,7 @@ class Checker:
         if isinstance(expr, ast.EnumTypeExpr):
             return self._resolve_enum_type(expr, name)
         if isinstance(expr, ast.NamedTypeExpr):
-            resolved = self.device.types.get(expr.name)
+            resolved = self._find(self.device.types, expr.name)
             if resolved is None:
                 self.sink.error(f"unknown type {expr.name!r}",
                                 expr.location, rule="strong-typing")
@@ -303,16 +348,19 @@ class Checker:
         # Declarations are processed in order so that instantiations can
         # reference earlier constructors, as in the paper's CS4236B spec.
         for decl in self._ast.registers():
-            if not self._declare(decl.name, decl.location, "register"):
-                continue
-            if decl.is_constructor:
-                self._collect_constructor(decl)
-            elif decl.base is not None:
-                self._collect_instantiation(decl)
-            else:
-                register = self._resolve_plain_register(decl)
-                if register is not None:
-                    self.device.registers[decl.name] = register
+            self._collect(self._collect_register, decl)
+
+    def _collect_register(self, decl: ast.RegisterDecl) -> None:
+        if not self._declare(decl.name, decl.location, "register"):
+            return
+        if decl.is_constructor:
+            self._collect_constructor(decl)
+        elif decl.base is not None:
+            self._collect_instantiation(decl)
+        else:
+            register = self._resolve_plain_register(decl)
+            if register is not None:
+                self.device.registers[decl.name] = register
 
     def _resolve_port(self, port: ast.PortExpr | None,
                       width: int | None,
@@ -329,7 +377,7 @@ class Checker:
         """
         if port is None:
             return None
-        param = self.device.params.get(port.base)
+        param = self._find(self.device.params, port.base)
         if param is None:
             self.sink.error(f"unknown port parameter {port.base!r}",
                             port.location, rule="strong-typing")
@@ -495,7 +543,8 @@ class Checker:
 
     def _collect_instantiation(self, decl: ast.RegisterDecl) -> None:
         assert decl.base is not None
-        constructor = self.device.constructors.get(decl.base.constructor)
+        constructor = self._find(self.device.constructors,
+                                 decl.base.constructor)
         if constructor is None:
             self.sink.error(
                 f"unknown register constructor {decl.base.constructor!r}",
@@ -587,9 +636,9 @@ class Checker:
     def _collect_variables_and_structures(self) -> None:
         for decl in self._ast.declarations:
             if isinstance(decl, ast.VariableDecl):
-                self._collect_variable(decl, structure=None)
+                self._collect(self._collect_variable, decl)
             elif isinstance(decl, ast.StructureDecl):
-                self._collect_structure(decl)
+                self._collect(self._collect_structure, decl)
 
     def _collect_structure(self, decl: ast.StructureDecl) -> None:
         if not self._declare(decl.name, decl.location, "structure"):
@@ -624,7 +673,8 @@ class Checker:
         return steps
 
     def _collect_variable(self, decl: ast.VariableDecl,
-                          structure: str | None) -> ResolvedVariable | None:
+                          structure: str | None = None
+                          ) -> ResolvedVariable | None:
         if not self._declare(decl.name, decl.location, "variable"):
             return None
         if decl.chunks is None:
@@ -696,10 +746,11 @@ class Checker:
 
     def _resolve_chunk(self, chunk: ast.Chunk
                        ) -> list[ResolvedChunk] | None:
-        register = self.device.registers.get(chunk.register)
+        register = self._find(self.device.registers, chunk.register)
         if register is None:
             what = ("register constructor — instantiate it first"
-                    if chunk.register in self.device.constructors
+                    if self._find(self.device.constructors,
+                                  chunk.register) is not None
                     else "register")
             self.sink.error(
                 f"unknown {what} {chunk.register!r}", chunk.location,
@@ -860,38 +911,63 @@ class Checker:
     # ------------------------------------------------------------------
 
     def _validate_actions(self) -> None:
-        for register in self.device.registers.values():
-            for action in (register.pre_actions + register.post_actions
-                           + register.set_actions):
-                self._validate_action(action, allow_params=False)
-        for constructor in self.device.constructors.values():
-            template = constructor.template
-            params = dict(zip(constructor.param_names,
-                              constructor.param_types))
-            for action in (template.pre_actions + template.post_actions
-                           + template.set_actions):
-                self._validate_action(action, allow_params=True,
-                                      params=params)
-        for variable in self.device.variables.values():
-            for action in variable.set_actions:
-                self._validate_action(action, allow_params=False)
+        """Validate every action.  Validation resolves each action's
+        target kind and value, so the registers, constructors and
+        variables holding actions are replaced by validated copies:
+        the declarations' own objects are never changed, which lets a
+        resumed check share them with its baseline."""
+        registers = self.device.registers
+        for name, register in registers.items():
+            if _has_actions(register):
+                registers[name] = self._validated_register(register)
+        constructors = self.device.constructors
+        for name, constructor in constructors.items():
+            if _has_actions(constructor.template):
+                params = dict(zip(constructor.param_names,
+                                  constructor.param_types))
+                constructors[name] = replace(
+                    constructor, template=self._validated_register(
+                        constructor.template, params))
+        variables = self.device.variables
+        for name, variable in variables.items():
+            if variable.set_actions:
+                variables[name] = replace(
+                    variable,
+                    set_actions=self._validated(variable.set_actions))
 
-    def _validate_action(self, action: ResolvedAction,
-                         allow_params: bool = False,
-                         params: dict[str, DevilType] | None = None) -> None:
+    def _validated_register(self, register: ResolvedRegister,
+                            params: dict[str, DevilType] | None = None
+                            ) -> ResolvedRegister:
+        return replace(
+            register,
+            pre_actions=self._validated(register.pre_actions, params),
+            post_actions=self._validated(register.post_actions, params),
+            set_actions=self._validated(register.set_actions, params))
+
+    def _validated(self, actions: list[ResolvedAction],
+                   params: dict[str, DevilType] | None = None
+                   ) -> list[ResolvedAction]:
+        """``actions`` validated; ``params`` are the constructor
+        parameters in scope (None outside a constructor)."""
+        return [self._validate_action(action, params is not None,
+                                      params or {})
+                for action in actions]
+
+    def _validate_action(self, action: ResolvedAction, allow_params: bool,
+                         params: dict[str, DevilType]) -> ResolvedAction:
         structure = self.device.structures.get(action.target)
         if structure is not None:
-            action.target_kind = "structure"
-            self._validate_structure_value(action, structure,
-                                           allow_params, params or {})
-            return
+            return ResolvedAction(
+                action.target, "structure",
+                self._validate_structure_value(action, structure,
+                                               allow_params, params),
+                action.location)
         variable = self.device.variables.get(action.target)
         if variable is None:
             self.sink.error(
                 f"action targets unknown variable {action.target!r}",
                 action.location, rule="strong-typing")
-            return
-        action.target_kind = "variable"
+            return action
         if not variable.memory:
             for register_name in variable.registers():
                 register = self.device.registers.get(register_name)
@@ -900,21 +976,25 @@ class Checker:
                         f"action writes variable {variable.name!r} whose "
                         f"register {register_name!r} is read-only",
                         action.location, rule="strong-typing")
-        action.value = self._validate_value(
-            action.value, variable.type, action.location,
-            allow_params, params or {})
+        return ResolvedAction(
+            action.target, "variable",
+            self._validate_value(action.value, variable.type,
+                                 action.location, allow_params, params),
+            action.location)
 
     def _validate_structure_value(self, action: ResolvedAction,
                                   structure: ResolvedStructure,
                                   allow_params: bool,
-                                  params: dict[str, DevilType]) -> None:
+                                  params: dict[str, DevilType]):
+        """The validated ``{member: value}`` initializer of a structure
+        write (``action.value`` itself after an error)."""
         value = action.value
         if not isinstance(value, dict):
             self.sink.error(
                 f"writing structure {structure.name!r} requires a "
                 f"{{field => value; ...}} initializer", action.location,
                 rule="strong-typing")
-            return
+            return value
         member_names = set(structure.members)
         for field_name in value:
             if field_name not in member_names:
@@ -922,21 +1002,21 @@ class Checker:
                     f"{field_name!r} is not a member of structure "
                     f"{structure.name!r}", action.location,
                     rule="strong-typing")
-                return
+                return value
         missing = member_names - set(value)
         if missing:
             self.sink.error(
                 f"structure write of {structure.name!r} must initialise "
                 f"every member (missing: {sorted(missing)})",
                 action.location, rule="no-omission")
-            return
+            return value
         validated = {}
         for field_name, field_value in value.items():
             member = self.device.variables[field_name]
             validated[field_name] = self._validate_value(
                 field_value, member.type, action.location,
                 allow_params, params)
-        action.value = validated
+        return validated
 
     def _validate_value(self, value, target_type: DevilType,
                         location: SourceLocation, allow_params: bool,
@@ -1175,7 +1255,11 @@ class Checker:
     # ------------------------------------------------------------------
 
     def _check_serializations(self) -> None:
-        for structure in self.device.structures.values():
+        """Validate structure serializations.  A step's condition value
+        is encoded, so a structure with conditional steps is replaced
+        by a copy (see :meth:`_validate_actions`)."""
+        structures = self.device.structures
+        for name, structure in structures.items():
             if structure.serialization is None:
                 continue
             member_registers: set[str] = set()
@@ -1183,7 +1267,10 @@ class Checker:
                 member = self.device.variables[member_name]
                 member_registers.update(c.register for c in member.chunks)
             listed: set[str] = set()
+            steps: list[SerStep] = []
+            conditional = False
             for step in structure.serialization:
+                steps.append(step)
                 if step.register not in self.device.registers:
                     self.sink.error(
                         f"serialization of {structure.name!r} lists "
@@ -1197,16 +1284,21 @@ class Checker:
                         step.location, rule="strong-typing")
                 listed.add(step.register)
                 if step.condition is not None:
-                    self._check_ser_condition(structure, step)
+                    steps[-1] = self._check_ser_condition(structure, step)
+                    conditional = True
             missing = member_registers - listed
             if missing:
                 self.sink.error(
                     f"serialization of {structure.name!r} never writes "
                     f"register(s) {sorted(missing)}", structure.location,
                     rule="no-omission")
+            if conditional:
+                structures[name] = replace(structure, serialization=steps)
 
     def _check_ser_condition(self, structure: ResolvedStructure,
-                             step: SerStep) -> None:
+                             step: SerStep) -> SerStep:
+        """``step`` with its condition value encoded (``step`` itself
+        after an error)."""
         assert step.condition is not None
         variable_name, value = step.condition
         if variable_name not in structure.members:
@@ -1214,11 +1306,12 @@ class Checker:
                 f"serialization condition references {variable_name!r}, "
                 f"which is not a member of {structure.name!r}",
                 step.location, rule="strong-typing")
-            return
+            return step
         member = self.device.variables[variable_name]
         raw = self._encode_static(value, member.type, step.location)
-        if raw is not None:
-            step.condition = (variable_name, raw)
+        if raw is None:
+            return step
+        return SerStep(step.register, (variable_name, raw), step.location)
 
     # ------------------------------------------------------------------
     # Pass 10: omission checks (unused entities)
@@ -1261,3 +1354,182 @@ class Checker:
                     f"type {name!r} is never used",
                     self._namespace.get(name, self.device.location),
                     rule="no-omission")
+
+
+# ----------------------------------------------------------------------
+# Resumed checks
+# ----------------------------------------------------------------------
+
+#: The model tables a declaration defines its names in.
+_TABLES = ("types", "registers", "constructors", "variables", "structures")
+
+#: The use sets a declaration adds to (read by the omission pass).
+_USES = ("_used_ports", "_used_registers", "_used_types", "_used_modes",
+         "_instantiated")
+
+#: Who declared a name, in a recording check's provider map: the device
+#: header (port parameters, ``device_mode``), which a resumed check
+#: never resolves differently ...
+_HEADER = object()
+#: ... and, in a resumed check's map, a declaration resolved again.
+_FRESH = object()
+
+
+@dataclass
+class _Entry:
+    """What checking one declaration did in a baseline check.
+
+    A resumed check replays it in place of resolving the declaration
+    again when ``node`` is its declaration and every name in ``reads``
+    is still declared by the same provider.  Resolution is a function
+    of the node, the header and what the looked-up names resolved to,
+    so the replay does exactly what resolving would.
+    """
+
+    node: ast.Declaration
+    #: ``(name, provider)`` for every name the resolution looked up,
+    #: misses included: the :class:`_Entry` that had declared it then,
+    #: or None.  Names the header declared, or the entry itself before
+    #: the lookup, are left out: they cannot differ when it replays.
+    reads: tuple = ()
+    #: ``(name, location)`` for each name it added to the namespace.
+    declared: tuple = ()
+    #: ``(table, name, object)`` for each model entry it defined; a
+    #: resumed check shares these objects, which no pass changes.
+    writes: tuple = ()
+    #: ``(use set, items)`` for each use set it added to.
+    uses: tuple = ()
+    #: The diagnostics it emitted, warnings included, in order.
+    diagnostics: tuple = ()
+
+
+@dataclass
+class CheckBaseline:
+    """A recorded check of one device declaration (:func:`record_check`),
+    kept so that checks of edited copies of it resume from it
+    (:func:`check`'s ``baseline``)."""
+
+    name: str
+    params: list[ast.PortParam]
+    location: SourceLocation
+    modes: tuple[ast.ModeDecl, ...]
+    #: One entry per type, register, variable and structure
+    #: declaration, in check order.
+    entries: tuple[_Entry, ...]
+    #: ``entries`` keyed by the ``id`` of their node.
+    index: dict[int, _Entry] = field(init=False, repr=False,
+                                     compare=False)
+
+    def __post_init__(self) -> None:
+        self.index = {id(entry.node): entry for entry in self.entries}
+
+    def resumes(self, device: ast.DeviceDecl) -> bool:
+        """True unless ``device`` edits the header or a ``mode``
+        declaration, which every declaration may depend on."""
+        modes = device.mode_decls()
+        return (device.name == self.name and device.params == self.params
+                and device.location == self.location
+                and len(modes) == len(self.modes)
+                and all(mode is old for mode, old in zip(modes, self.modes)))
+
+
+class _RecordingChecker(Checker):
+    """Passes 1-4 of a check, recording one :class:`_Entry` per
+    declaration."""
+
+    def __init__(self, device: ast.DeviceDecl):
+        super().__init__(device)
+        self._entries: list[_Entry] = []
+        #: name -> the entry (or ``_HEADER``) that declared it.
+        self._providers: dict[str, object] = {}
+        self._entry: object = _HEADER
+        self._reads: dict[str, object] = {}
+        self._declared: list[tuple[str, SourceLocation]] = []
+
+    def record(self) -> CheckBaseline:
+        self._collect_params()
+        self._collect_modes()
+        self._collect_types()
+        self._collect_registers()
+        self._collect_variables_and_structures()
+        syntax = self._ast
+        return CheckBaseline(syntax.name, syntax.params, syntax.location,
+                             tuple(syntax.mode_decls()),
+                             tuple(self._entries))
+
+    def _find(self, table: dict, name: str):
+        provider = self._providers.get(name)
+        if provider is not self._entry and provider is not _HEADER:
+            self._reads.setdefault(name, provider)
+        return table.get(name)
+
+    def _declare(self, name: str, location: SourceLocation,
+                 what: str) -> bool:
+        if not super()._declare(name, location, what):
+            return False
+        self._providers[name] = self._entry
+        self._declared.append((name, location))
+        return True
+
+    def _collect(self, collect, decl: ast.Declaration) -> None:
+        entry = _Entry(decl)
+        self._entry, self._reads, self._declared = entry, {}, []
+        outer = [getattr(self, use) for use in _USES]
+        for use in _USES:
+            setattr(self, use, set())
+        mark = len(self.sink.diagnostics)
+        collect(decl)
+        entry.reads = tuple(self._reads.items())
+        entry.declared = tuple(self._declared)
+        entry.writes = tuple(
+            (table, name, getattr(self.device, table)[name])
+            for name, _ in self._declared for table in _TABLES
+            if name in getattr(self.device, table))
+        entry.uses = tuple((use, frozenset(getattr(self, use)))
+                           for use in _USES if getattr(self, use))
+        entry.diagnostics = tuple(self.sink.diagnostics[mark:])
+        for use, items in zip(_USES, outer):
+            items |= getattr(self, use)
+            setattr(self, use, items)
+        self._entries.append(entry)
+
+
+class _ResumedChecker(Checker):
+    """A check that replays its baseline's entries where they hold."""
+
+    def __init__(self, device: ast.DeviceDecl,
+                 sink: DiagnosticSink | None, baseline: CheckBaseline):
+        super().__init__(device, sink)
+        self._index = baseline.index
+        #: name -> the baseline entry replayed for it, or ``_FRESH``.
+        self._providers: dict[str, object] = {}
+
+    def _declare(self, name: str, location: SourceLocation,
+                 what: str) -> bool:
+        if not super()._declare(name, location, what):
+            return False
+        self._providers[name] = _FRESH
+        return True
+
+    def _collect(self, collect, decl: ast.Declaration) -> None:
+        entry = self._index.get(id(decl))
+        providers = self._providers
+        if entry is None or entry.node is not decl or any(
+                providers.get(name) is not provider
+                for name, provider in entry.reads):
+            collect(decl)
+            return
+        namespace = self._namespace
+        for name, location in entry.declared:
+            namespace[name] = location
+            providers[name] = entry
+        device = self.device
+        for table, name, value in entry.writes:
+            getattr(device, table)[name] = value
+        for use, items in entry.uses:
+            getattr(self, use).update(items)
+        sink = self.sink
+        for diagnostic in entry.diagnostics:
+            report = sink.error if diagnostic.severity == "error" \
+                else sink.warning
+            report(diagnostic.message, diagnostic.location, diagnostic.rule)

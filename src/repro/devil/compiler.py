@@ -16,11 +16,11 @@ from typing import Sequence
 
 from ..bus import Bus
 from . import ast
-from .checker import check
+from .checker import check, record_check
 from .errors import Diagnostic, DiagnosticSink
 from .lexer import Token
 from .model import ResolvedDevice
-from .parser import Outline, parse
+from .parser import Outline, outline, parse
 from .runtime import DeviceInstance
 
 
@@ -108,22 +108,39 @@ class CompiledSpec:
 def compile_spec(source: str, filename: str = "<devil>",
                  tokens: Sequence[Token] | None = None,
                  baseline: Outline | None = None,
-                 span: tuple[int, int] = (0, 0)) -> CompiledSpec:
+                 span: tuple[int, int] = (0, 0),
+                 sink: DiagnosticSink | None = None) -> CompiledSpec:
     """Compile one Devil specification from source text.
 
     ``tokens``, when given, is the token list of ``source`` and is
     parsed instead of lexing it again; with ``baseline`` and ``span``
     only the declarations around a splice are parsed again (see
-    :func:`~repro.devil.parser.parse`).  Raises
-    :class:`~repro.devil.errors.DevilParseError` or
+    :func:`~repro.devil.parser.parse`), and, if the baseline carries
+    its recorded check (:func:`outline_spec`), only the declarations
+    the edit can reach are checked again (see
+    :func:`~repro.devil.checker.check`).  ``sink`` collects the
+    diagnostics; the default reports every error, and a
+    :class:`~repro.devil.errors.FirstErrorSink` stops at the first.
+    Raises :class:`~repro.devil.errors.DevilParseError` or
     :class:`~repro.devil.errors.DevilCheckError` on invalid input.
     """
     syntax = parse(source, filename, tokens=tokens, baseline=baseline,
                    span=span)
-    sink = DiagnosticSink()
-    model = check(syntax, sink)
+    if sink is None:
+        sink = DiagnosticSink()
+    model = check(syntax, sink,
+                  baseline.checked if baseline is not None else None)
     return CompiledSpec(source, filename, syntax, model,
                         warnings=list(sink.warnings))
+
+
+def outline_spec(source: str, filename: str = "<devil>",
+                 tokens: Sequence[Token] | None = None) -> Outline:
+    """The :func:`~repro.devil.parser.outline` of ``source`` with its
+    recorded check: the ``baseline`` of :func:`compile_spec` for
+    edited copies of ``source``."""
+    baseline = outline(source, filename, tokens)
+    return baseline._replace(checked=record_check(baseline.syntax))
 
 
 def compile_file(path: str) -> CompiledSpec:

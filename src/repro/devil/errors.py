@@ -123,3 +123,20 @@ class DiagnosticSink:
             f"{len(errors)} error(s) in specification:\n{summary}",
             errors[0].location,
         )
+
+
+class FirstErrorSink(DiagnosticSink):
+    """A sink that stops the check at its first error.
+
+    A verdict (does the specification check?) needs only one error, so
+    a mutation classifier checks with this sink: :meth:`error` records
+    the finding and raises :class:`DevilCheckError` with its message
+    and location.  Up to that point the check runs exactly as with a
+    :class:`DiagnosticSink`, so it accepts and rejects the same
+    specifications, and its first error is a full check's first error.
+    """
+
+    def error(self, message: str, location: SourceLocation = UNKNOWN_LOCATION,
+              rule: str = "") -> None:
+        super().error(message, location, rule)
+        raise DevilCheckError(message, location)

@@ -9,6 +9,13 @@ command the stub runtime can interpret.
 The model corresponds to the paper's compiled form of a specification:
 it contains exactly the information needed to emit the get/set stubs of
 Figure 3c, plus the metadata for the optional run-time checks of §3.2.
+
+Nothing changes a resolved register, constructor, variable or structure
+once the checker has built it (its validation passes build validated
+copies instead), so a check resumed from a baseline shares the objects
+of unchanged declarations with that baseline.  The lazy derivation
+caches below are the exception: they fill in on first use, the same for
+every model sharing the object.
 """
 
 from __future__ import annotations
@@ -336,8 +343,8 @@ class ResolvedDevice:
     variables: dict[str, ResolvedVariable] = field(default_factory=dict)
     structures: dict[str, ResolvedStructure] = field(default_factory=dict)
     #: Static access plan (:class:`repro.devil.plan.AccessPlan`),
-    #: attached by the checker; :func:`repro.devil.plan.access_plan`
-    #: computes it lazily for hand-built models.
+    #: computed and cached here by :func:`repro.devil.plan.access_plan`
+    #: when stubs are first bound or generated, not by the checker.
     plan: object | None = None
     location: SourceLocation = UNKNOWN_LOCATION
 

@@ -24,12 +24,15 @@ declaration from which the two lists agree (see :func:`outline` and
 from __future__ import annotations
 
 import bisect
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import ast
 from .errors import DevilParseError, SourceLocation
 from .lexer import Lexer, Token, TokenKind
 from .types import EnumDirection
+
+if TYPE_CHECKING:
+    from .checker import CheckBaseline
 
 
 class Outline(NamedTuple):
@@ -43,6 +46,11 @@ class Outline(NamedTuple):
     header: int
     #: Length of the token list.
     size: int
+    #: The recorded check of ``syntax``
+    #: (:func:`~repro.devil.checker.record_check`), from which
+    #: :func:`~repro.devil.compiler.compile_spec` resumes the check of
+    #: an edited copy; see :func:`~repro.devil.compiler.outline_spec`.
+    checked: CheckBaseline | None = None
 
 
 class Parser:

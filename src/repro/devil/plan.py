@@ -8,7 +8,7 @@ variable pins its register to the device and a ``trigger`` access has
 an unrepeatable side effect that may change *other* registers behind
 the driver's back.
 
-This module derives that classification once per checked model, from
+This module derives that classification once per bound model, from
 the behaviour qualifiers alone — no runtime information is needed,
 which is exactly why the paper can do the optimisation in the
 compiler.  All three execution strategies (interpreter, bind-time
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .model import ResolvedDevice
+from .model import _MEMO_LOCK, ResolvedDevice
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,20 @@ def compute_access_plan(model: ResolvedDevice) -> AccessPlan:
 
 
 def access_plan(model: ResolvedDevice) -> AccessPlan:
-    """The model's attached plan, computing (and caching) it if absent.
+    """The model's plan, computed at the first call and cached on it.
 
-    The checker attaches the plan to every model it produces; this
-    entry point keeps hand-constructed :class:`ResolvedDevice` objects
-    (unit tests, embedders) working without a checker pass.
+    The interpreter, the specializer and the generated module all ask
+    here when they bind or emit stubs, so they share one plan (threads
+    binding one model at once compute it once, under
+    :data:`~repro.devil.model._MEMO_LOCK`).  The checker does not
+    compute it: most checked models (mutation campaign mutants among
+    them) are never bound.
     """
     plan = model.plan
     if not isinstance(plan, AccessPlan):
-        plan = compute_access_plan(model)
-        model.plan = plan
+        with _MEMO_LOCK:
+            plan = model.plan
+            if not isinstance(plan, AccessPlan):
+                plan = compute_access_plan(model)
+                model.plan = plan
     return plan

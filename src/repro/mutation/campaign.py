@@ -9,8 +9,9 @@ devices.  :func:`run_campaign` scales it into a scheduled workload:
    site budget.
 2. **Unit generation** — every mutation site of every in-scope target
    becomes one :class:`CampaignUnit`, keyed by a content hash over the
-   target fingerprint, the site, and the *exact mutant population*
-   (see :mod:`.vcache`).  Unit order is deterministic.
+   target fingerprint, the site, the mutant budget and a fingerprint of
+   the mutation rules (see :mod:`.vcache`).  Unit order is
+   deterministic.
 3. **Cache probe** — units whose verdicts the on-disk cache already
    holds are served without evaluation; everything else is scheduled.
 4. **Scheduling** — pending units are encoded as picklable fleet
@@ -37,15 +38,16 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import json
 import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
 
+from . import rules
 from .analysis import MutantCaps, _analyze_site
 from .registry import STYLES, get_target, target_fingerprint, target_ids
-from .rules import mutants_for_site
 from .vcache import SCHEMA_VERSION, VerdictCache
 from ..specs import SPEC_NAMES
 
@@ -132,21 +134,28 @@ class CampaignUnit:
                    key=token["key"])
 
 
+@functools.cache
+def rules_fingerprint() -> str:
+    """Content hash of :mod:`.rules`, the code that draws every site's
+    mutant population from the site and the budget; hashed once per
+    process."""
+    return hashlib.sha256(inspect.getsource(rules).encode()).hexdigest()
+
+
 def unit_key(target_id: str, fingerprint: str, site,
              caps: MutantCaps) -> str:
     """Content hash identifying one unit's verdict.
 
-    Includes the hash of the exact mutant-token population, so a
-    change to the mutation rules re-keys affected units even if the
-    version constants were forgotten.
+    A unit's mutant population is a function of its site, its budget
+    and the mutation rules, so the key hashes those (the rules through
+    :func:`rules_fingerprint`) instead of drawing the population: any
+    edit to the rules re-keys every unit, even if the version
+    constants were forgotten.
     """
-    population = mutants_for_site(site, caps.for_kind(site.kind))
-    mutant_digest = hashlib.sha256(
-        "\0".join(m.mutated_token for m in population).encode())
     payload = json.dumps([
         SCHEMA_VERSION, CAMPAIGN_VERSION, target_id, fingerprint,
         site.kind, site.text, site.offset, site.line,
-        list(_caps_tuple(caps)), mutant_digest.hexdigest(),
+        list(_caps_tuple(caps)), rules_fingerprint(),
     ], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -33,14 +33,19 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..devil.checker import check
-from ..devil.compiler import compile_spec
-from ..devil.errors import DevilCheckError, DevilLexError, DevilParseError
+from ..devil.compiler import compile_spec, outline_spec
+from ..devil.errors import (
+    DevilCheckError,
+    DevilLexError,
+    DevilParseError,
+    FirstErrorSink,
+)
 from ..devil.lexer import Lexer as DevilLexer
 from ..devil.lexer import Token as DevilToken
 from ..devil.lexer import TokenKind as DevilTokenKind
 from ..devil.lexer import splice
 from ..devil.model import ResolvedDevice
-from ..devil.parser import Outline, outline
+from ..devil.parser import Outline
 from ..devil.types import EnumType
 from ..minic import (
     CheckResult,
@@ -423,21 +428,27 @@ def devil_interface(model: ResolvedDevice,
 
 
 def devil_target(name: str, source: str) -> LanguageTarget:
-    """A Devil specification, checked by this repository's compiler."""
+    """A Devil specification, checked by this repository's compiler.
+
+    A verdict needs only to know whether the checker finds an error,
+    so the classifier checks with a :class:`FirstErrorSink`, and a
+    mutant resumes the baseline's parse and check (:func:`outline_spec`).
+    """
     tokens = tuple(DevilLexer(source).tokens())
-    baseline = outline(source, tokens=tokens)
+    baseline = outline_spec(source, tokens=tokens)
     baseline_interface = devil_interface(check(baseline.syntax))
 
     def classify(text: str, mutant: Mutant | None = None) -> str:
         try:
             if mutant is None:
-                spec = compile_spec(text)
+                spec = compile_spec(text, sink=FirstErrorSink())
             else:
                 lexed, first, reuse = splice(
                     tokens, text, mutant.site.offset,
                     len(mutant.site.text), len(mutant.mutated_token))
                 spec = compile_spec(text, tokens=lexed, baseline=baseline,
-                                    span=(first, reuse))
+                                    span=(first, reuse),
+                                    sink=FirstErrorSink())
         except (DevilLexError, DevilParseError):
             return INVALID
         except DevilCheckError:

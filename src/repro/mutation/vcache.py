@@ -2,14 +2,14 @@
 
 Every campaign work unit — one mutation site of one target, evaluated
 under one mutant budget — stores its verdict record here, keyed by a
-content hash over ``(target fingerprint, site identity, the exact
-mutant population, mutant caps, codegen/campaign version)``.  The key
+content hash over ``(target fingerprint, site identity, mutant caps,
+mutation-rules fingerprint, codegen/campaign version)``.  The key
 construction makes staleness structural rather than temporal: editing
-a spec or corpus fragment changes the target fingerprint, editing the
-mutation rules changes the mutant-population hash, and bumping the
-codegen or campaign version invalidates everything — so a re-run after
-any change re-evaluates exactly the units the change can affect and
-serves the rest from disk.
+a spec or corpus fragment changes the target fingerprint, and editing
+the mutation rules or bumping the codegen or campaign version
+invalidates everything — so a re-run after any change re-evaluates
+exactly the units the change can affect and serves the rest from
+disk.
 
 The cache is also the campaign's *result transport*: fleet workers
 (threads or processes) write verdicts here as they evaluate, and the

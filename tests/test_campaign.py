@@ -162,6 +162,34 @@ def test_unit_keys_track_budget_fingerprint_and_site():
     assert base == unit_key(target_id, fingerprint, site, QUICK)
 
 
+def test_editing_the_mutation_rules_rekeys_every_unit(monkeypatch):
+    """A unit's mutant population is drawn by :mod:`repro.mutation.rules`,
+    which the keys hash instead of the population: a different rules
+    fingerprint gives every unit a new key."""
+    from repro.mutation import campaign
+
+    config = CampaignConfig(specs=("busmouse",), caps=QUICK)
+    before = generate_units(config)
+    monkeypatch.setattr(campaign, "rules_fingerprint", lambda: "0" * 64)
+    after = generate_units(config)
+    assert [unit.site_key for unit in after] == \
+        [unit.site_key for unit in before]
+    assert not {unit.key for unit in after} & {unit.key for unit in before}
+
+
+def test_unit_generation_draws_no_mutant_population(monkeypatch):
+    """Keying a unit costs a hash, not its mutant population; only
+    evaluation draws it."""
+    from repro.mutation import analysis, rules
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_units drew a mutant population")
+
+    for module in (rules, analysis):
+        monkeypatch.setattr(module, "mutants_for_site", refuse)
+    assert len(generate_units(CampaignConfig(**TINY))) > 0
+
+
 def test_cdevil_fingerprint_covers_spec_sources():
     """A CDevil target's verdicts depend on the generated stub surface,
     so its fingerprint must differ from a pure hash of its own text —

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.devil.checker import check
-from repro.devil.errors import DevilCheckError, DiagnosticSink
+from repro.devil.compiler import compile_spec
+from repro.devil.errors import DevilCheckError, DiagnosticSink, FirstErrorSink
 from repro.devil.parser import parse
 from repro.devil.types import EnumType, IntSetType, IntType
 
@@ -427,3 +428,42 @@ class TestResolvedModel:
         from tests.conftest import shipped_spec
         model = shipped_spec("busmouse").model
         assert isinstance(model.variables["config"].type, EnumType)
+
+
+#: One error from each of three rule families, none caused by another.
+THREE_ERRORS = """\
+type level = int(4);
+type level = int(4);
+type spare = bool;
+device chip (base : bit[8] port @ {0..1}) {
+    register r = base @ 0 : bit[8];
+    register s = read base @ 0 : bit[8];
+    variable a = r[3..0] : level;
+    variable b = r[7..4] : level;
+    variable c = s : int(8);
+    register u = base @ 1 : bit[8];
+    variable d = u : int(8);
+}
+"""
+
+
+class TestEveryErrorReported:
+    """Mutation verdicts stop at the first error; a compile does not."""
+
+    def test_compile_spec_reports_all_three(self):
+        with pytest.raises(DevilCheckError) as raised:
+            compile_spec(THREE_ERRORS)
+        message = str(raised.value)
+        assert "3 error(s) in specification" in message
+        for line, rule in ((2, "no-double-definition"), (6, "no-overlap"),
+                           (3, "no-omission")):
+            assert f"<devil>:{line}:" in message and f"[{rule}]" in message
+
+    def test_a_first_error_sink_stops_at_the_first(self):
+        sink = FirstErrorSink()
+        with pytest.raises(DevilCheckError) as raised:
+            compile_spec(THREE_ERRORS, sink=sink)
+        assert str(raised.value) == \
+            "<devil>:2:1: type 'level' is already declared at <devil>:1:1"
+        assert [d.rule for d in sink.diagnostics] == \
+            ["no-double-definition"]

@@ -38,6 +38,16 @@ class TestCheck:
         assert main(["check", bad_spec]) == 1
         assert "never used" in capsys.readouterr().err
 
+    def test_reports_every_error(self, tmp_path, capsys):
+        from tests.test_checker import THREE_ERRORS
+
+        path = tmp_path / "three.devil"
+        path.write_text(THREE_ERRORS)
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "3 error(s) in specification" in err
+        assert err.count(": error: ") == 3
+
     def test_non_ascii_digit_is_a_lex_error(self, tmp_path, capsys):
         path = tmp_path / "superscript.devil"
         path.write_text("device chip (base : bit[8] port @ {\u00b2}) {}\n")

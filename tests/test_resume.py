@@ -5,9 +5,12 @@ A campaign mutant splices its target's baseline tokens
 and then resumes the baseline's parse (Devil: from the declaration
 holding the edit until a later declaration starts the baseline's
 unchanged rest) or check (C and CDevil: from the checkpoint before the
-edit until an item boundary with the baseline's global scope).  Either
-way the result must equal a full parse or check of the mutated text,
-locations and diagnostics included, or fail with the same message.
+edit until an item boundary with the baseline's global scope).  A Devil
+mutant then resumes the baseline's recorded check too, resolving again
+only the declarations the edit can reach.  Either way the result must
+equal a full parse or check of the mutated text, locations and
+diagnostics included, or fail with the same message; and a check that
+stops at the first error stops at a full check's first error.
 """
 
 import copy
@@ -16,7 +19,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.devil.errors import DevilLexError, DevilParseError
+from repro.devil.checker import Checker, check, record_check
+from repro.devil.compiler import outline_spec
+from repro.devil.errors import (
+    DevilCheckError,
+    DevilLexError,
+    DevilParseError,
+    DiagnosticSink,
+    FirstErrorSink,
+)
 from repro.devil.lexer import splice, tokenize
 from repro.devil.parser import Parser, outline, parse
 from repro.minic import CLexError, CParseError, check_c, kernel_externals
@@ -58,16 +69,56 @@ def check_outcome(text, environment, **resume):
     return result.diagnostics, result.defined_functions
 
 
+def check_outcome_devil(syntax, sink=None, baseline=None):
+    """The model (None if rejected) and the diagnostics of checking
+    ``syntax``."""
+    sink = DiagnosticSink() if sink is None else sink
+    try:
+        model = check(syntax, sink, baseline)
+    except DevilCheckError:
+        model = None
+    return model, sink.diagnostics
+
+
+def assert_devil_checks_exactly(checked, resumed, full):
+    """Checking ``resumed`` (a parse resumed from the outline whose
+    recorded check is ``checked``) from ``checked`` gives the full
+    check of ``full``, the full parse of the same text: an equal model
+    (or none) and the same diagnostics in the same order.  With a
+    :class:`FirstErrorSink` it raises that check's first error, having
+    reported what the full check reports up to it."""
+    model, diagnostics = check_outcome_devil(full)
+    assert check_outcome_devil(resumed, baseline=checked) == \
+        (model, diagnostics)
+    sink = FirstErrorSink()
+    if model is not None:
+        assert check(resumed, sink, checked) == model
+        assert sink.diagnostics == diagnostics
+        return
+    with pytest.raises(DevilCheckError) as raised:
+        check(resumed, sink, checked)
+    first = next(d for d in diagnostics if d.severity == "error")
+    assert (raised.value.message, raised.value.location) == \
+        (first.message, first.location)
+    assert sink.diagnostics == diagnostics[:diagnostics.index(first) + 1]
+
+
 def assert_devil_resumes_exactly(baseline, tokens, text, offset, removed,
                                  inserted):
     """The parse resumed from ``baseline`` equals a full parse of
-    ``text`` (or raises the same message); False if it does not lex."""
+    ``text`` (or raises the same message), and so does the check
+    resumed from the baseline's recorded check, if it has one (see
+    :func:`assert_devil_checks_exactly`); False if it does not lex."""
     try:
         new, first, reuse = splice(tokens, text, offset, removed, inserted)
     except DevilLexError:
         return False
-    assert parse_outcome(text, tokens=new, baseline=baseline,
-                         span=(first, reuse)) == parse_outcome(text)
+    resumed = parse_outcome(text, tokens=new, baseline=baseline,
+                            span=(first, reuse))
+    full = parse_outcome(text)
+    assert resumed == full
+    if baseline.checked is not None and not isinstance(full, str):
+        assert_devil_checks_exactly(baseline.checked, resumed, full)
     return True
 
 
@@ -226,6 +277,145 @@ class TestDevilNamedEdits:
     def test_inserting_a_newline_moves_every_later_line(self, baseline):
         syntax = self.resumed(baseline, "variable x", "\nvariable x")
         assert syntax.declarations[-1].location.line == 12
+
+
+@pytest.fixture
+def resolved_declarations(monkeypatch):
+    """The names of the declarations a check resolves (structure
+    members included) rather than replaying from its baseline."""
+    names = []
+    for name in ("_collect_type", "_collect_register", "_collect_variable",
+                 "_collect_structure"):
+        method = getattr(Checker, name)
+
+        def counted(self, decl, *args, method=method, **kwargs):
+            names.append(decl.name)
+            return method(self, decl, *args, **kwargs)
+        monkeypatch.setattr(Checker, name, counted)
+    return names
+
+
+CHECKED = """\
+type mode_t = { SLOW <=> '0', FAST <=> '1' };
+device demo (base : bit[8] port @ {0..3})
+{
+  mode setup, run;
+  register r = base @ 0, in setup : bit[8];
+  register s = base @ 1 : bit[8];
+  register idx(i : int{0..1}) = base @ 2, pre {sel = i} : bit[8];
+  register a0 = idx(0);
+  register a1 = idx(1);
+  register t = base @ 3, mask '*******.', in run : bit[8];
+  variable sel = t[0] : int(1);
+  variable x = r[3..0] : int(4);
+  variable m = r[4] : mode_t;
+  variable hi = r[7..5] : int(3);
+  variable y = s, volatile : int(8);
+  structure pair = {
+    variable v0 = a0 : int(8);
+    variable v1 = a1 : int(8);
+  };
+}
+"""
+
+
+class TestDevilResumedChecks:
+    """Which declarations a resumed check resolves again, on named
+    edits of a spec that checks clean; each result is compared with a
+    full check (:func:`assert_devil_checks_exactly`)."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return outline_spec(CHECKED, tokens=tuple(tokenize(CHECKED)))
+
+    def resolved(self, baseline, names, old, new, start=0):
+        """The diagnostics of checking one edit of ``CHECKED``, and the
+        declarations resolved again (into ``names``)."""
+        text, offset, removed, inserted = edited(CHECKED, old, new, start)
+        tokens, first, reuse = splice(tuple(tokenize(CHECKED)), text,
+                                      offset, removed, inserted)
+        resumed = parse(text, tokens=tokens, baseline=baseline,
+                        span=(first, reuse))
+        assert_devil_checks_exactly(baseline.checked, resumed, parse(text))
+        names.clear()
+        _, diagnostics = check_outcome_devil(resumed,
+                                             baseline=baseline.checked)
+        return diagnostics
+
+    def test_the_baseline_checks_clean(self, baseline):
+        model, diagnostics = check_outcome_devil(baseline.syntax)
+        assert model is not None and diagnostics == []
+        assert len(baseline.checked.entries) == 13
+        assert record_check(baseline.syntax) == baseline.checked
+
+    def test_an_unchanged_text_replays_every_declaration(
+            self, baseline, resolved_declarations):
+        model, _ = check_outcome_devil(baseline.syntax,
+                                       baseline=baseline.checked)
+        assert resolved_declarations == []
+        assert model == check(parse(CHECKED))
+
+    def test_a_variable_edit_resolves_that_variable(
+            self, baseline, resolved_declarations):
+        diagnostics = self.resolved(baseline, resolved_declarations,
+                                    "int(4)", "int(5)")
+        assert resolved_declarations == ["x"]
+        assert diagnostics[0].message.startswith(
+            "variable 'x' is 4 bit(s) wide")
+
+    def test_a_register_edit_resolves_its_variables(
+            self, baseline, resolved_declarations):
+        self.resolved(baseline, resolved_declarations, "base @ 1",
+                      "base @ 2")
+        assert resolved_declarations == ["s", "y"]
+
+    def test_a_type_edit_resolves_its_variables(self, baseline,
+                                                resolved_declarations):
+        diagnostics = self.resolved(baseline, resolved_declarations,
+                                    "FAST", "FASTER")
+        assert resolved_declarations == ["mode_t", "m"]
+        assert diagnostics == []
+
+    def test_a_constructor_edit_resolves_its_instantiations(
+            self, baseline, resolved_declarations):
+        self.resolved(baseline, resolved_declarations, "int{0..1}",
+                      "int{0..2}")
+        # ``pair`` reads a0 and a1 through its members.
+        assert resolved_declarations == ["idx", "a0", "a1", "pair", "v0",
+                                         "v1"]
+
+    def test_a_rename_collides_with_a_later_declaration(
+            self, baseline, resolved_declarations):
+        diagnostics = self.resolved(baseline, resolved_declarations,
+                                    "register s", "register y")
+        # The register and the variable ``y``, which now finds its name
+        # taken.  (The parse resumes at the declaration holding the
+        # token before the re-lexed one, so ``r`` is a new node too,
+        # and its variables are resolved again with it.)
+        assert resolved_declarations == ["r", "y", "x", "m", "hi", "y"]
+        messages = [d.message for d in diagnostics]
+        assert messages[0].startswith("variable 'y' is already declared")
+        assert messages[-1] == "register 'y' is never used by any variable"
+
+    def test_a_rename_into_a_looked_up_name(self, baseline,
+                                            resolved_declarations):
+        # ``sel`` looked ``sel`` up (a miss) before declaring it; once
+        # the register ``t`` is renamed ``sel``, ``sel`` the variable
+        # finds its name taken and loses the register it read.
+        diagnostics = self.resolved(baseline, resolved_declarations,
+                                    "register t", "register sel")
+        assert resolved_declarations == ["a1", "sel", "sel", "pair", "v0",
+                                         "v1"]
+        assert diagnostics[0].message.startswith(
+            "variable 'sel' is already declared")
+
+    @pytest.mark.parametrize("old,new", [("{0..3}", "{0..4}"),
+                                         ("demo", "demos"),
+                                         ("setup, run", "setup, ran")])
+    def test_header_and_mode_edits_check_in_full(
+            self, baseline, resolved_declarations, old, new):
+        self.resolved(baseline, resolved_declarations, old, new)
+        assert len(resolved_declarations) == 15  # with the 2 members
 
 
 C_FRAGMENT = """\
@@ -395,7 +585,8 @@ def test_classifying_every_mutant_leaves_the_baseline_unchanged(target_id):
             target.classify(mutant.apply(target.source), mutant)
     assert target.baseline == before
     if target.language == "Devil":
-        assert target.baseline == outline(target.source)
+        assert target.baseline.checked is not None
+        assert target.baseline == outline_spec(target.source)
     else:
         assert target.baseline.checkpoints == before.checkpoints
         fresh = check_c(target.source, *c_environment(target_id))

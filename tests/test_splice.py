@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.devil.compiler import outline_spec
 from repro.devil.errors import DevilLexError
 from repro.devil.lexer import splice, tokenize
-from repro.devil.parser import outline
 from repro.minic import check_c
 from repro.minic.lexer import CLexError, splice_c, tokenize_c
 from repro.mutation.analysis import MutantCaps
@@ -213,8 +213,10 @@ def test_every_campaign_mutant_splices_exactly(target_id, tmp_path,
                                                recorded_campaign):
     """Every mutant of every site at the campaign's ``quick(8)`` budget
     splices to exactly its full lex, its parse or check resumed from the
-    target's baseline equals a full one, every site's verdict record
-    equals the one recorded from full compiles
+    target's baseline equals a full one (for Devil, so does its check
+    resumed from the baseline's recorded check, and a check stopping at
+    the first error raises a full check's first error), every site's
+    verdict record equals the one recorded from full compiles
     (``perfbench/expected/campaign.json``), and the baseline is left
     as a fresh full parse or check builds it."""
     expected, digest = recorded_campaign
@@ -245,7 +247,7 @@ def test_every_campaign_mutant_splices_exactly(target_id, tmp_path,
         assert digest(record) == \
             expected["digests"][f"{target_id}#{unit.site_index}"], record
     if devil:
-        assert target.baseline == outline(target.source)
+        assert target.baseline == outline_spec(target.source)
     else:
         fresh = check_c(target.source, *environment)
         assert target.baseline == fresh
