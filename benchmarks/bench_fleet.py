@@ -46,8 +46,9 @@ Exactness is enforced unconditionally on every leg: each cell runs
 the schedule equally often and must end with the same merged
 accounting and byte-identical per-device state as every other backend,
 strategy and worker count.  An 8-thread single-device stress leg
-(exact accounting + state parity vs a serial reference, every
-strategy, native included when a C compiler is present) rides along,
+(exact accounting, state and whole-trace parity vs a serial
+reference, every strategy, native included when a C compiler is
+present) rides along,
 so a scheduling, locking or merge bug fails this benchmark even where
 the throughput floors are waived.
 
@@ -199,7 +200,8 @@ def scaling_leg(variants, devices, schedule, latency_us: float = 0.0,
 
 
 def stress_leg(iterations: int) -> None:
-    """8 threads against one device, exact vs a serial reference."""
+    """8 threads against one device, exact vs a serial reference, the
+    traced port operations in the same order too."""
     schedule = [("ide", ide_sector_read)] * 16
     strategies = ["interpret", "specialize", "generated"]
     if native_available():
@@ -208,7 +210,7 @@ def stress_leg(iterations: int) -> None:
         reference = None
         for _ in range(iterations):
             reference = run_stress(["ide"], schedule, workers=8,
-                                   strategy=strategy,
+                                   strategy=strategy, tracing=True,
                                    reference=reference)
 
 
@@ -367,8 +369,8 @@ def render(legs: dict, titles: dict, selector, verdicts,
         "exactness: merged accounting and per-device end-state "
         "byte-identical across every cell of each leg",
         f"stress: 8 threads x 1 device x {stress_iterations} iterations "
-        "per strategy — exact accounting + state parity vs serial "
-        "reference: ok",
+        "per strategy — exact accounting, state and trace parity vs "
+        "serial reference: ok",
     ]
     lines += render_selector(selector)
     lines.append("")

@@ -328,7 +328,7 @@ class Bus:
         self._port_cache.clear()
 
     # ------------------------------------------------------------------
-    # State snapshot / restore (the cross-process parity seam)
+    # State snapshot (the cross-process parity seam)
     # ------------------------------------------------------------------
 
     def state_snapshot(self) -> dict[str, bytes]:
@@ -342,9 +342,6 @@ class Bus:
         protocol, so a device shared by several mappings (the NE2000
         model behind its register file, data port and reset port) is
         serialized the same way on every side of the comparison.
-
-        For a restorable capture that preserves object sharing between
-        mappings, use :meth:`state_blob` / :meth:`restore_state`.
         """
         import pickle
         snapshot: dict[str, bytes] = {}
@@ -356,34 +353,6 @@ class Bus:
             snapshot[mapping.name] = pickle.dumps(
                 mapping.device, protocol=4)
         return snapshot
-
-    def state_blob(self) -> bytes:
-        """One pickle of every mapped device, sharing preserved.
-
-        Unlike :meth:`state_snapshot` (independent per-mapping pickles,
-        for comparison), this serializes the whole device list in one
-        payload so aliased models stay aliased across a
-        :meth:`restore_state` round trip.
-        """
-        import pickle
-        return pickle.dumps([m.device for m in self._mappings],
-                            protocol=4)
-
-    def restore_state(self, blob: bytes) -> None:
-        """Replace every mapped device's state from a :meth:`state_blob`.
-
-        The topology (bases, sizes, names, locks, accounting) is left
-        untouched; only the device objects are swapped.  The blob must
-        come from a bus with the same mapping list, in the same order.
-        """
-        import pickle
-        devices = pickle.loads(blob)
-        if len(devices) != len(self._mappings):
-            raise BusError(
-                f"state blob has {len(devices)} devices, bus has "
-                f"{len(self._mappings)} mappings")
-        for mapping, device in zip(self._mappings, devices):
-            mapping.device = device
 
     def _find(self, port: int) -> _Mapping:
         mapping = self._port_cache.get(port)

@@ -12,7 +12,9 @@ pool.
 Concurrency model (see ``docs/CONCURRENCY.md``):
 
 * **Sessions are exclusive.**  Each device has exactly one session, and
-  the session lock is held for the whole request.  Everything the
+  a worker holds the session lock while it takes the session's oldest
+  pending request and runs it (:func:`run_request`), so a device runs
+  its requests one at a time, in submission order.  Everything the
   request touches — the runtime's register cache, shadow cache,
   transaction context, the specializer's closures, and the session's
   own bus and device models — therefore needs no internal locking,
@@ -33,11 +35,13 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..bus import Bus, IoAccounting
 from .pool import WorkerPool
+from .requests import request_label
 from .scheduler import SCHEDULERS
 
 #: Port-space stride between fleet devices.  Every shipped spec's
@@ -171,7 +175,8 @@ class DeviceSession:
     The lock serializes requests against this device.  While it is
     held the session owns the whole Devil runtime stack for the device
     (register cache, shadow cache, transaction context) and its bus,
-    which is why none of those layers needs locks of its own.
+    which is why none of those layers needs locks of its own.  (A
+    process worker, the only thread running its sessions, takes none.)
     """
 
     label: str
@@ -186,12 +191,18 @@ class DeviceSession:
     weight: int = 1
     lock: threading.Lock = field(default_factory=threading.Lock)
     completed: int = 0
+    #: Queued ``(request, label, submitted_at)``, oldest first.
+    pending: deque = field(default_factory=deque)
+    #: ``fleet.submitted`` and ``fleet.request_us`` for this session,
+    #: resolved when the fleet starts (``None`` without telemetry).
+    submits: object = None
+    latency: object = None
 
     def execute(self, request: Request):
-        with self.lock:
-            result = request(self.stubs, self.aux)
-            self.completed += 1
-            return result
+        """Run ``request``; the caller owns the session."""
+        result = request(self.stubs, self.aux)
+        self.completed += 1
+        return result
 
     def report(self) -> "SessionReport":
         """This session's bus as it stands; the caller keeps it still
@@ -234,6 +245,31 @@ def open_session(spec: str, label: str, slot: int, *, strategy: str,
     return DeviceSession(label=label, spec=spec, slot=slot, bus=bus,
                          stubs=stubs, aux=aux, bases=bases,
                          weight=weight)
+
+
+def run_request(session: DeviceSession, request: Request, label,
+                started: float, pulse) -> None:
+    """Run one request on ``session`` and report it (both backends).
+
+    The caller owns the session and stamps ``started``: at submit on
+    threads, at dequeue in a process worker.  ``pulse`` is the
+    worker's :class:`~repro.obs.live.WorkerPulse`, or ``None`` without
+    telemetry.  A failing request's exception propagates once counted.
+    """
+    if pulse is None:
+        session.execute(request)
+        return
+    pulse.begin(label)
+    dropped = session.bus.trace_dropped
+    failed = True
+    try:
+        session.execute(request)
+        failed = False
+    finally:
+        latency_us = (time.perf_counter() - started) * 1e6
+        session.latency.observe(latency_us)
+        pulse.done(latency_us, error=failed,
+                   trace_dropped=session.bus.trace_dropped - dropped)
 
 
 @dataclass(frozen=True)
@@ -362,7 +398,6 @@ class Fleet(MergedSessions):
                          weight=session_weight(weights, label, name))
             for name, label, slot in fleet_layout(devices)]
         self.scheduler = SCHEDULERS[policy](self.sessions)
-        self.pool = WorkerPool(workers, queue_depth=queue_depth)
         self.submitted = 0
         #: Live telemetry plane (``None`` = off; ``True`` builds one).
         #: Kept entirely off the request path: an untelemetered submit
@@ -372,7 +407,13 @@ class Fleet(MergedSessions):
 
             telemetry = FleetTelemetry()
         self.telemetry = telemetry or None
+        if self.telemetry is not None:
+            for session in self.sessions:
+                session.submits, session.latency = \
+                    self.telemetry.instruments(session.spec, "thread")
         self._health = None
+        self.pool = WorkerPool(workers, queue_depth=queue_depth,
+                               runner=self._runner)
 
     # -- request flow ---------------------------------------------------
 
@@ -384,38 +425,43 @@ class Fleet(MergedSessions):
         not on worker timing.  Blocks when the queue is full.
         """
         session = self.scheduler.acquire(spec)
-        scheduler = self.scheduler
         telemetry = self.telemetry
-
         if telemetry is None:
-            def work():
-                try:
-                    session.execute(request)
-                finally:
-                    scheduler.release(session)
+            session.pending.append((request, None, 0.0))
         else:
-            from .requests import request_label
-
             label = request_label(request)
-            submitted_at = time.perf_counter()
-            telemetry.note_submit("thread", spec, session.label, label)
+            telemetry.note_submit(session, label)
+            session.pending.append((request, label, time.perf_counter()))
+        self.pool.submit(session)
+        self.submitted += 1
 
-            def work():
-                worker = threading.current_thread().name
-                telemetry.request_begin(worker, "thread", label)
-                error = None
+    def _runner(self, worker: str):
+        """Pool thread ``worker``'s runner (and heartbeat pulse), built
+        when the thread starts; work items name sessions."""
+        telemetry, scheduler = self.telemetry, self.scheduler
+        pulse = None
+        if telemetry is not None:
+            from ..obs.live import WorkerPulse
+
+            pulse = WorkerPulse(telemetry.board, worker, "thread",
+                                clock=telemetry.clock)
+
+        def serve(session: DeviceSession) -> None:
+            with session.lock:
+                request, label, submitted_at = session.pending.popleft()
                 try:
-                    session.execute(request)
+                    run_request(session, request, label, submitted_at,
+                                pulse)
                 except BaseException as exc:
-                    error = exc
+                    if telemetry is not None:
+                        telemetry.recorder.record(
+                            "worker-error", worker=worker,
+                            spec=session.spec, error=repr(exc))
                     raise
                 finally:
                     scheduler.release(session)
-                    telemetry.request_done(worker, "thread", spec,
-                                           submitted_at, error)
 
-        self.pool.submit(work)
-        self.submitted += 1
+        return serve
 
     @staticmethod
     def auto(devices, schedule, *, workers: int = 4,
@@ -485,9 +531,6 @@ class Fleet(MergedSessions):
         """``label -> completed request count`` (the placement record)."""
         return {session.label: session.completed
                 for session in self.sessions}
-
-    def sessions_of(self, spec: str) -> list[DeviceSession]:
-        return [s for s in self.sessions if s.spec == spec]
 
     def completed(self) -> int:
         return sum(session.completed for session in self.sessions)

@@ -68,7 +68,7 @@ import traceback
 from dataclasses import dataclass
 
 from .fleet import MergedSessions, SessionReport, fleet_layout, \
-    open_session, resolve_strategy, session_weight
+    open_session, resolve_strategy, run_request, session_weight
 from .pool import WorkerError
 from .requests import decode_request, encode_request
 from .scheduler import DETERMINISTIC_POLICIES, SCHEDULERS
@@ -113,8 +113,8 @@ class ProcessSession:
     The scheduling policy runs against these proxies exactly as it
     runs against :class:`~repro.engine.fleet.DeviceSession` objects in
     the thread backend — it only reads ``spec`` and ``weight``.
-    ``assigned`` counts submit-time placements; ``completed`` is the
-    worker-reported execution count (equal after a clean drain).
+    ``completed`` is the worker-reported execution count (every request
+    placed on the device, after a clean drain).
     """
 
     label: str
@@ -124,8 +124,9 @@ class ProcessSession:
     #: Index into the owning worker's local session list.
     local_index: int
     weight: int = 1
-    assigned: int = 0
     completed: int = 0
+    #: ``fleet.submitted``, resolved when the fleet starts.
+    submits: object = None
 
 
 def _token_label(token) -> str:
@@ -170,7 +171,6 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
 
         name = f"pfleet-w{config.worker_id}"
         pulse = None
-        latency: dict[str, object] = {}
         if config.heartbeat_name is not None:
             from ..obs.live import WorkerPulse
             from ..obs.metrics import LATENCY_BUCKETS_US, Histogram
@@ -179,44 +179,34 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
                 attach_heartbeat_memory(config.heartbeat_name))
             pulse = WorkerPulse(pulse_slot, name, "process")
             pulse.idle()  # visible before the first request arrives
-        errors: list[tuple[str, str, str]] = []
 
-        def execute(local_index, token) -> None:
-            session = sessions[local_index]
+        def fresh_latency() -> dict:
+            """Per-spec histograms for the next sync's latency deltas."""
             if pulse is None:
-                try:
-                    session.execute(decode_request(token))
-                except BaseException as exc:  # noqa: BLE001 - at drain
-                    errors.append((f"{name}/{session.label}", repr(exc),
-                                   traceback.format_exc()))
-                return
-            # Telemetry path: bracket the request with heartbeats and
-            # observe its execution latency into a per-spec histogram
-            # shipped at the next sync.  Device work is untouched.
-            pulse.begin(_token_label(token))
-            started = time.perf_counter()
-            failed = False
-            try:
-                session.execute(decode_request(token))
-            except BaseException as exc:  # noqa: BLE001 - at drain
-                failed = True
-                errors.append((f"{name}/{session.label}", repr(exc),
-                               traceback.format_exc()))
-            elapsed_us = (time.perf_counter() - started) * 1e6
-            histogram = latency.get(session.spec)
-            if histogram is None:
-                histogram = latency[session.spec] = Histogram(
-                    "fleet.request_us", {}, LATENCY_BUCKETS_US)
-            histogram.observe(elapsed_us)
-            pulse.done(elapsed_us, error=failed,
-                       trace_dropped=sum(other.bus.trace_dropped
-                                         for other in sessions))
+                return {}
+            by_spec = {session.spec: Histogram(
+                "fleet.request_us", {}, LATENCY_BUCKETS_US)
+                for session in sessions}
+            for session in sessions:
+                session.latency = by_spec[session.spec]
+            return by_spec
+
+        latency = fresh_latency()
+        errors: list[tuple[str, str, str]] = []
 
         while True:
             message = requests.get()
             kind = message[0]
             if kind == "req":
-                execute(message[1], message[2])
+                session, token = sessions[message[1]], message[2]
+                label = None if pulse is None else _token_label(token)
+                started = time.perf_counter()
+                try:
+                    run_request(session, decode_request(token), label,
+                                started, pulse)
+                except BaseException as exc:  # noqa: BLE001 - at drain
+                    errors.append((f"{name}/{session.label}", repr(exc),
+                                   traceback.format_exc()))
                 continue
             if kind == "stop":
                 return
@@ -237,10 +227,10 @@ def _worker_main(config: _WorkerConfig, requests, results) -> None:
                     # counts); empty without live telemetry.
                     "latency": {spec: histogram.snapshot()
                                 for spec, histogram
-                                in latency.items()},
+                                in latency.items() if histogram.count},
                 }
                 errors.clear()
-                latency.clear()
+                latency = fresh_latency()
                 results.put(("report", config.worker_id, message[1],
                              report))
                 continue
@@ -349,6 +339,10 @@ class ProcessFleet(MergedSessions):
                 weight=session_weight(weights, label, spec)))
             per_worker[worker].append((spec, label, slot))
         self.scheduler = SCHEDULERS[policy](self.sessions)
+        if self.telemetry is not None:
+            for session in self.sessions:
+                session.submits, _ = self.telemetry.instruments(
+                    session.spec, "process")
 
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
@@ -406,12 +400,10 @@ class ProcessFleet(MergedSessions):
                 f"is dead; its shard cannot take requests")
         self._queues[session.worker].put(
             ("req", session.local_index, token))
-        session.assigned += 1
         self.submitted += 1
         self._dirty = True
         if self.telemetry is not None:
-            self.telemetry.note_submit("process", spec, session.label,
-                                       _token_label(token))
+            self.telemetry.note_submit(session, _token_label(token))
 
     def run(self, requests) -> int:
         """Submit every ``(spec, request)`` pair, then drain."""
@@ -500,8 +492,8 @@ class ProcessFleet(MergedSessions):
                 self.collector.ingest(report["spans"])
             if self.telemetry is not None:
                 for spec, snapshot in report["latency"].items():
-                    self.telemetry.merge_latency(spec, "process",
-                                                 snapshot)
+                    self.telemetry.instruments(
+                        spec, "process")[1].merge_snapshot(snapshot)
         for session in self.sessions:
             report = self._reports.get(session.worker)
             if report is not None:
@@ -598,9 +590,6 @@ class ProcessFleet(MergedSessions):
         self._sync()
         return {session.label: session.completed
                 for session in self.sessions}
-
-    def sessions_of(self, spec: str) -> list[ProcessSession]:
-        return [s for s in self.sessions if s.spec == spec]
 
     # -- live telemetry plumbing ----------------------------------------
 

@@ -6,11 +6,11 @@ mechanism: a producer calling :meth:`submit` blocks once
 ``queue_depth`` items are in flight, so an arbitrarily fast request
 generator cannot outrun the workers and balloon memory.
 
-Work items are plain callables (already bound to a device session by
-the scheduler).  Worker exceptions are captured — not swallowed — and
-re-raised in the submitting thread at :meth:`drain`/:meth:`shutdown`,
-so a failing request fails the run loudly instead of silently dropping
-throughput.
+Work items are plain callables unless a ``runner`` factory says how
+to run them (the fleet's name a device session).  Worker exceptions
+are captured — not swallowed — and re-raised in the submitting thread
+at :meth:`drain`/:meth:`shutdown`, so a failing request fails the run
+loudly instead of silently dropping throughput.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ from typing import Callable
 
 #: Queue sentinel telling a worker thread to exit.
 _STOP = object()
+
+
+def _calls(worker: str) -> Callable[[Callable[[], None]], None]:
+    """The default runner factory: every item is called as is."""
+    return lambda item: item()
 
 
 class WorkerError(RuntimeError):
@@ -42,10 +47,13 @@ class WorkerError(RuntimeError):
 
 
 class WorkerPool:
-    """N worker threads draining a bounded queue of callables."""
+    """N worker threads draining a bounded queue of work items; each
+    thread runs its items with ``runner(thread name)``, built as it
+    starts."""
 
     def __init__(self, workers: int, queue_depth: int = 64,
-                 name: str = "fleet"):
+                 name: str = "fleet",
+                 runner: Callable[[str], Callable] = _calls):
         if workers < 1:
             raise ValueError(f"need at least one worker (got {workers})")
         if queue_depth < 1:
@@ -56,6 +64,7 @@ class WorkerPool:
         self._failures: list[tuple[str, BaseException, str]] = []
         self._failure_lock = threading.Lock()
         self._closed = False
+        self._runner = runner
         self._threads = [
             threading.Thread(target=self._run, name=f"{name}-w{i}",
                              daemon=True)
@@ -67,13 +76,14 @@ class WorkerPool:
     # -- worker side ----------------------------------------------------
 
     def _run(self) -> None:
+        run = self._runner(threading.current_thread().name)
         while True:
             item = self._queue.get()
             if item is _STOP:
                 self._queue.task_done()
                 return
             try:
-                item()
+                run(item)
             except BaseException as exc:  # noqa: BLE001 - reported at drain
                 with self._failure_lock:
                     self._failures.append(
@@ -84,11 +94,11 @@ class WorkerPool:
 
     # -- producer side --------------------------------------------------
 
-    def submit(self, work: Callable[[], None]) -> None:
-        """Enqueue ``work``; blocks when the queue is full (backpressure)."""
+    def submit(self, item) -> None:
+        """Enqueue ``item``; blocks when the queue is full (backpressure)."""
         if self._closed:
             raise RuntimeError("pool is shut down")
-        self._queue.put(work)
+        self._queue.put(item)
 
     def drain(self) -> None:
         """Block until every submitted item has been processed.

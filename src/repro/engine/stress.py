@@ -85,7 +85,7 @@ def _stress_evidence(fleet, backend: str) -> dict:
             "fingerprint": None if backend == "process"
             else fleet_fingerprint(fleet),
             "trace_dropped": fleet.trace_dropped,
-            "trace_len": len(fleet.trace)}
+            "trace": fleet.trace}
 
 
 def run_stress(devices, schedule, workers: int = 8,
@@ -100,7 +100,9 @@ def run_stress(devices, schedule, workers: int = 8,
     deep model fingerprints.
 
     With ``tracing=True`` both runs also assert that no trace entries
-    were dropped (the unbounded ring must capture every port op).
+    were dropped (the unbounded ring must capture every port op) and
+    that the merged traces are equal whole: every device runs its
+    requests in submission order on either backend.
     Extra ``fleet_kwargs`` (``telemetry``, ``trace_limit``, ...)
     reach the parallel fleet only — the reference stays the canonical
     single-threaded run.  ``telemetry=True`` is how the live-plane
@@ -164,10 +166,13 @@ def run_stress(devices, schedule, workers: int = 8,
                 raise AssertionError(
                     f"{side} run dropped "
                     f"{evidence['trace_dropped']} trace entries")
-            if not evidence["trace_len"]:
+            if not evidence["trace"]:
                 raise AssertionError(
                     f"{side} run produced an empty trace under "
                     f"tracing=True")
+        if parallel["trace"] != reference["trace"]:
+            raise AssertionError(
+                "the merged trace diverged from the serial reference")
     return reference
 
 

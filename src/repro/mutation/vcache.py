@@ -13,14 +13,13 @@ disk.
 
 The cache is also the campaign's *result transport*: fleet workers
 (threads or processes) write verdicts here as they evaluate, and the
-parent reads them back after ``drain`` — the same pattern as the
-flock-serialized native build cache (:mod:`repro.devil.native.build`),
-which this module is modeled on.  Writes are atomic
-(``os.replace`` of a same-directory temp file) and serialized per key
-by an ``fcntl.flock`` where the platform has one; records are
-idempotent (a unit's verdict is a pure function of its key), so
-concurrent writers of the same key publish identical bytes and
-last-writer-wins is exact.
+parent reads them back after ``drain``.  Each writer publishes its
+own same-directory temp file with ``os.replace``, so a reader sees a
+whole record or none.  Records are idempotent (a unit's verdict is a
+pure function of its key), so concurrent writers of the same key
+publish identical bytes and last-writer-wins is exact; no lock is
+taken.  (The native build cache, :mod:`repro.devil.native.build`,
+does lock: there the lock stops duplicate compiles.)
 
 Corrupt entries — truncated JSON, garbled payloads, schema or key
 mismatches — are treated as misses and counted in
@@ -34,11 +33,6 @@ import json
 import os
 import tempfile
 from pathlib import Path
-
-try:
-    import fcntl
-except ImportError:                     # non-POSIX: atomic publish only
-    fcntl = None
 
 #: Environment override for the cache directory (CI points this at a
 #: directory restored across runs, exactly like the native build cache).
@@ -147,12 +141,11 @@ class VerdictCache:
     # -- write ----------------------------------------------------------
 
     def put(self, key: str, record: dict) -> None:
-        """Publish ``record`` under ``key`` (atomic, flock-serialized).
+        """Publish ``record`` under ``key`` atomically.
 
-        The flock mirrors the native build cache: N workers publishing
-        the same key serialize their (identical) writes; the
-        same-directory temp file + ``os.replace`` keeps publication
-        atomic even where flock does not reach (cross-host caches).
+        The record goes to a same-directory temp file that
+        ``os.replace`` moves over the entry, so a concurrent reader
+        sees the old record or the new one, never a partial write.
         """
         record = dict(record)
         record["schema"] = SCHEMA_VERSION
@@ -160,33 +153,18 @@ class VerdictCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(record, sort_keys=True) + "\n"
-        lock_path = path.with_suffix(".lock")
-        lock_handle = None
-        if fcntl is not None:
-            lock_handle = open(lock_path, "w")
-            fcntl.flock(lock_handle, fcntl.LOCK_EX)
+        descriptor, temp_name = tempfile.mkstemp(
+            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
         try:
-            descriptor, temp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
+            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            os.replace(temp_name, path)
+        except BaseException:
             try:
-                with os.fdopen(descriptor, "w", encoding="utf-8") \
-                        as handle:
-                    handle.write(payload)
-                os.replace(temp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
-        finally:
-            if lock_handle is not None:
-                fcntl.flock(lock_handle, fcntl.LOCK_UN)
-                lock_handle.close()
-                try:
-                    os.unlink(lock_path)
-                except OSError:
-                    pass
+                os.unlink(temp_name)
+            except OSError:
+                pass
+            raise
         self.writes += 1
 
     # -- maintenance ----------------------------------------------------

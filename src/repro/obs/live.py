@@ -13,7 +13,7 @@ module is that view, spanning both fleet backends:
   process workers into a seqlock
   :class:`~repro.engine.shm.HeartbeatSlot` in shared memory.  Either
   way the parent reads the latest state without locks, queues or sync
-  points.
+  points, and derives p50/p95 from the bucket counts a beat carries.
 * **Health** — :class:`FleetHealth` folds heartbeats, liveness and
   queue depths into per-worker ``healthy`` / ``slow`` /
   ``stalled`` / ``dead`` statuses.  The stall detector is the
@@ -45,10 +45,11 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Callable
 
-from .metrics import LATENCY_BUCKETS_US, Histogram, MetricsRegistry
+from .metrics import LATENCY_BUCKETS_US, Histogram, MetricsRegistry, \
+    bucket_quantile
 
 HEALTHY = "healthy"
 SLOW = "slow"
@@ -90,6 +91,22 @@ class Heartbeat:
     trace_dropped: int = 0
     latency_p50_us: float | None = None
     latency_p95_us: float | None = None
+    #: ``(bucket counts, maximum)`` of the worker's request latencies
+    #: over :data:`LATENCY_BUCKETS_US`, published instead of p50/p95.
+    latency: tuple | None = None
+
+    def resolved(self) -> "Heartbeat":
+        """This beat with p50/p95 derived from :attr:`latency` (what
+        readers see)."""
+        if self.latency is None:
+            return self
+        counts, maximum = self.latency
+        return replace(
+            self, latency=None,
+            latency_p50_us=bucket_quantile(LATENCY_BUCKETS_US, counts,
+                                           maximum, 0.5),
+            latency_p95_us=bucket_quantile(LATENCY_BUCKETS_US, counts,
+                                           maximum, 0.95))
 
     def to_dict(self) -> dict:
         return {"record": "heartbeat", "worker": self.worker,
@@ -117,7 +134,8 @@ class HeartbeatBoard:
         self._slots[beat.worker] = beat
 
     def latest(self) -> dict[str, Heartbeat]:
-        return dict(self._slots)
+        return {worker: beat.resolved()
+                for worker, beat in dict(self._slots).items()}
 
 
 class WorkerPulse:
@@ -126,9 +144,10 @@ class WorkerPulse:
     Wraps a sink with a ``publish(record)`` method — the
     :class:`HeartbeatBoard` in-process, a
     :class:`~repro.engine.shm.HeartbeatSlot` across processes — and
-    keeps the worker-local running state (completed count, error
-    count, a private latency histogram whose p50/p95 ride along in
-    each beat).  Single-writer: only the owning worker calls it.
+    keeps the worker-local running state (completed, error and
+    trace-drop counts, a private latency histogram whose bucket counts
+    ride along in each beat).  Single-writer: only the owning worker
+    calls it.
     """
 
     def __init__(self, sink, worker: str, backend: str,
@@ -142,30 +161,29 @@ class WorkerPulse:
         self.trace_dropped = 0
         self._latency = Histogram("fleet.request_us", {},
                                   LATENCY_BUCKETS_US)
+        self._counts: tuple | None = None
 
     def _publish(self, inflight: str | None) -> None:
-        count = self._latency.count
         self._sink.publish(Heartbeat(
-            worker=self.worker, backend=self.backend,
-            completed=self.completed, inflight=inflight,
-            timestamp=self._clock(), errors=self.errors,
-            trace_dropped=self.trace_dropped,
-            latency_p50_us=self._latency.quantile(0.5) if count else None,
-            latency_p95_us=self._latency.quantile(0.95) if count else None,
-        ))
+            self.worker, self.backend, self.completed, inflight,
+            self._clock(), self.errors, self.trace_dropped,
+            latency=self._counts))
 
     def begin(self, request: str | None) -> None:
         self._publish(request)
 
     def done(self, latency_us: float | None = None,
              error: bool = False, trace_dropped: int = 0) -> None:
+        """One request finished; ``trace_dropped`` counts the trace
+        entries it evicted."""
         self.completed += 1
         if error:
             self.errors += 1
-        if trace_dropped > self.trace_dropped:
-            self.trace_dropped = trace_dropped
+        self.trace_dropped += trace_dropped
         if latency_us is not None:
-            self._latency.observe(latency_us)
+            latency = self._latency
+            latency.observe(latency_us)
+            self._counts = (tuple(latency.bucket_counts), latency.maximum)
         self._publish(None)
 
     def idle(self) -> None:
@@ -274,9 +292,10 @@ class FleetTelemetry:
 
     Pass ``telemetry=True`` (or an instance, to share a registry or
     set ``dump_path``) to :class:`~repro.engine.Fleet` /
-    :class:`~repro.engine.mp.ProcessFleet`.  The fleet wires the
-    request hooks; this object owns the metrics registry, the flight
-    recorder, and the heartbeat stores for both backends.
+    :class:`~repro.engine.mp.ProcessFleet`.  Its workers report
+    requests through :func:`repro.engine.fleet.run_request`; this
+    object owns the metrics registry, the flight recorder, and the
+    heartbeat stores for both backends.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None,
@@ -290,46 +309,26 @@ class FleetTelemetry:
         self.dump_path = dump_path
         self.clock = clock
         self.board = HeartbeatBoard()
-        self._pulses: dict[str, WorkerPulse] = {}
-        self._pulse_lock = threading.Lock()
         #: Process-backend heartbeat readers (worker -> HeartbeatSlot).
         self._readers: dict[str, object] = {}
         self._read_cache: dict[str, Heartbeat] = {}
 
-    # -- thread-backend request hooks ----------------------------------
+    # -- request accounting --------------------------------------------
 
-    def pulse(self, worker: str, backend: str = "thread") -> WorkerPulse:
-        pulse = self._pulses.get(worker)
-        if pulse is None:
-            with self._pulse_lock:
-                pulse = self._pulses.setdefault(
-                    worker, WorkerPulse(self.board, worker, backend,
-                                        clock=self.clock))
-        return pulse
+    def instruments(self, spec: str, backend: str):
+        """``(fleet.submitted, fleet.request_us)`` of ``spec`` on
+        ``backend``; fleets resolve them once, when they start."""
+        return (self.metrics.counter("fleet.submitted", spec=spec,
+                                     backend=backend),
+                self.metrics.histogram("fleet.request_us",
+                                       LATENCY_BUCKETS_US, spec=spec,
+                                       backend=backend))
 
-    def note_submit(self, backend: str, spec: str, device: str,
-                    request: str) -> None:
-        self.metrics.counter("fleet.submitted",
-                             spec=spec, backend=backend).inc()
-        self.recorder.record("submit", spec=spec, device=device,
-                             request=request)
-
-    def request_begin(self, worker: str, backend: str,
-                      request: str) -> None:
-        self.pulse(worker, backend).begin(request)
-
-    def request_done(self, worker: str, backend: str, spec: str,
-                     submitted_at: float,
-                     error: BaseException | None = None) -> None:
-        latency_us = (time.perf_counter() - submitted_at) * 1e6
-        self.metrics.histogram("fleet.request_us", LATENCY_BUCKETS_US,
-                               spec=spec,
-                               backend=backend).observe(latency_us)
-        self.pulse(worker, backend).done(latency_us,
-                                         error=error is not None)
-        if error is not None:
-            self.recorder.record("worker-error", worker=worker,
-                                 spec=spec, error=repr(error))
+    def note_submit(self, session, request: str) -> None:
+        """Count and record one request submitted to ``session``."""
+        session.submits.inc()
+        self.recorder.record("submit", spec=session.spec,
+                             device=session.label, request=request)
 
     # -- process-backend plumbing --------------------------------------
 
@@ -337,17 +336,10 @@ class FleetTelemetry:
         """Register a worker's shared-memory heartbeat slot (parent)."""
         self._readers[worker] = slot
 
-    def merge_latency(self, spec: str, backend: str,
-                      snapshot: dict) -> None:
-        """Fold a worker-shipped latency histogram snapshot in."""
-        self.metrics.histogram("fleet.request_us", LATENCY_BUCKETS_US,
-                               spec=spec,
-                               backend=backend).merge_snapshot(snapshot)
-
     # -- reads ----------------------------------------------------------
 
     def heartbeats(self) -> dict[str, Heartbeat]:
-        """Latest heartbeat per worker, both stores merged.
+        """Latest resolved heartbeat per worker, both stores merged.
 
         A shared-memory read that catches a worker mid-publish keeps
         the previous sample (latest-value semantics never go backward
@@ -357,7 +349,7 @@ class FleetTelemetry:
         for worker, slot in self._readers.items():
             beat = slot.read()
             if beat is not None:
-                self._read_cache[worker] = beat
+                self._read_cache[worker] = beat.resolved()
             cached = self._read_cache.get(worker)
             if cached is not None:
                 beats[worker] = cached

@@ -45,6 +45,29 @@ def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(labels.items()))
 
 
+def bucket_quantile(buckets, counts, maximum, q: float) -> float:
+    """Estimate the ``q``-quantile of bucketed observations.
+
+    ``counts`` has one slot per bound in ``buckets`` plus a +Inf
+    overflow slot.  Returns the upper bound of the bucket where the
+    cumulative count crosses ``q * total`` — a conservative (over-)
+    estimate, which is the right bias for a stall detector sizing its
+    window from the observed p95; the overflow bucket resolves to the
+    observed ``maximum``.  Heartbeat readers share it with
+    :meth:`Histogram.quantile`.
+    """
+    total = sum(counts)
+    if not total:
+        return 0.0
+    target = q * total
+    cumulative = 0
+    for bound, bucket_count in zip(buckets, counts):
+        cumulative += bucket_count
+        if cumulative >= target:
+            return bound
+    return float(maximum)  # overflow bucket
+
+
 class Counter:
     """A monotonically increasing counter (updates are atomic)."""
 
@@ -148,27 +171,13 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile from the bucket counts.
-
-        Returns the upper bound of the bucket where the cumulative
-        count crosses ``q * count`` — a conservative (over-) estimate,
-        which is the right bias for a stall detector sizing its window
-        from the observed p95.  Values landing in the +Inf overflow
-        bucket resolve to the exact observed maximum.
-        """
+        """Estimate the ``q``-quantile from the bucket counts
+        (:func:`bucket_quantile`)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         with self._lock:
-            if not self.count:
-                return 0.0
-            target = q * self.count
-            cumulative = 0
-            for bound, bucket_count in zip(self.buckets,
-                                           self.bucket_counts):
-                cumulative += bucket_count
-                if cumulative >= target:
-                    return bound
-            return float(self.maximum)  # overflow bucket
+            return bucket_quantile(self.buckets, self.bucket_counts,
+                                   self.maximum, q)
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold another histogram's :meth:`snapshot` into this one.

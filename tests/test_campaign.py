@@ -104,6 +104,38 @@ def test_vcache_rejects_key_and_arithmetic_mismatches(tmp_path):
     assert cache.corrupt >= 2
 
 
+def test_vcache_concurrent_puts_of_one_key_leave_one_record(tmp_path):
+    """Writers of one key race without a lock: each publishes its own
+    temp file, so the shard ends with one whole record and no temp or
+    lock file."""
+    import threading
+
+    cache = VerdictCache(tmp_path)
+    key = "ab" + "4" * 62
+    start = threading.Barrier(8)
+    errors = []
+
+    def writer():
+        try:
+            start.wait()
+            cache.put(key, _record(key))
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    record = cache.get(key)
+    assert record is not None
+    del record["schema"]
+    assert record == _record(key)
+    shard = cache.path_for(key).parent
+    assert sorted(p.name for p in shard.iterdir()) == [f"{key}.json"]
+
+
 def test_campaign_recovers_from_cache_corruption(tmp_path):
     """Garbling cached verdicts makes the campaign re-evaluate the
     affected units — same report, no crash, corruption counted."""

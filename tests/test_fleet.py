@@ -14,7 +14,9 @@ Three layers of invariants, bottom-up:
 
 from __future__ import annotations
 
+import functools
 import threading
+import time
 
 import pytest
 
@@ -289,6 +291,23 @@ def test_reads_during_traffic_never_tear():
         series = [reading[label] for reading in per_device]
         assert series == sorted(series), label
     assert after == reference
+
+
+def _record_index(seen, index, stubs, aux):
+    time.sleep(0.0002)  # releases the GIL: other workers run meanwhile
+    seen.append(index)
+
+
+def test_one_device_runs_its_requests_in_submission_order():
+    """4 workers serve one device whose requests each release the GIL:
+    the device still sees them in submission order, because a worker
+    holds the session lock while it takes the oldest pending request
+    and runs it."""
+    seen = []
+    with Fleet(["busmouse"], workers=4) as fleet:
+        fleet.run(("busmouse", functools.partial(_record_index, seen, i))
+                  for i in range(400))
+    assert seen == list(range(400))
 
 
 def test_fleet_least_loaded_completes_everything():

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import os
-import pickle
 import time
 
 import pytest
@@ -340,7 +339,7 @@ def test_native_process_fleet_propagates_mid_batch_errors():
 
 
 # ---------------------------------------------------------------------------
-# The bus snapshot/restore seam
+# The bus snapshot seam
 # ---------------------------------------------------------------------------
 
 
@@ -352,38 +351,10 @@ def test_bus_state_snapshot_detects_single_bit_difference():
     assert bus_a.state_snapshot() != bus_b.state_snapshot()
 
 
-def test_bus_state_blob_roundtrip_preserves_aliasing():
-    """restore_state swaps device state and keeps shared models shared
-    (the NE2000 model sits behind three mappings)."""
-    bus, aux, bases = build_machine("ne2000", tracing=False)
-    aux["nic"].ram[0:4] = b"\x11\x22\x33\x44"
-    blob = bus.state_blob()
-    snapshot = bus.state_snapshot()
-
-    fresh, _, _ = build_machine("ne2000", tracing=False)
-    assert fresh.state_snapshot() != snapshot
-    fresh.restore_state(blob)
-    assert fresh.state_snapshot() == snapshot
-    # The data port still aliases the restored model: a write through
-    # one mapping is visible through the other.
-    restored_nic = fresh._mappings[0].device
-    data_port = fresh._mappings[1].device
-    assert data_port.nic is restored_nic
-
-
-def test_bus_restore_state_rejects_mismatched_topology():
-    bus, _, _ = build_machine("ide", tracing=False)
-    other, _, _ = build_machine("ne2000", tracing=False)
-    from repro.bus import BusError
-    with pytest.raises(BusError):
-        bus.restore_state(other.state_blob())
-
-
 def test_plain_bus_exposes_the_snapshot_seam():
     """The seam lives on the base Bus, not just the thread-safe one."""
     bus = Bus()
     assert bus.state_snapshot() == {}
-    assert pickle.loads(bus.state_blob()) == []
 
 
 # ---------------------------------------------------------------------------
