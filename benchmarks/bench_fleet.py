@@ -19,7 +19,7 @@ latency on one device overlaps with work on others.  Threads at 1, 2,
 4 and 8 workers must reach ``MIN_SPEEDUP_AT_4`` (2.5x) at 4; the
 process backend at 1, 2 and 4 carries no floor: it records how far
 its per-request IPC puts it behind threads on I/O, which is why the
-adaptive selector sends I/O-bound mixes to threads.
+selector sends a fleet with port latency to threads.
 
 **GIL-bound checksum** — 4 disks, every request
 :func:`repro.engine.ide_sector_checksum` (one sector read, then ~2 ms
@@ -48,15 +48,17 @@ accounting and byte-identical per-device state as every other backend,
 strategy and worker count.  An 8-thread single-device stress leg
 (exact accounting, state and whole-trace parity vs a serial
 reference, every strategy, native included when a C compiler is
-present) rides along,
+present; each request reads its own sector, so a device that ran them
+out of order would leave another trace) rides along,
 so a scheduling, locking or merge bug fails this benchmark even where
 the throughput floors are waived.
 
 A **selector table** rides along with no floor: for each leg and
-worker count it sets :func:`repro.engine.select.decide`'s pick, from
-:func:`~repro.engine.select.calibrate` on that leg's schedule, against
-the measured winner between the leg's thread and process cells (their
-medians), and shows the wall time ``Fleet.auto`` spends calibrating.
+worker count it sets :func:`repro.engine.select.decide`'s pick for the
+leg's configuration (policy, worker and CPU counts, strategy, port
+latency) against the measured winner between the leg's thread and
+process cells: the backend whose quartile range lies wholly above the
+other's, or a tie where the two ranges overlap.
 
 Runs standalone (``python benchmarks/bench_fleet.py [--quick]``, the
 CI concurrency-job steps; exits 1 on a failed floor) and under pytest
@@ -71,7 +73,6 @@ import contextlib
 import functools
 import os
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -88,10 +89,9 @@ from repro.engine import (
     CHURN_OPS,
     Fleet,
     ProcessFleet,
-    calibrate,
     decide,
     ide_sector_checksum,
-    ide_sector_read,
+    ide_sector_read_lba,
     ide_taskfile_churn,
     mixed_schedule,
     run_stress,
@@ -137,12 +137,11 @@ CHURN_VARIANTS = (("spec/thread", "thread", "specialize", (1, 2, 4)),
                   ("nat/process", "process", "native", (1, 2, 4)))
 
 #: Per leg: the thread and process variants the selector chooses
-#: between, and the bind strategy and latency model it calibrates with.
+#: between, and the fleet, bind strategy and port latency it decides on.
 SELECTOR_CELLS = {
-    "io": ("thread", "process", "specialize", IO_LATENCY_US,
-           IO_WORD_LATENCY_US),
-    "checksum": ("thread", "process", "specialize", 0.0, 0.0),
-    "churn": ("nat/thread", "nat/process", "native", 0.0, 0.0),
+    "io": ("thread", "process", IO_FLEET, "specialize", IO_LATENCY_US),
+    "checksum": ("thread", "process", IDE_FLEET, "specialize", 0.0),
+    "churn": ("nat/thread", "nat/process", IDE_FLEET, "native", 0.0),
 }
 
 
@@ -202,7 +201,8 @@ def scaling_leg(variants, devices, schedule, latency_us: float = 0.0,
 def stress_leg(iterations: int) -> None:
     """8 threads against one device, exact vs a serial reference, the
     traced port operations in the same order too."""
-    schedule = [("ide", ide_sector_read)] * 16
+    schedule = [("ide", functools.partial(ide_sector_read_lba, lba=lba))
+                for lba in range(16)]
     strategies = ["interpret", "specialize", "generated"]
     if native_available():
         strategies.append("native")
@@ -231,62 +231,60 @@ def run_legs(io_schedule, cpu_schedule, churn_schedule,
     return legs
 
 
-def selector_rows(legs: dict, schedules: dict,
-                  cpu_count: int) -> list[dict]:
+def selector_rows(legs: dict, cpu_count: int) -> list[dict]:
     """The selector's pick against each leg's measured winner.
 
-    Calibrates each leg's schedule the way ``Fleet.auto`` does (same
-    strategy and latency model), timing the calibration, and compares
-    ``decide()``'s backend with whichever of the leg's thread and
-    process cells has the higher median at each worker count.
+    Asks ``decide()`` what ``Fleet.auto`` would pick for each leg's
+    configuration and worker count, and compares it with the leg's
+    thread and process cells: one wins when its quartile range lies
+    wholly above the other's, and overlapping ranges are a tie.
     """
     rows = []
     for leg, (leg_rows, _) in legs.items():
-        thread_label, process_label, strategy, op_us, word_us = \
+        thread_label, process_label, devices, strategy, op_us = \
             SELECTOR_CELLS[leg]
-        start = time.perf_counter()
-        choice = decide(calibrate(schedules[leg], strategy=strategy,
-                                  op_latency_us=op_us,
-                                  word_latency_us=word_us),
-                        cpu_count=cpu_count, strategy=strategy)
-        calibration_s = time.perf_counter() - start
         for workers in sorted({row["workers"] for row in leg_rows
                                if row["label"] == process_label}):
-            thread = _row(leg_rows, thread_label, workers)["rps"]
-            process = _row(leg_rows, process_label, workers)["rps"]
-            winner = "thread" if thread >= process else "process"
+            choice = decide("round-robin", min(workers, len(devices)),
+                            cpu_count, strategy, op_us)
+            thread = _row(leg_rows, thread_label, workers)
+            process = _row(leg_rows, process_label, workers)
+            (thread_q1, thread_q3), (process_q1, process_q3) = \
+                thread["rps_quartiles"], process["rps_quartiles"]
+            winner = ("thread" if thread_q1 > process_q3 else
+                      "process" if process_q1 > thread_q3 else "tie")
             rows.append({"leg": leg, "workers": workers,
                          "pick": choice.backend, "winner": winner,
-                         "thread_rps": thread, "process_rps": process,
-                         "cpu_fraction": choice.cpu_fraction,
-                         "calibration_s": calibration_s})
+                         "thread_rps": thread["rps"],
+                         "process_rps": process["rps"]})
     return rows
 
 
 def render_selector(rows) -> list[str]:
     lines = [
         "",
-        "Selector evidence (no floor): decide() from calibrate() on the "
-        "leg's schedule vs the higher median of the leg's thread and "
-        "process cells",
+        "Selector evidence (no floor): decide() on the leg's "
+        "configuration vs the winner of the leg's thread and process "
+        "cells",
         f"{'leg':>8} | {'workers':>7} | {'pick':>7} | {'winner':>7} | "
-        f"{'thread/process req/s':>21} | {'cpu':>4} | "
-        f"{'calibrate':>9}",
-        "-" * 81,
+        f"{'thread/process req/s':>21}",
+        "-" * 61,
     ]
     for row in rows:
         rates = f"{row['thread_rps']:.1f}/{row['process_rps']:.1f}"
-        mark = "" if row["pick"] == row["winner"] else " *"
+        mark = "" if row["winner"] in ("tie", row["pick"]) else " *"
         lines.append(
             f"{row['leg']:>8} | {row['workers']:>7} | {row['pick']:>7} | "
-            f"{row['winner']:>7} | {rates:>21} | "
-            f"{row['cpu_fraction']:>4.2f} | "
-            f"{row['calibration_s'] * 1e3:>7.1f}ms{mark}")
+            f"{row['winner']:>7} | {rates:>21}{mark}")
     agree = sum(row["pick"] == row["winner"] for row in rows)
-    lines.append(f"pick = measured winner in {agree} of {len(rows)} "
-                 "cells (* = disagreement); cpu = calibrated CPU "
-                 "fraction; calibrate = wall time of calibrate() + "
-                 "decide(), as Fleet.auto spends it")
+    ties = sum(row["winner"] == "tie" for row in rows)
+    lines.append(f"pick = measured winner in {agree} of "
+                 f"{len(rows) - ties} cells with a winner (* = "
+                 f"disagreement), {ties} ties; pick = decide(policy, "
+                 "workers, CPU count, strategy, port latency), as "
+                 "Fleet.auto applies it; winner = the backend whose "
+                 "req/s quartile range lies wholly above the other's, "
+                 "tie where they overlap")
     return lines
 
 
@@ -404,9 +402,7 @@ def main(argv=None) -> int:
     legs = run_legs(io_schedule, cpu_schedule, churn_schedule)
     stress_leg(stress_iterations)
     verdicts = check_gates(legs, cpu_count)
-    selector = selector_rows(
-        legs, {"io": io_schedule, "checksum": cpu_schedule,
-               "churn": churn_schedule}, cpu_count)
+    selector = selector_rows(legs, cpu_count)
 
     titles = {
         "io": f"Sleeping I/O: 4x IDE sector read, 4x PM2 fill rect, "
@@ -452,16 +448,13 @@ def test_fleet_bench_quick():
     leg, and the stress leg runs.
     """
     churn = functools.partial(ide_taskfile_churn, n=256)
-    schedules = {"io": mixed_schedule(2),
-                 "checksum": [("ide", ide_sector_checksum)] * 6,
-                 "churn": [("ide", churn)] * 6}
-    legs = run_legs(schedules["io"], schedules["checksum"],
-                    schedules["churn"], rounds=2)
+    legs = run_legs(mixed_schedule(2), [("ide", ide_sector_checksum)] * 6,
+                    [("ide", churn)] * 6, rounds=2)
     assert legs["io"][1].total_ops > 0
     if "churn" in legs:
         assert legs["churn"][1].writes == 6 * 256 * 3
     stress_leg(3)
-    selector = selector_rows(legs, schedules, os.cpu_count() or 1)
+    selector = selector_rows(legs, os.cpu_count() or 1)
     assert {row["leg"] for row in selector} == set(legs)
     assert "Selector evidence" in "\n".join(render_selector(selector))
 

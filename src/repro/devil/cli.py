@@ -166,11 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "a shipped workload")
     fleet.add_argument("--backend", default="thread",
                        choices=("thread", "process", "auto"),
-                       help="execution substrate: worker threads on "
-                            "one shared bus, worker processes each "
-                            "owning a shard of the fleet, or 'auto' "
-                            "to calibrate the request mix and pick "
-                            "(default: thread)")
+                       help="execution substrate: worker threads, "
+                            "worker processes each owning a shard of "
+                            "the fleet, or 'auto' to pick one from "
+                            "the policy, worker and CPU counts, "
+                            "strategy and latency (default: thread)")
     fleet.add_argument("--workers", type=int, default=4,
                        help="worker threads or processes (default: 4)")
     fleet.add_argument("--requests", type=int, default=32,
@@ -492,7 +492,7 @@ def _run_fleet(arguments) -> int:
                   telemetry=telemetry or None)
     try:
         if arguments.backend == "auto":
-            fleet = Fleet.auto(devices, schedule, **common)
+            fleet = Fleet.auto(devices, **common)
             choice = fleet.choice
             print(f"auto: picked the {choice.backend} backend — "
                   f"{choice.reason}")

@@ -24,6 +24,24 @@ from .parser import Outline, outline, parse
 from .runtime import DeviceInstance
 
 
+def resolve_strategy(strategy: str, composition: str = "cache",
+                     shadow_cache: bool = False) -> str:
+    """Resolve ``strategy="auto"``; any other strategy stays as given.
+
+    ``auto`` is ``native`` when a C compiler is present and the binding
+    asks for nothing the native core rejects (read-modify-write
+    composition, the shadow cache), else ``specialize``.  The compiler
+    probe is memoized per process, so a fleet that resolves once
+    before binding its devices probes once.
+    """
+    if strategy != "auto":
+        return strategy
+    from .native import native_available
+
+    return ("native" if composition == "cache" and not shadow_cache
+            and native_available() else "specialize")
+
+
 @dataclass
 class CompiledSpec:
     """A successfully verified specification and its artifacts."""
@@ -63,11 +81,8 @@ class CompiledSpec:
         registers whose last raw value is still authoritative are
         served without port I/O (see :mod:`repro.devil.plan`).
         """
-        if strategy == "auto":
-            from .native import native_available
-            strategy = ("native" if native_available()
-                        and composition == "cache" and not shadow_cache
-                        else "specialize")
+        strategy = resolve_strategy(strategy, composition=composition,
+                                    shadow_cache=shadow_cache)
         if strategy == "native":
             from .native import bind_native
             return bind_native(self.model, bus, bases, debug=debug,

@@ -16,9 +16,9 @@ Both backends answer accounting, per-device accounting, end-state and
 traces by merging per-session reports in global device order with one
 routine (:class:`~repro.engine.fleet.MergedSessions`).
 
-:func:`Fleet.auto` / :func:`auto_fleet` pick between the two by
-measuring a short calibration burst of the actual request mix
-(:mod:`repro.engine.select`).
+:meth:`Fleet.auto` picks between the two from the fleet's own
+configuration — policy, worker and CPU counts, strategy and port
+latency (:mod:`repro.engine.select`).
 
 Placement under the deterministic policies is a pure function of
 submission order in both backends, which is what makes them
@@ -37,7 +37,6 @@ from .fleet import (
     LatencyBus,
     fleet_layout,
     map_fleet_device,
-    resolve_strategy,
     session_weight,
 )
 from .mp import ProcessFleet, ProcessSession
@@ -67,13 +66,7 @@ from .scheduler import (
     Scheduler,
     WeightedRoundRobinScheduler,
 )
-from .select import (
-    BackendChoice,
-    KindProfile,
-    auto_fleet,
-    calibrate,
-    decide,
-)
+from .select import BackendChoice, decide
 from .shm import HEARTBEAT_SLOT_BYTES, HeartbeatSlot
 from .stress import (
     STRESS_BACKENDS,
@@ -94,7 +87,6 @@ __all__ = [
     "ProcessSession",
     "fleet_layout",
     "map_fleet_device",
-    "resolve_strategy",
     "session_weight",
     "WorkerError",
     "WorkerPool",
@@ -114,9 +106,6 @@ __all__ = [
     "request_label",
     "wedged_request",
     "BackendChoice",
-    "KindProfile",
-    "auto_fleet",
-    "calibrate",
     "decide",
     "HEARTBEAT_SLOT_BYTES",
     "HeartbeatSlot",

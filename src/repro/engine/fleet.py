@@ -33,6 +33,7 @@ Concurrency model (see ``docs/CONCURRENCY.md``):
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -40,9 +41,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..bus import Bus, IoAccounting
+from ..devil.compiler import resolve_strategy
 from .pool import WorkerPool
 from .requests import request_label
 from .scheduler import SCHEDULERS
+from .select import decide
 
 #: Port-space stride between fleet devices.  Every shipped spec's
 #: regions fit comfortably below it (largest footprint: permedia2 with
@@ -221,12 +224,11 @@ def open_session(spec: str, label: str, slot: int, *, strategy: str,
                  weight: int = 1) -> DeviceSession:
     """One device of spec ``spec`` at ``slot`` on a bus of its own.
 
-    The one session builder: the thread :class:`Fleet`, the process
-    workers and the selector's calibration machine all call it.  The
-    bus is a plain :class:`Bus`, or a :class:`LatencyBus` when either
-    latency is set; ``trace_limit`` bounds this device's ring.  A
-    ``collector`` is attached to the bus and learns the device's port
-    map.
+    The one session builder: the thread :class:`Fleet` and the process
+    workers both call it.  The bus is a plain :class:`Bus`, or a
+    :class:`LatencyBus` when either latency is set; ``trace_limit``
+    bounds this device's ring.  A ``collector`` is attached to the bus
+    and learns the device's port map.
     """
     from ..obs.workloads import bind_stubs
 
@@ -330,25 +332,6 @@ class MergedSessions:
                    for report in self._session_reports())
 
 
-def resolve_strategy(strategy: str, shadow_cache: bool = False) -> str:
-    """Resolve ``strategy="auto"`` once per fleet, not once per bind.
-
-    Mirrors the auto rule of ``CompiledSpec.bind`` (native when a C
-    compiler is present, else the specializer; the shadow cache is a
-    specializer-family feature the native binding rejects).  The
-    compiler probe itself is memoized per process, and resolving here
-    means every per-device bind takes the already-decided branch — one
-    probe total for a whole fleet on either backend.
-    """
-    if strategy != "auto":
-        return strategy
-    if shadow_cache:
-        return "specialize"
-    from ..devil.native import native_available
-
-    return "native" if native_available() else "specialize"
-
-
 class Fleet(MergedSessions):
     """N shipped devices, one bus per session, a scheduled worker pool.
 
@@ -385,7 +368,7 @@ class Fleet(MergedSessions):
             raise ValueError(
                 f"unknown policy {policy!r} "
                 f"(have: {', '.join(sorted(SCHEDULERS))})")
-        strategy = resolve_strategy(strategy, shadow_cache)
+        strategy = resolve_strategy(strategy, shadow_cache=shadow_cache)
         self.strategy = strategy
         self.policy = policy
         self.sessions: list[DeviceSession] = [
@@ -464,19 +447,26 @@ class Fleet(MergedSessions):
         return serve
 
     @staticmethod
-    def auto(devices, schedule, *, workers: int = 4,
-             cpu_count: int | None = None, **fleet_kwargs):
-        """Measure ``schedule`` and build whichever backend wins.
+    def auto(devices, *, workers: int = 4, cpu_count: int | None = None,
+             **fleet_kwargs):
+        """Build the backend :func:`repro.engine.select.decide` picks
+        for this configuration (``cpu_count`` defaults to
+        ``os.cpu_count()``); the verdict comes back as
+        ``fleet.choice``."""
+        from .mp import ProcessFleet
 
-        Delegates to :func:`repro.engine.select.auto_fleet`: a short
-        calibration burst profiles the request mix (CPU vs sleeping
-        I/O), and the verdict — thread fleet or process fleet — comes
-        back as ``fleet.choice``.
-        """
-        from .select import auto_fleet
-
-        return auto_fleet(devices, schedule, workers=workers,
-                          cpu_count=cpu_count, **fleet_kwargs)
+        strategy = resolve_strategy(
+            fleet_kwargs.pop("strategy", "specialize"),
+            shadow_cache=fleet_kwargs.get("shadow_cache", False))
+        choice = decide(fleet_kwargs.get("policy", "round-robin"),
+                        min(workers, len(devices)),
+                        cpu_count or os.cpu_count() or 1, strategy,
+                        fleet_kwargs.get("op_latency_us", 0.0))
+        fleet_cls = ProcessFleet if choice.backend == "process" else Fleet
+        fleet = fleet_cls(devices, strategy=strategy, workers=workers,
+                          **fleet_kwargs)
+        fleet.choice = choice
+        return fleet
 
     def run(self, requests) -> int:
         """Submit every ``(spec, request)`` pair, then drain the pool."""

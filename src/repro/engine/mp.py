@@ -67,8 +67,9 @@ import time
 import traceback
 from dataclasses import dataclass
 
+from ..devil.compiler import resolve_strategy
 from .fleet import MergedSessions, SessionReport, fleet_layout, \
-    open_session, resolve_strategy, run_request, session_weight
+    open_session, run_request, session_weight
 from .pool import WorkerError
 from .requests import decode_request, encode_request
 from .scheduler import DETERMINISTIC_POLICIES, SCHEDULERS
@@ -299,7 +300,7 @@ class ProcessFleet(MergedSessions):
         # Resolve "auto" in the parent, once: workers receive the
         # decided strategy, so the compiler probe does not repeat per
         # worker and every shard binds the same way.
-        strategy = resolve_strategy(strategy, shadow_cache)
+        strategy = resolve_strategy(strategy, shadow_cache=shadow_cache)
         self.strategy = strategy
         self.policy = policy
         self.workers = min(workers, len(devices))

@@ -198,3 +198,31 @@ class TestFleetTelemetry:
                      "--telemetry"]) == 0
         output = capsys.readouterr().out
         assert "health: fleet-w0=healthy" in output
+
+
+@pytest.mark.concurrency
+class TestFleetAuto:
+    ARGS = ["fleet", "--backend", "auto", "--workers", "2",
+            "--requests", "2"]
+
+    def test_default_mix_picks_threads(self, capsys):
+        assert main(self.ARGS) == 0
+        output = capsys.readouterr().out
+        assert "auto: picked the thread backend" in output
+        assert "2 thread workers" in output
+
+    def test_no_latency_on_four_cpus_picks_processes(self, monkeypatch,
+                                                     capsys):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert main(self.ARGS + ["--latency-us", "0"]) == 0
+        output = capsys.readouterr().out
+        assert "auto: picked the process backend" in output
+        assert "2 process workers" in output
+
+    def test_least_loaded_runs_on_threads(self, monkeypatch, capsys):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert main(self.ARGS + ["--latency-us", "0",
+                                 "--policy", "least-loaded"]) == 0
+        output = capsys.readouterr().out
+        assert "auto: picked the thread backend" in output
+        assert "least-loaded" in output

@@ -5,19 +5,26 @@ The stress helpers are what the benchmarks and the property suite
 lean on for "lost nothing, tore nothing" claims, so they get direct
 tests: the fingerprint normalizer's contract, a seeded stress run
 under both backends (exactness plus no dropped trace entries), and
-the negative case — a harness that cannot detect divergence would
-pass everything, so we prove it fails on a corrupted reference.
+the negative cases — a harness that cannot detect divergence would
+pass everything, so we prove it fails on a corrupted reference and
+on a device that serves its requests out of order.
 """
 
 from __future__ import annotations
 
+import functools
+import time
+from collections import deque
+
 import pytest
 
+import repro.engine.fleet as fleet_module
 from repro.engine import (
     Fleet,
     fingerprint,
     fleet_fingerprint,
     ide_sector_read,
+    ide_sector_read_lba,
     mixed_schedule,
     run_stress,
 )
@@ -25,6 +32,19 @@ from repro.engine import (
 pytestmark = pytest.mark.concurrency
 
 DEVICES = ["ide", "permedia2", "ne2000"]
+
+
+def sector_reads(count: int) -> list:
+    """``count`` IDE reads of sectors 0, 1, ...: requests that differ
+    by position, so a device that ran them out of order would leave
+    another trace and end state."""
+    return [("ide", functools.partial(ide_sector_read_lba, lba=lba))
+            for lba in range(count)]
+
+
+def traced_schedule() -> list:
+    """The mixed fleet's requests plus positional IDE reads."""
+    return mixed_schedule(6) + sector_reads(12)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +96,7 @@ def test_fleet_fingerprint_distinguishes_device_state():
 
 
 def test_run_stress_thread_backend_with_tracing():
-    schedule = mixed_schedule(6)
+    schedule = traced_schedule()
     reference = run_stress(DEVICES, schedule, workers=4,
                            tracing=True)
     assert reference["trace_dropped"] == 0
@@ -88,7 +108,7 @@ def test_run_stress_thread_backend_with_tracing():
 
 
 def test_run_stress_process_backend_matches_serial_reference():
-    schedule = mixed_schedule(6)
+    schedule = traced_schedule()
     reference = run_stress(DEVICES, schedule, workers=2,
                            backend="process", tracing=True)
     # A different sharding against the same reference.
@@ -125,6 +145,45 @@ def test_run_stress_detects_divergence():
     with pytest.raises(AssertionError, match="trace diverged"):
         run_stress(DEVICES, schedule, workers=2, tracing=True,
                    reference=poisoned)
+
+
+class NewestFirst(deque):
+    """A pending queue that serves its newest request first.  Its first
+    pop waits for the whole schedule to queue up, so the order it
+    serves is the reverse of submission order whatever the timing."""
+
+    backlog = 16
+    started = False
+
+    def popleft(self):
+        deadline = time.monotonic() + 10
+        while not self.started and len(self) < self.backlog \
+                and time.monotonic() < deadline:
+            time.sleep(0.001)
+        self.started = True
+        return self.pop()
+
+
+def test_run_stress_detects_a_device_serving_out_of_order(monkeypatch):
+    """The traced stress run is the check that a device runs its
+    requests in submission order: a session that serves its newest
+    pending request first must fail it.  The first and the last
+    request read sector 0, so the reversed run ends in the reference's
+    state and only the trace can tell."""
+    schedule = sector_reads(NewestFirst.backlog - 1) + sector_reads(1)
+    reference = run_stress(["ide"], schedule, workers=8, tracing=True)
+    open_session = fleet_module.open_session
+
+    def newest_first_session(*args, **kwargs):
+        session = open_session(*args, **kwargs)
+        session.pending = NewestFirst()
+        return session
+
+    monkeypatch.setattr(fleet_module, "open_session",
+                        newest_first_session)
+    with pytest.raises(AssertionError, match="trace diverged"):
+        run_stress(["ide"], schedule, workers=8, tracing=True,
+                   reference=reference)
 
 
 def test_run_stress_flags_dropped_trace_entries():

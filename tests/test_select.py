@@ -1,165 +1,156 @@
-"""The adaptive backend selector: calibration, decision, wiring.
+"""The backend selector: a rule over the fleet's configuration.
 
-The selector's claims are testable without trusting wall-clock
-absolutes: calibration must profile each distinct request kind once
-(weighted by schedule frequency), the decision function is pure given
-profiles and a CPU count, and ``Fleet.auto`` must return a working
-fleet of the chosen backend with the verdict attached.
+``decide()`` reads the policy, the effective worker count, the CPU
+count, the resolved strategy and the port latency, and nothing it
+would have to measure, so its cases run without a fleet or a clock.
+Each row of the committed selector table (``benchmarks/bench_fleet.py``,
+``results/BENCH_fleet.txt``) is one case: the rule must pick that
+row's measured winner, or either backend where the row is a tie (the
+two backends' quartile ranges overlap).  ``Fleet.auto`` must build
+the chosen backend and attach the verdict.
 """
 
 from __future__ import annotations
 
-import functools
+import threading
 
 import pytest
 
 from repro.engine import (
+    DETERMINISTIC_POLICIES,
     Fleet,
-    KindProfile,
     ProcessFleet,
-    auto_fleet,
-    calibrate,
     decide,
     ide_sector_checksum,
-    ide_sector_read,
-    ide_sector_read_lba,
     mixed_schedule,
 )
-from repro.engine.select import CPU_BOUND_THRESHOLD
 
-pytestmark = pytest.mark.concurrency
+#: ``(leg, strategy, op latency us, workers, measured winner)`` for
+#: each row of the committed selector table: 2 CPUs, round-robin.
+COMMITTED_TABLE = (
+    ("io", "specialize", 20.0, 1, "thread"),
+    ("io", "specialize", 20.0, 2, "thread"),
+    ("io", "specialize", 20.0, 4, "thread"),
+    ("checksum", "specialize", 0.0, 1, "tie"),
+    ("checksum", "specialize", 0.0, 2, "process"),
+    ("checksum", "specialize", 0.0, 4, "process"),
+    ("churn", "native", 0.0, 1, "tie"),
+    ("churn", "native", 0.0, 2, "thread"),
+    ("churn", "native", 0.0, 4, "thread"),
+)
 
 
-def _profile(wall_us: float, cpu_us: float, count: int = 1,
-             spec: str = "ide") -> KindProfile:
-    return KindProfile(spec=spec, request="synthetic", count=count,
-                       wall_s=wall_us * 1e-6, cpu_s=cpu_us * 1e-6)
-
-
-# ---------------------------------------------------------------------------
-# decide: pure given profiles + cpu_count
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("leg,strategy,latency_us,workers,winner",
+                         COMMITTED_TABLE)
+def test_decide_picks_the_committed_winner(leg, strategy, latency_us,
+                                           workers, winner):
+    choice = decide("round-robin", workers, 2, strategy, latency_us)
+    assert winner in ("tie", choice.backend), choice.reason
 
 
 def test_decide_prefers_threads_on_one_cpu():
-    choice = decide([_profile(2000, 2000)], cpu_count=1)
+    choice = decide("round-robin", 4, 1, "specialize", 0.0)
     assert choice.backend == "thread"
-    assert "1 CPU" in choice.reason
+    assert "one CPU" in choice.reason
+
+
+def test_decide_prefers_threads_on_one_worker():
+    choice = decide("round-robin", 1, 8, "specialize", 0.0)
+    assert choice.backend == "thread"
+    assert "one worker" in choice.reason
+
+
+def test_decide_keeps_run_time_policies_on_threads():
+    # The process backend refuses a policy that places at run time.
+    choice = decide("least-loaded", 4, 8, "specialize", 0.0)
+    assert choice.backend == "thread"
+    assert "least-loaded" in choice.reason
 
 
 def test_decide_picks_processes_for_gil_bound_mixes():
+    # No port latency: a Python request holds the GIL throughout.
     for cpu_count in (2, 4, 8):
-        choice = decide([_profile(2000, 1900)], cpu_count=cpu_count)
-        assert choice.backend == "process", cpu_count
-        assert choice.cpu_fraction >= CPU_BOUND_THRESHOLD
+        for policy in DETERMINISTIC_POLICIES:
+            for strategy in ("interpret", "specialize", "generated"):
+                choice = decide(policy, 4, cpu_count, strategy, 0.0)
+                assert choice.backend == "process", (cpu_count, policy,
+                                                     strategy)
+                assert choice.cpu_count == cpu_count
 
 
 @pytest.mark.parametrize("cpu_count", (2, 4, 8))
 def test_decide_picks_threads_for_io_bound_mixes(cpu_count):
-    # 500µs sleeping requests: threads overlap the I/O; no process
-    # transport beat them on any measured I/O mix.
-    choice = decide([_profile(500, 50)], cpu_count=cpu_count)
+    # Sleeping port latency releases the GIL; threads overlap it.
+    choice = decide("round-robin", 4, cpu_count, "specialize", 0.5)
     assert choice.backend == "thread"
-    assert choice.cpu_fraction < CPU_BOUND_THRESHOLD
-    assert "I/O-bound" in choice.reason
+    assert "latency" in choice.reason
 
 
 @pytest.mark.parametrize("strategy,cpu_count", (("native", 4),
                                                 ("specialize", 1)))
 def test_decide_keeps_cpu_bound_mixes_on_threads(strategy, cpu_count):
     # The native core releases the GIL; one CPU has nothing to overlap.
-    choice = decide([_profile(2000, 1900)], cpu_count=cpu_count,
-                    strategy=strategy)
-    assert choice.cpu_fraction >= CPU_BOUND_THRESHOLD
-    assert choice.backend == "thread"
-
-
-def test_decide_weights_kinds_by_schedule_frequency():
-    # One rare CPU hog vs many cheap I/O polls: frequency decides.
-    profiles = [_profile(2000, 2000, count=1),
-                _profile(2000, 100, count=99)]
-    io_heavy = decide(profiles, cpu_count=4)
-    assert io_heavy.cpu_fraction < CPU_BOUND_THRESHOLD
-    assert io_heavy.backend == "thread"
-    cpu_heavy = decide([_profile(2000, 2000, count=99),
-                        _profile(2000, 100, count=1)], cpu_count=4)
-    assert cpu_heavy.cpu_fraction >= CPU_BOUND_THRESHOLD
-    assert cpu_heavy.backend == "process"
-
-
-def test_decide_handles_an_empty_schedule():
-    choice = decide([], cpu_count=8)
+    choice = decide("round-robin", 4, cpu_count, strategy, 0.0)
     assert choice.backend == "thread"
 
 
 # ---------------------------------------------------------------------------
-# calibrate: one burst per distinct kind
+# Fleet.auto: the rule applied to a fleet's own arguments
 # ---------------------------------------------------------------------------
 
 
-def test_calibrate_profiles_each_kind_once_with_counts():
-    schedule = mixed_schedule(5) + [("ide", ide_sector_read)] * 3
-    profiles = calibrate(schedule, rounds=2)
-    by_request = {p.request: p for p in profiles}
-    assert len(profiles) == 3  # ide/pm2/ne2000 kinds, deduplicated
-    assert by_request["ide_sector_read"].count == 8  # 5 mixed + 3
-    for profile in profiles:
-        assert profile.wall_s > 0
-        assert profile.cpu_s >= 0
-
-
-def test_calibrate_distinguishes_partial_bindings():
-    schedule = [
-        ("ide", functools.partial(ide_sector_read_lba, lba=3)),
-        ("ide", functools.partial(ide_sector_read_lba, lba=4)),
-        ("ide", ide_sector_read),
-    ]
-    profiles = calibrate(schedule, rounds=1)
-    assert len(profiles) == 3  # different bindings are different kinds
-
-
-def test_calibrate_sees_the_latency_model():
-    quiet = calibrate([("ide", ide_sector_read)], rounds=2)
-    slow = calibrate([("ide", ide_sector_read)], rounds=2,
-                     op_latency_us=200.0)
-    assert slow[0].wall_s > quiet[0].wall_s
-    assert slow[0].cpu_fraction < 0.9
-
-
-def test_calibrate_rejects_unshippable_requests():
-    with pytest.raises(ValueError):
-        calibrate([("ide", lambda stubs, aux: None)])
-
-
-# ---------------------------------------------------------------------------
-# auto_fleet / Fleet.auto: end-to-end wiring
-# ---------------------------------------------------------------------------
-
-
+@pytest.mark.concurrency
 def test_fleet_auto_builds_the_chosen_backend_and_runs():
     schedule = [("ide", ide_sector_checksum)] * 4
-    with Fleet.auto(["ide", "ide"], schedule, workers=2,
-                    cpu_count=4) as fleet:
-        assert isinstance(fleet, ProcessFleet)
-        assert fleet.choice.backend == "process"
-        fleet.run(schedule)
-        assert fleet.completed() == len(schedule)
+    for cpu_count, backend in ((4, ProcessFleet), (1, Fleet)):
+        with Fleet.auto(["ide", "ide"], workers=2,
+                        cpu_count=cpu_count) as fleet:
+            assert type(fleet) is backend
+            assert fleet.choice.backend == fleet.backend
+            fleet.run(schedule)
+            assert fleet.completed() == len(schedule)
 
-    with Fleet.auto(["ide", "ide"], schedule, workers=2,
-                    cpu_count=1) as fleet:
-        assert isinstance(fleet, Fleet)
+
+@pytest.mark.concurrency
+def test_fleet_auto_caps_workers_at_the_device_count():
+    with Fleet.auto(["ide"], workers=4, cpu_count=4) as fleet:
         assert fleet.choice.backend == "thread"
-        fleet.run(schedule)
-        assert fleet.completed() == len(schedule)
+        assert "one worker" in fleet.choice.reason
 
 
+@pytest.mark.concurrency
 def test_auto_fleet_forwards_fleet_kwargs():
     schedule = mixed_schedule(2)
-    devices = ["ide", "permedia2", "ne2000"]
-    with auto_fleet(devices, schedule, workers=2, cpu_count=1,
-                    shadow_cache=True,
-                    policy="round-robin") as fleet:
+    with Fleet.auto(["ide", "permedia2", "ne2000"], workers=2,
+                    cpu_count=4, strategy="auto", shadow_cache=True,
+                    policy="least-loaded") as fleet:
+        assert fleet.backend == "thread"
+        assert fleet.strategy == "specialize"  # no native shadow cache
+        assert fleet.policy == "least-loaded"
         fleet.run(schedule)
         assert fleet.completed() == len(schedule)
-        assert fleet.choice.cpu_count == 1
-        assert fleet.choice.profiles  # calibration evidence attached
+
+
+@pytest.mark.concurrency
+def test_a_busy_thread_does_not_move_the_pick():
+    """Another thread's CPU is no property of the request mix: with a
+    Python thread spinning beside it, the sleeping-I/O mix still goes
+    to threads."""
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            pass
+
+    spinner = threading.Thread(target=spin, daemon=True)
+    spinner.start()
+    try:
+        with Fleet.auto(["ide", "permedia2", "ne2000"], workers=2,
+                        cpu_count=4, op_latency_us=20.0,
+                        word_latency_us=0.2) as fleet:
+            assert fleet.choice.backend == "thread"
+            fleet.run(mixed_schedule(2))
+    finally:
+        stop.set()
+        spinner.join(timeout=5)
+    assert not spinner.is_alive()
