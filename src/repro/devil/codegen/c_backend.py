@@ -90,6 +90,13 @@ def generate_c_header(device: ResolvedDevice, prefix: str | None = None,
     return header
 
 
+def mode_check_message(register) -> str:
+    """The header's ``DEVIL_CHECK`` text for a register addressed
+    outside its mode (the native core maps it back to the register)."""
+    return f"register {register.name} addressed outside mode " \
+        f"{register.mode}"
+
+
 def c_value_cast(prefix: str, variable: ResolvedVariable,
                  expr: str) -> str:
     """Cast a raw ``unsigned`` expression to a stub parameter's C type.
@@ -410,8 +417,7 @@ class _CWriter:
         self._w("#ifdef DEVIL_DEBUG")
         self._w(f'{indent}DEVIL_CHECK(d->mem_device_mode == '
                 f'(unsigned){self._sym(register.mode)}, '
-                f'"register {register.name} addressed outside mode '
-                f'{register.mode}");')
+                f'"{mode_check_message(register)}");')
         self._w("#endif")
 
     def _emit_register_read(self, register: ResolvedRegister,

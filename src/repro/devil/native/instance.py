@@ -43,7 +43,7 @@ from ... import obs
 from ...bus.bus import Bus, BusError, IoTraceEntry
 from ..errors import DevilRuntimeError
 from ..runtime import DeviceInstance
-from ..codegen.c_backend import generate_c_header
+from ..codegen.c_backend import generate_c_header, mode_check_message
 from . import build
 from .build import NativeBuildError
 from .shim import (STATUS_CHECK, STATUS_DEVERR, STATUS_NODEV,
@@ -140,9 +140,16 @@ class _NativeCore:
         model = instance.model
         self.prefix = model.name
         header = generate_c_header(model, debug=instance.debug)
-        # The ``--with-models`` variant: C ports of the IDE and
-        # Permedia2 hot registers serve direct batches on the fleet bus.
-        shim_source = generate_shim(model, with_models=True)
+        # The shim and the stub table are functions of the model alone
+        # (emitted once per model, like the header).  The
+        # ``--with-models`` shim: C ports of the IDE and Permedia2 hot
+        # registers serve direct batches on the fleet bus.
+        sources = model.__dict__.get("_native_sources")
+        if sources is None:
+            sources = model.__dict__["_native_sources"] = (
+                generate_shim(model, with_models=True),
+                native_stub_table(model))
+        shim_source, (stubs, blocks) = sources
         self.library_path = build.build_library(
             model.name, header, shim_source, instance.debug)
         lib = build.load_library(self.library_path)
@@ -185,12 +192,14 @@ class _NativeCore:
             bases[i] = instance.bases[name]
         self.lib_init(self.state_ptr, bases)
 
-        stubs, blocks = native_stub_table(model)
         self.stub_index = {entry.stub: entry for entry in stubs}
         self.block_index = {entry.stub: entry for entry in blocks}
         self.memory_vars = {variable.name: variable
                             for variable in model.variables.values()
                             if variable.memory}
+        self.mode_checks = {mode_check_message(register): register
+                            for register in model.registers.values()
+                            if register.mode is not None}
         max_args = max([len(e.args) for e in stubs] + [1])
         self.args = (c_uint * max_args)()
         self.out = (c_uint * 1)()
@@ -373,9 +382,15 @@ class _NativeCore:
                     self.instance.model.location)
             raise exc
         if status == STATUS_CHECK:
-            message = cbus.fail_msg or b"native runtime check failed"
-            raise DevilRuntimeError(message.decode("ascii", "replace"),
-                                    self.instance.model.location)
+            message = (cbus.fail_msg or b"native runtime check failed") \
+                .decode("ascii", "replace")
+            register = self.mode_checks.get(message)
+            if register is not None:
+                # The interpreter's check words it with the device's
+                # current mode, at the register's location.
+                self.sync_memory()
+                self.instance._check_mode(register)
+            raise DevilRuntimeError(message, self.instance.model.location)
         if status == STATUS_NODEV:
             raise BusError(f"no device mapped at port "
                            f"{cbus.fail_port:#x}")

@@ -68,13 +68,7 @@ from .scheduler import (
 )
 from .select import BackendChoice, decide
 from .shm import HEARTBEAT_SLOT_BYTES, HeartbeatSlot
-from .stress import (
-    STRESS_BACKENDS,
-    fingerprint,
-    fleet_fingerprint,
-    mixed_schedule,
-    run_stress,
-)
+from .stress import STRESS_BACKENDS, mixed_schedule, run_stress
 
 __all__ = [
     "COMPUTE_SPEC",
@@ -116,8 +110,6 @@ __all__ = [
     "RoundRobinScheduler",
     "Scheduler",
     "WeightedRoundRobinScheduler",
-    "fingerprint",
-    "fleet_fingerprint",
     "mixed_schedule",
     "run_stress",
 ]

@@ -1,19 +1,16 @@
-"""Exactness instruments: state fingerprints and the parallel-vs-serial
-stress harness.
+"""Exactness instrument: the parallel-vs-serial stress harness.
 
 The fleet engine's correctness claim is not "no crashes" but *lost
 nothing, tore nothing*: a parallel run must produce byte-identical
 device state and byte-identical accounting to the same requests run on
-one worker.  The helpers here make that comparison mechanical:
-
-* :func:`fingerprint` normalizes any device model (nested objects,
-  bytearrays, dataclasses) into hashable plain data so two models can
-  be compared field-for-field.
-* :func:`run_stress` runs one request list twice — parallel and
-  single-worker reference — and asserts both invariants, returning the
-  evidence for the caller (tests, the CLI, the benchmark's stress leg).
-  The parallel run can be the thread fleet or the process fleet; the
-  reference is always one thread.
+one worker.  :func:`run_stress` runs one request list twice — parallel
+and single-worker reference — and asserts both invariants, returning
+the evidence for the caller (tests, the benchmark's stress leg).  The
+parallel run can be the thread fleet or the process fleet; the
+reference is always one thread.  End state is
+:meth:`~repro.engine.fleet.MergedSessions.device_states`: every
+mapping's model pickled (``Bus.state_snapshot``), byte-comparable on
+either backend.
 
 Requests must be deterministic and idempotent on device state (the
 shipped ones in :mod:`repro.engine.requests` are) and the fleet must
@@ -31,59 +28,10 @@ from .requests import MIXED_REQUESTS
 STRESS_BACKENDS = ("thread", "process")
 
 
-def fingerprint(value, _seen: set | None = None):
-    """Normalize a device model graph into comparable plain data."""
-    if isinstance(value, (bool, int, float, str, bytes, type(None))):
-        return value
-    if isinstance(value, bytearray):
-        return bytes(value)
-    if _seen is None:
-        _seen = set()
-    marker = id(value)
-    if marker in _seen:
-        return "<cycle>"
-    _seen.add(marker)
-    try:
-        if isinstance(value, dict):
-            return tuple(sorted(
-                (str(key), fingerprint(item, _seen))
-                for key, item in value.items()))
-        if isinstance(value, (list, tuple)):
-            return tuple(fingerprint(item, _seen) for item in value)
-        if isinstance(value, (set, frozenset)):
-            return tuple(sorted(repr(fingerprint(item, _seen))
-                                for item in value))
-        if hasattr(value, "__dict__"):
-            return (type(value).__name__,) + tuple(sorted(
-                (attr, fingerprint(item, _seen))
-                for attr, item in vars(value).items()
-                if not callable(item)))
-        return repr(value)
-    finally:
-        _seen.discard(marker)
-
-
-def fleet_fingerprint(fleet: Fleet):
-    """Fingerprint of every device model in the fleet, by label."""
-    return tuple(
-        (session.label, fingerprint(session.aux))
-        for session in fleet.sessions)
-
-
-def _stress_evidence(fleet, backend: str) -> dict:
-    """The comparable evidence of one finished stress run.
-
-    ``states`` (byte-comparable per-mapping snapshots), ``accounting``
-    and the trace come from the fleet merge on both backends; the deep
-    model ``fingerprint`` needs in-process access to the device
-    models, so only the thread backend provides it (the process
-    backend's models live in the workers — their pickled states stand
-    in for them).
-    """
+def _stress_evidence(fleet) -> dict:
+    """The comparable evidence of one finished stress run."""
     return {"accounting": fleet.accounting,
             "states": fleet.device_states(),
-            "fingerprint": None if backend == "process"
-            else fleet_fingerprint(fleet),
             "trace_dropped": fleet.trace_dropped,
             "trace": fleet.trace}
 
@@ -126,7 +74,7 @@ def run_stress(devices, schedule, workers: int = 8,
                    policy="round-robin", shadow_cache=shadow_cache,
                    tracing=tracing, **fleet_kwargs) as fleet:
         fleet.run(schedule)
-        parallel = _stress_evidence(fleet, backend)
+        parallel = _stress_evidence(fleet)
         completed = fleet.completed()
 
     if completed != len(schedule):
@@ -138,7 +86,7 @@ def run_stress(devices, schedule, workers: int = 8,
                    policy="round-robin", shadow_cache=shadow_cache,
                    tracing=tracing) as fleet:
             fleet.run(schedule)
-            reference = _stress_evidence(fleet, "thread")
+            reference = _stress_evidence(fleet)
 
     if parallel["accounting"] != reference["accounting"]:
         raise AssertionError(
@@ -151,14 +99,6 @@ def run_stress(devices, schedule, workers: int = 8,
             if parallel["states"].get(name) != reference["states"][name])
         raise AssertionError(
             f"device state diverged from the serial reference on: {torn}")
-    if parallel["fingerprint"] is not None \
-            and reference["fingerprint"] is not None \
-            and parallel["fingerprint"] != reference["fingerprint"]:
-        torn = [label for (label, fp), (_, ref_fp)
-                in zip(parallel["fingerprint"], reference["fingerprint"])
-                if fp != ref_fp]
-        raise AssertionError(
-            f"device models diverged from the serial reference on: {torn}")
     if tracing:
         for side, evidence in (("parallel", parallel),
                                ("serial", reference)):

@@ -1,14 +1,15 @@
 """Shadow-cache and coalescing parity tests (§4.3, Tables 2-4).
 
-The tentpole invariant of the shadow-cache/transaction work: all three
-execution strategies — interpreter, bind-time specializer, generated
-stub module — share one static :class:`~repro.devil.plan.AccessPlan`
-and must therefore agree *exactly* on which reads are elided, which
-writes coalesce, and what the device sees on the wire.  These tests
-pin the plan classification, the elision/invalidation semantics, and
-then prove bit-identical results, bus traces and accounting across
-every strategy x shadow-cache x debug combination, for every shipped
-spec and for the transactional workload variants.
+The central invariant of the shadow-cache/transaction work: the
+interpreter, the bind-time specializer and the generated stub module
+share one static :class:`~repro.devil.plan.AccessPlan` and must
+therefore agree *exactly* on which reads are elided, which writes
+coalesce, and what the device sees on the wire (the native core
+rejects the shadow cache and transactions by design).  These tests pin
+the plan classification and the elision/invalidation semantics, and
+run every shipped spec and the transactional workload variants in the
+shadow-cache cells of the differential harness
+(``tests/differential.py``).
 """
 
 import json
@@ -20,16 +21,24 @@ from repro.bus import Bus
 from repro.devil.compiler import compile_spec
 from repro.devil.plan import access_plan
 from repro.obs.workloads import (
-    STRATEGIES,
     TXN_WORKLOADS,
     WORKLOADS,
-    build_machine,
-    bind_stubs,
     run_txn_workload,
     run_workload,
 )
-from repro.specs import SPEC_NAMES, compile_shipped
+from repro.specs import SPEC_NAMES
 from tests.conftest import shipped_spec
+from tests.differential import (
+    BOTH,
+    STRATEGIES,
+    WORKLOAD,
+    Cell,
+    Machine,
+    check,
+    device_machine,
+    evidence,
+    matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -115,65 +124,74 @@ class Ram:
         self.cells[offset] = value
 
 
-def mini(strategy="interpret", shadow_cache=True, debug=False):
-    spec = compile_spec(MINI)
-    bus = Bus()
-    ram = Ram()
-    bus.map_device(0x10, 4, ram)
-    device = spec.bind(bus, {"base": 0x10}, debug=debug,
-                       strategy=strategy, shadow_cache=shadow_cache)
-    return bus, ram, device
+def _twice(stubs, aux):
+    return [stubs.get_plain(), stubs.get_plain()]
+
+
+def _write_then_read(stubs, aux):
+    stubs.set_plain(0x5A)
+    return stubs.get_plain()
+
+
+def _volatile_thrice(stubs, aux):
+    return [stubs.get_moody() for _ in range(3)]
+
+
+def _trigger_between(stubs, aux):
+    stubs.get_plain()
+    stubs.set_go(1)        # write-trigger: barrier
+    return stubs.get_plain()
+
+
+def _invalidate_between(stubs, aux):
+    stubs.get_plain()
+    stubs.invalidate_caches()
+    return stubs.get_plain()
+
+
+def _elision(drive, results, cache_off, cache_on) -> Machine:
+    """``drive`` on the mini machine returns ``results`` and accounts
+    the ``(reads, writes, elided reads)`` of ``cache_off``/``cache_on``."""
+    return Machine(
+        f"mini {drive.__name__}", drive, spec=MINI,
+        build=device_machine(Ram, 0x10, 4),
+        expect=lambda found, cell: found.results == results and (
+            found.accounting.reads, found.accounting.writes,
+            found.accounting.elided_reads)
+        == (cache_on if cell.shadow_cache else cache_off))
+
+
+TWICE = _elision(_twice, [0x11, 0x11], (2, 0, 0), (1, 0, 1))
+WRITE_THEN_READ = _elision(_write_then_read, 0x5A, (1, 1, 0), (0, 1, 1))
+VOLATILE = _elision(_volatile_thrice, [0x22] * 3, (3, 0, 0), (3, 0, 0))
+TRIGGER = _elision(_trigger_between, 0x11, (2, 1, 0), (2, 1, 0))
+INVALIDATE = _elision(_invalidate_between, 0x11, (2, 0, 0), (2, 0, 0))
 
 
 class TestElision:
     @pytest.mark.parametrize("strategy", STRATEGIES[:2])
     def test_second_read_is_elided(self, strategy):
-        bus, ram, device = mini(strategy)
-        assert device.get_plain() == 0x11
-        assert device.get_plain() == 0x11
-        assert ram.reads == 1
-        assert bus.accounting.elided_reads == 1
+        check(TWICE, [Cell(strategy, shadow_cache=True)])
 
     @pytest.mark.parametrize("strategy", STRATEGIES[:2])
     def test_write_keeps_shadow_valid(self, strategy):
-        bus, ram, device = mini(strategy)
-        device.set_plain(0x5A)
-        assert device.get_plain() == 0x5A
-        assert ram.reads == 0 and ram.writes == 1
-        assert bus.accounting.elided_reads == 1
+        check(WRITE_THEN_READ, [Cell(strategy, shadow_cache=True)])
 
     @pytest.mark.parametrize("strategy", STRATEGIES[:2])
     def test_volatile_is_never_elided(self, strategy):
-        bus, ram, device = mini(strategy)
-        for _ in range(3):
-            device.get_moody()
-        assert ram.reads == 3
-        assert bus.accounting.elided_reads == 0
+        check(VOLATILE, [Cell(strategy, shadow_cache=True)])
 
     @pytest.mark.parametrize("strategy", STRATEGIES[:2])
     def test_trigger_write_invalidates_everything(self, strategy):
-        bus, ram, device = mini(strategy)
-        device.get_plain()
-        device.set_go(1)       # write-trigger: barrier
-        device.get_plain()
-        assert ram.reads == 2  # re-read forced after the barrier
+        check(TRIGGER, [Cell(strategy, shadow_cache=True)])
 
     @pytest.mark.parametrize("strategy", STRATEGIES[:2])
     def test_invalidate_caches_drops_shadows(self, strategy):
-        bus, ram, device = mini(strategy)
-        device.get_plain()
-        instance = getattr(device, "_instance", device)
-        instance.invalidate_caches()
-        device.get_plain()
-        assert ram.reads == 2
+        check(INVALIDATE, [Cell(strategy, shadow_cache=True)])
 
     @pytest.mark.parametrize("strategy", STRATEGIES[:2])
     def test_shadow_cache_off_by_default(self, strategy):
-        bus, ram, device = mini(strategy, shadow_cache=False)
-        device.get_plain()
-        device.get_plain()
-        assert ram.reads == 2
-        assert bus.accounting.elided_reads == 0
+        check(TWICE, [Cell(strategy)])
 
     def test_rmw_composition_disables_shadow_cache(self):
         spec = compile_spec(MINI)
@@ -187,70 +205,40 @@ class TestElision:
     def test_elided_read_still_mode_checked(self):
         """Debug-mode protocol checks run even when the bus is not
         touched: elision must not weaken §3.2 checking."""
-        bus, ram, device = mini("interpret", debug=True)
-        device.get_plain()
-        assert device.get_plain() == 0x11  # elided, but checked path
+        check(TWICE, [Cell(debug=True, shadow_cache=True)])
 
     def test_block_transfer_is_a_barrier(self):
-        bus, ram, device = mini_blocks()
-        device.get_plain()
-        device.read_burst_block(2)
-        device.get_plain()
-        assert bus.accounting.elided_reads == 0
+        check(BURST, matrix(strategy=STRATEGIES[:3], shadow_cache=(True,)))
 
 
-BLOCKS = """
+def _burst_between(stubs, aux):
+    stubs.get_plain()
+    stubs.read_burst_block(2)
+    return stubs.get_plain()
+
+
+BURST = Machine("a block read between two reads", _burst_between, spec="""
 device d (base : bit[8] port @ {0..1}) {
     register r = base @ 0 : bit[8];
     variable plain = r : int(8);
     register b = base @ 1 : bit[8];
     variable burst = b, trigger, volatile, block : int(8);
 }
-"""
-
-
-def mini_blocks():
-    spec = compile_spec(BLOCKS)
-    bus = Bus()
-    ram = Ram()
-    bus.map_device(0x10, 4, ram)
-    return bus, ram, spec.bind(bus, {"base": 0x10}, debug=False,
-                               shadow_cache=True)
+""", build=device_machine(Ram, 0x10, 4),
+                expect=lambda found, cell: found.accounting.elided_reads == 0)
 
 
 class TestGeneratedElision:
     """The generated stub module mirrors the interpreter's elision."""
 
-    def _generated(self, shadow_cache=True):
-        spec = compile_spec(MINI)
-        source = spec.emit_python()
-        namespace = {}
-        exec(compile(source, "d_stubs.py", "exec"), namespace)
-        (cls,) = [v for k, v in namespace.items() if k.endswith("Stubs")]
-        bus = Bus()
-        ram = Ram()
-        bus.map_device(0x10, 4, ram)
-        return bus, ram, cls(bus, 0x10, shadow_cache=shadow_cache)
-
     def test_second_read_is_elided(self):
-        bus, ram, device = self._generated()
-        assert device.get_plain() == 0x11
-        assert device.get_plain() == 0x11
-        assert ram.reads == 1
-        assert bus.accounting.elided_reads == 1
+        check(TWICE, [Cell("generated", shadow_cache=True)])
 
     def test_trigger_write_invalidates(self):
-        bus, ram, device = self._generated()
-        device.get_plain()
-        device.set_go(1)
-        device.get_plain()
-        assert ram.reads == 2
+        check(TRIGGER, [Cell("generated", shadow_cache=True)])
 
     def test_off_by_default(self):
-        bus, ram, device = self._generated(shadow_cache=False)
-        device.get_plain()
-        device.get_plain()
-        assert ram.reads == 2
+        check(TWICE, [Cell("generated")])
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +280,6 @@ class TestTransactionBarriers:
 # ---------------------------------------------------------------------------
 
 
-def _comparable(results, trace, accounting):
-    return (results, trace,
-            (accounting.reads, accounting.writes, accounting.block_ops,
-             accounting.block_words, accounting.elided_reads,
-             accounting.coalesced_writes))
-
-
 class TestThreeWayParity:
     @pytest.mark.parametrize("shadow", [False, True],
                              ids=["plain", "shadow"])
@@ -306,11 +287,8 @@ class TestThreeWayParity:
                              ids=["release", "debug"])
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_workload_parity(self, name, debug, shadow):
-        runs = {strategy: _comparable(*run_workload(
-                    name, strategy, debug=debug, shadow_cache=shadow))
-                for strategy in STRATEGIES}
-        assert runs["specialize"] == runs["interpret"]
-        assert runs["generated"] == runs["interpret"]
+        check(WORKLOAD[name], matrix(strategy=STRATEGIES, debug=(debug,),
+                                     shadow_cache=(shadow,)))
 
     @pytest.mark.parametrize("shadow", [False, True],
                              ids=["plain", "shadow"])
@@ -318,11 +296,8 @@ class TestThreeWayParity:
                              ids=["release", "debug"])
     @pytest.mark.parametrize("name", sorted(TXN_WORKLOADS))
     def test_txn_workload_parity(self, name, debug, shadow):
-        runs = {strategy: _comparable(*run_txn_workload(
-                    name, strategy, debug=debug, shadow_cache=shadow))
-                for strategy in STRATEGIES}
-        assert runs["specialize"] == runs["interpret"]
-        assert runs["generated"] == runs["interpret"]
+        check(WORKLOAD[name], matrix(strategy=STRATEGIES, debug=(debug,),
+                                     shadow_cache=(shadow,), txn=(True,)))
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_shadow_cache_only_removes_reads(self, name):
@@ -352,14 +327,10 @@ class TestThreeWayParity:
     def test_final_device_state_matches_cache_off(self, name):
         """The wire-visible outcome (simulated device model state) is
         unchanged by elision and coalescing."""
-        states = {}
-        for shadow in (False, True):
-            bus, aux, bases = build_machine(name)
-            stubs = bind_stubs(name, "interpret", bus, bases,
-                               shadow_cache=shadow)
-            TXN_WORKLOADS[name](stubs, aux)
-            states[shadow] = _snapshot(aux)
-        assert states[True] == states[False]
+        on, off = (evidence(WORKLOAD[name], Cell(txn=True,
+                                                  shadow_cache=shadow))
+                   for shadow in BOTH)
+        assert on.state == off.state
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +379,3 @@ class TestGoldenCounts:
         assert sorted(golden["workloads"]) == sorted(WORKLOADS)
         assert sorted(golden["txn_workloads"]) == sorted(TXN_WORKLOADS)
 
-
-def _snapshot(value, depth=0):
-    """A deep, comparable view of a simulated device model."""
-    if depth > 6:
-        return repr(value)
-    if isinstance(value, (int, float, str, bytes, bool, type(None))):
-        return value
-    if isinstance(value, bytearray):
-        return bytes(value)
-    if isinstance(value, (list, tuple)):
-        return [_snapshot(item, depth + 1) for item in value]
-    if isinstance(value, dict):
-        return {key: _snapshot(item, depth + 1)
-                for key, item in sorted(value.items())}
-    if hasattr(value, "__dict__"):
-        return {key: _snapshot(item, depth + 1)
-                for key, item in sorted(vars(value).items())
-                if not key.startswith("_")}
-    return repr(value)

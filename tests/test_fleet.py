@@ -9,7 +9,8 @@ Three layers of invariants, bottom-up:
 * the **fleet** produces *exactly* the accounting and device state of
   a single-worker run — not approximately: the schedules are
   deterministic, so every counter must match to the unit — and the
-  final state is identical under all three execution strategies.
+  final state is identical under all three execution strategies (the
+  thread-fleet cells of ``tests/differential.py``).
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from repro.engine import (
     Fleet,
     WorkerError,
     WorkerPool,
-    fleet_fingerprint,
     ide_sector_read,
     mixed_schedule,
     run_stress,
 )
 from repro.obs.workloads import STRATEGIES, WORKLOADS, build_machine
 from repro.specs import SPEC_NAMES
+from tests.differential import FLEET, Cell, check, matrix
+from tests.test_fleet_mp import MIXED
 
 pytestmark = pytest.mark.concurrency
 
@@ -206,24 +208,17 @@ def test_concurrent_first_binds_all_specs_all_strategies():
 
 @pytest.mark.parametrize("spec", SPEC_NAMES)
 def test_fleet_exactness_per_spec(spec):
-    """4 threads × 12 shipped-workload requests on a 2-device fleet:
-    accounting and final state equal the single-worker reference."""
-    schedule = [(spec, WORKLOADS[spec])] * 12
-    run_stress([spec, spec], schedule, workers=4)
+    """4 threads on a 2-device fleet: accounting and final state equal
+    the single-worker reference."""
+    check(FLEET[spec], [Cell("specialize", backend="thread",
+                             tracing=False)])
 
 
 def test_fleet_three_strategy_state_parity():
     """The mixed fleet ends in the same device state under interpret,
     specialize and generated execution."""
-    schedule = mixed_schedule(6)
-    fingerprints = {}
-    for strategy in STRATEGIES:
-        with Fleet(["ide", "permedia2", "ne2000"], strategy=strategy,
-                   workers=4) as fleet:
-            fleet.run(schedule)
-            fingerprints[strategy] = fleet_fingerprint(fleet)
-    assert fingerprints["interpret"] == fingerprints["specialize"]
-    assert fingerprints["interpret"] == fingerprints["generated"]
+    check(MIXED, matrix(strategy=STRATEGIES, backend=("thread",),
+                        tracing=(False,)))
 
 
 @pytest.mark.slow

@@ -1,19 +1,15 @@
-"""Cross-process parity harness: the process backend is indistinguishable.
+"""Cross-process parity: the process backend is indistinguishable.
 
-The multiprocessing fleet's correctness claim mirrors PR 4's thread
-claim, one substrate deeper: for the same submission sequence, the
+The multiprocessing fleet's correctness claim mirrors the thread
+fleet's, one substrate deeper: for the same submission sequence, the
 process backend must produce — not approximately, *byte for byte* —
-
-* the same device end-state (pickled per-mapping snapshots via the
-  :meth:`repro.bus.Bus.state_snapshot` seam),
-* the same exact per-device accounting shards,
-* the same span signatures (strategy- and timing-independent span
-  identity), and
-* the same merged port-operation trace (every device's segment, in
-  global device order)
-
-as the serial single-worker reference and the thread backend, for
-every shipped specification.  Placement is deterministic at submit
+the same device end-state (pickled per-mapping snapshots via
+:meth:`repro.bus.Bus.state_snapshot`), the same exact merged and
+per-device accounting, the same span signatures and the same merged
+port-operation trace as the serial single-worker reference and the
+thread backend, for every shipped specification and strategy.  The
+parity tests run the fleet cells of the differential harness
+(``tests/differential.py``).  Placement is deterministic at submit
 time in all three, which is what makes request-for-request comparison
 a valid test at all.
 """
@@ -26,51 +22,65 @@ import time
 
 import pytest
 
-from repro import obs
 from repro.bus import Bus, iter_operations
 from repro.engine import (
-    Fleet,
     ProcessFleet,
     WorkerError,
     decode_request,
     encode_request,
     ide_sector_checksum,
     ide_sector_read,
+    ide_sector_read_lba,
+    ide_sector_read_txn,
+    ide_taskfile_churn,
     mixed_schedule,
 )
-from repro.devil.native import native_available
 from repro.obs.workloads import WORKLOADS, build_machine
 from repro.specs import SPEC_NAMES
+from tests.differential import (
+    BOTH,
+    FLEET,
+    FLEETS,
+    STRATEGIES,
+    Cell,
+    FleetRun,
+    check,
+    evidence,
+    matrix,
+    needs_cc,
+)
 
 pytestmark = pytest.mark.concurrency
 
-needs_cc = pytest.mark.skipif(not native_available(),
-                              reason="strategy='native' needs a C "
-                                     "compiler")
+#: The strategies the shadow cache and transactions run in (the native
+#: core's fleet cells are below).
+PYTHON_STRATEGIES = tuple(s for s in STRATEGIES if s != "native")
+PARALLEL = ("thread", "process")
+
+#: A device of every shipped spec serving its workload twice.
+EVERY_SPEC = FleetRun(
+    "every spec fleet",
+    tuple((spec, WORKLOADS[spec]) for _ in range(2) for spec in SPEC_NAMES),
+    devices=tuple(SPEC_NAMES))
+
+IDE_READS = FleetRun("ide sector reads", (("ide", ide_sector_read),) * 6,
+                     devices=("ide", "ide"))
 
 
-#: ``backend -> (fleet class, workers)`` of the parity runs; "serial"
-#: is the one-worker thread fleet every other run is compared with.
-_BACKENDS = {"serial": (Fleet, 1), "thread": (Fleet, 4),
-             "process": (ProcessFleet, 2)}
+#: Plain, transactional and CPU-bound requests on a mixed fleet; the
+#: transactional writes coalesce in the workers, and the mix's
+#: registers are all volatile, so nothing is elided.
+MIXED_TXN = FleetRun(
+    "mixed fleet, txn and cpu requests", None,
+    (("ide", ide_sector_read), ("ide", ide_sector_read_txn),
+     ("ide", ide_sector_checksum), ("permedia2", WORKLOADS["permedia2"]),
+     ("ne2000", WORKLOADS["ne2000"])) * 4,
+    expect=lambda found, cell: found.accounting.coalesced_writes > 0,
+    devices=("ide", "ide", "permedia2", "ne2000"))
 
+MIXED = FleetRun("mixed fleet", tuple(mixed_schedule(6)),
+                 devices=("ide", "permedia2", "ne2000"))
 
-def _run_backend(backend: str, devices, schedule, **fleet_kwargs):
-    """One observed fleet run; returns the full parity evidence."""
-    fleet_cls, workers = _BACKENDS[backend]
-    collector = obs.Collector()
-    with obs.observe(collector=collector):
-        with fleet_cls(devices, workers=workers, tracing=True,
-                       collector=collector, **fleet_kwargs) as fleet:
-            fleet.run(schedule)
-            return {
-                "states": fleet.device_states(),
-                "by_device": fleet.accounting_by_device(),
-                "accounting": fleet.accounting,
-                "completed": fleet.completed_by_device(),
-                "trace": fleet.trace,
-                "signatures": sorted(collector.signatures(), key=repr),
-            }
 
 
 # ---------------------------------------------------------------------------
@@ -78,100 +88,43 @@ def _run_backend(backend: str, devices, schedule, **fleet_kwargs):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _spec_references(spec):
-    """Serial and thread evidence for one spec's parity schedule.
-
-    Cached: the per-spec, native and telemetry parity tests all compare
-    against the same references, so each spec pays for them once."""
-    devices = [spec, spec]
-    schedule = [(spec, WORKLOADS[spec])] * 6
-    return (_run_backend("serial", devices, schedule),
-            _run_backend("thread", devices, schedule))
-
-
 @pytest.mark.parametrize("spec", SPEC_NAMES)
 def test_backend_parity_per_spec(spec):
     """Serial, thread-fleet and process-fleet runs of the shipped
     workload are byte-identical in end-state, accounting, spans and
     merged traces."""
-    devices = [spec, spec]
-    schedule = [(spec, WORKLOADS[spec])] * 6
-    serial, threaded = _spec_references(spec)
-    process = _run_backend("process", devices, schedule)
+    check(FLEET[spec], matrix(strategy=("specialize",), backend=PARALLEL,
+                              spans=(True,)))
 
-    for backend, evidence in (("thread", threaded),
-                              ("process", process)):
-        assert evidence["completed"] == serial["completed"], backend
-        assert evidence["by_device"] == serial["by_device"], backend
-        assert evidence["accounting"] == serial["accounting"], backend
-        # Byte-equal end-state, mapping by mapping.
-        assert sorted(evidence["states"]) == sorted(serial["states"])
-        for name, blob in serial["states"].items():
-            assert evidence["states"][name] == blob, \
-                f"{backend}: end-state of {name!r} diverged for {spec}"
-        assert evidence["signatures"] == serial["signatures"], \
-            f"{backend}: span signatures diverged for {spec}"
-        # The whole merged trace: device segments in global device
-        # order, each in its device's program order.
-        assert evidence["trace"] == serial["trace"], \
-            f"{backend}: trace diverged for {spec}"
+
+def test_every_strategy_and_shadow_setting_on_every_backend():
+    """Every shipped spec on one fleet, in every Python strategy with
+    the shadow cache on (spans compared with it off); a thread fleet of
+    the native core rejects the cache."""
+    if "native" in STRATEGIES:
+        check(EVERY_SPEC, [Cell("native", shadow_cache=True,
+                                backend="thread")])
+    for shadow in BOTH:
+        check(EVERY_SPEC, matrix(strategy=PYTHON_STRATEGIES,
+                                 shadow_cache=(shadow,),
+                                 backend=tuple(FLEETS),
+                                 spans=(not shadow,)))
 
 
 def test_backend_parity_mixed_fleet_with_txn_and_cpu_requests():
-    """A mixed fleet under a request mix spanning plain, transactional
-    and CPU-bound requests stays exact across all three backends."""
-    from repro.engine import ide_sector_read_txn
-
-    devices = ["ide", "ide", "permedia2", "ne2000"]
-    schedule = []
-    for _ in range(4):
-        schedule += [("ide", ide_sector_read),
-                     ("ide", ide_sector_read_txn),
-                     ("ide", ide_sector_checksum),
-                     ("permedia2", WORKLOADS["permedia2"]),
-                     ("ne2000", WORKLOADS["ne2000"])]
-    serial = _run_backend("serial", devices, schedule,
-                          shadow_cache=True)
-    threaded = _run_backend("thread", devices, schedule,
-                            shadow_cache=True)
-    process = _run_backend("process", devices, schedule,
-                           shadow_cache=True)
-    assert threaded["states"] == serial["states"]
-    assert process["states"] == serial["states"]
-    assert threaded["by_device"] == serial["by_device"]
-    assert process["by_device"] == serial["by_device"]
-    assert threaded["trace"] == serial["trace"]
-    assert process["trace"] == serial["trace"]
-    assert process["signatures"] == serial["signatures"]
-    # Runtime-level effects crossed the process boundary exactly: the
-    # transactional writes coalesced in the workers, and the merged
-    # accounting agrees field for field (the mix's registers are all
-    # volatile, so elisions are exactly zero on every backend).
-    assert process["accounting"] == serial["accounting"]
-    assert process["accounting"].coalesced_writes > 0
+    check(MIXED_TXN, matrix(strategy=("specialize",), shadow_cache=(True,),
+                            txn=(True,), backend=tuple(FLEETS),
+                            spans=(True,)))
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", PARALLEL)
 def test_backend_parity_with_telemetry_enabled(backend):
     """The live telemetry plane (heartbeats, latency histograms,
     flight recorder) is pure observation: a fleet running with
     ``telemetry=True`` stays byte-equal to the untelemetered serial
-    reference — end-state, accounting, spans and the merged trace."""
-    spec = "ide"
-    devices = [spec, spec]
-    schedule = [(spec, WORKLOADS[spec])] * 6
-    serial, _ = _spec_references(spec)
-    evidence = _run_backend(backend, devices, schedule, telemetry=True)
-    assert evidence["completed"] == serial["completed"]
-    assert evidence["by_device"] == serial["by_device"]
-    assert evidence["accounting"] == serial["accounting"]
-    for name, blob in serial["states"].items():
-        assert evidence["states"][name] == blob, \
-            f"telemetry perturbed the end-state of {name!r}"
-    assert evidence["signatures"] == serial["signatures"]
-    assert evidence["trace"] == serial["trace"], \
-        "telemetry perturbed the trace"
+    reference."""
+    check(FLEET["ide"], [Cell("specialize", backend=backend,
+                              telemetry=True, spans=True)])
 
 
 def test_process_fleet_telemetry_merges_worker_latency():
@@ -202,27 +155,17 @@ def test_process_fleet_telemetry_merges_worker_latency():
 
 @pytest.mark.parametrize("strategy", ("interpret", "generated"))
 def test_process_backend_strategy_parity(strategy):
-    """The process backend is exact under the non-default execution
-    strategies too (the specializer is covered by the suite above)."""
-    devices = ["ide", "ide"]
-    schedule = [("ide", ide_sector_read)] * 6
-    serial = _run_backend("serial", devices, schedule,
-                          strategy=strategy)
-    process = _run_backend("process", devices, schedule,
-                           strategy=strategy)
-    assert process["states"] == serial["states"]
-    assert process["by_device"] == serial["by_device"]
-    assert process["signatures"] == serial["signatures"]
+    check(IDE_READS, [Cell(strategy, backend="process", spans=True)])
 
 
 def test_process_backend_block_groups_stay_contiguous():
     """Block transfers keep their per-word trace entries adjacent in
     each worker's exported ring (``iter_operations`` must regroup)."""
-    devices = ["ide", "ide", "ide"]
-    schedule = [("ide", ide_sector_read)] * 9
-    process = _run_backend("process", devices, schedule)
-    operations = list(iter_operations(process["trace"]))
-    blocks = [op for op in operations if op[0].op in ("rb", "wb")]
+    reads = FleetRun("three ide, sector reads",
+                     (("ide", ide_sector_read),) * 9, devices=("ide",) * 3)
+    trace = evidence(reads, Cell("specialize", backend="process")).trace
+    blocks = [op for op in iter_operations(trace)
+              if op[0].op in ("rb", "wb")]
     assert blocks, "sector reads must produce block operations"
     for group in blocks:
         assert len(group) == group[0].count
@@ -234,87 +177,35 @@ def test_process_backend_block_groups_stay_contiguous():
 # ---------------------------------------------------------------------------
 
 
-def _run_untraced(backend, devices, schedule, **fleet_kwargs):
-    """A fleet run with no tracer and no collector attached.
-
-    This is the configuration where native thread workers enter direct
-    mode — whole batches dispatch through the C port table with
-    C-side accounting — so exactness here covers the fast path the
-    traced harness above deliberately disables.
-    """
-    fleet_cls, workers = _BACKENDS[backend]
-    with fleet_cls(devices, workers=workers, tracing=False,
-                   **fleet_kwargs) as fleet:
-        fleet.run(schedule)
-        return {
-            "states": fleet.device_states(),
-            "by_device": fleet.accounting_by_device(),
-            "accounting": fleet.accounting,
-            "completed": fleet.completed_by_device(),
-        }
-
-
 @needs_cc
-@pytest.mark.parametrize("backend", ("serial", "thread", "process"))
+@pytest.mark.parametrize("backend", tuple(FLEETS))
 @pytest.mark.parametrize("spec", SPEC_NAMES)
 def test_native_backend_parity_per_spec(spec, backend):
-    """Every backend running ``strategy='native'`` is byte-identical
-    to the serial specializer reference on every shipped spec —
-    end-state, per-device accounting shards, span signatures and
-    the merged port-op trace.  Tracing keeps the native core in
-    callback mode here; direct mode is covered below."""
-    devices = [spec, spec]
-    schedule = [(spec, WORKLOADS[spec])] * 6
-    serial, _ = _spec_references(spec)
-    evidence = _run_backend(backend, devices, schedule,
-                            strategy="native")
-    assert evidence["completed"] == serial["completed"]
-    assert evidence["by_device"] == serial["by_device"]
-    assert evidence["accounting"] == serial["accounting"]
-    for name, blob in serial["states"].items():
-        assert evidence["states"][name] == blob, \
-            f"native/{backend}: end-state of {name!r} diverged"
-    assert evidence["signatures"] == serial["signatures"], \
-        f"native/{backend}: span signatures diverged for {spec}"
-    assert evidence["trace"] == serial["trace"], \
-        f"native/{backend}: trace diverged for {spec}"
+    """Every backend running the native core agrees with the serial
+    interpreter fleet; tracing keeps the core in callback mode here,
+    direct mode is covered below."""
+    check(FLEET[spec], [Cell("native", backend=backend, spans=True)])
 
 
 @needs_cc
 @pytest.mark.parametrize("spec", SPEC_NAMES)
 def test_native_direct_mode_parity_untraced(spec):
-    """With no tracer or collector, native fleet workers run whole
+    """With no tracer or collector, native fleet workers may run
     batches in direct mode (C dispatch, C accounting, C device models
-    where shipped) and still land byte-equal end-state, exact merged
-    accounting and exact per-device shards against the untraced serial
-    specializer."""
-    devices = [spec, spec]
-    schedule = [(spec, WORKLOADS[spec])] * 6
-    reference = _run_untraced("serial", devices, schedule)
-    for backend in ("thread", "process"):
-        native = _run_untraced(backend, devices, schedule,
-                               strategy="native")
-        assert native == reference, f"native/{backend} for {spec}"
+    where shipped) and still land byte-equal end-state and exact
+    accounting."""
+    check(FLEET[spec], matrix(strategy=("native",), backend=PARALLEL,
+                              tracing=(False,)))
 
 
 @needs_cc
 def test_native_churn_request_parity_across_strategies():
     """The dispatch-bound benchmark request is exact: the native
-    ``repeat()`` fast path produces the same traffic, traces and
-    accounting as the specializer's Python loop."""
-    from repro.engine import ide_taskfile_churn
-
-    devices = ["ide", "ide"]
-    schedule = [("ide", functools.partial(ide_taskfile_churn,
-                                          n=512))] * 4
-    reference = _run_backend("serial", devices, schedule)
-    for backend in ("thread", "process"):
-        native = _run_backend(backend, devices, schedule,
-                              strategy="native")
-        assert native["states"] == reference["states"]
-        assert native["by_device"] == reference["by_device"]
-        assert native["accounting"] == reference["accounting"]
-        assert native["trace"] == reference["trace"], backend
+    ``repeat()`` fast path (direct when untraced) produces the same
+    traffic and accounting as the interpreter's Python loop."""
+    check(FleetRun("ide taskfile churn", (("ide", functools.partial(
+        ide_taskfile_churn, n=512)),) * 4, devices=("ide", "ide")),
+          matrix(strategy=("native",), backend=PARALLEL, tracing=BOTH))
 
 
 @needs_cc
@@ -433,23 +324,13 @@ def test_request_codec_rejects_bad_partials():
 def test_process_fleet_executes_partial_requests_exactly():
     """Partial requests land the same end-state on every backend (the
     bound lba argument must actually reach the worker)."""
-    import functools as ft
-
-    from repro.engine import ide_sector_read_lba
-
-    schedule = [("ide", ft.partial(ide_sector_read_lba, lba=5)),
-                ("ide", ide_sector_read),
-                ("ide", ft.partial(ide_sector_read_lba, lba=11))] * 2
-    serial = _run_backend("serial", ["ide", "ide"], schedule)
-    process = _run_backend("process", ["ide", "ide"], schedule)
-    assert process["states"] == serial["states"]
-    assert process["by_device"] == serial["by_device"]
-    assert process["trace"] == serial["trace"]
-    # The parameterized reads really did touch different sectors than
-    # a default-lba-only schedule would.
-    default_only = _run_backend("serial", ["ide", "ide"],
-                                [("ide", ide_sector_read)] * 6)
-    assert process["trace"] != default_only["trace"]
+    lba = functools.partial(ide_sector_read_lba, lba=5)
+    check(FleetRun("ide partial reads", (("ide", lba), ("ide",
+                   ide_sector_read), ("ide", functools.partial(lba, lba=11)))
+                   * 2,
+                   devices=("ide", "ide"), expect=lambda found, cell:
+                   found.trace != evidence(IDE_READS, cell).trace),
+          [Cell(backend="process")])
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +339,7 @@ def test_process_fleet_executes_partial_requests_exactly():
 
 
 def test_process_fleet_requires_deterministic_policy():
-    with pytest.raises(ValueError, match="deterministic"):
-        ProcessFleet(["ide", "ide"], policy="least-loaded")
+    check(IDE_READS, [Cell(backend="process", policy="least-loaded")])
     with pytest.raises(ValueError):
         ProcessFleet(["ide"], policy="psychic")
 
@@ -491,36 +371,19 @@ def test_process_fleet_reports_a_dead_worker_promptly():
 
 
 def test_process_fleet_weighted_placement_matches_thread_backend():
-    weights = {"ide0": 3, "ide1": 1}
-    schedule = [("ide", ide_sector_read)] * 8
-    with Fleet(["ide", "ide"], workers=2,
-               policy="weighted-round-robin", weights=weights) as fleet:
-        fleet.run(schedule)
-        thread_counts = fleet.completed_by_device()
-    with ProcessFleet(["ide", "ide"], workers=2,
-                      policy="weighted-round-robin",
-                      weights=weights) as fleet:
-        fleet.run(schedule)
-        process_counts = fleet.completed_by_device()
-    assert thread_counts == process_counts == {"ide0": 6, "ide1": 2}
+    check(FleetRun("ide weighted 3:1", (("ide", ide_sector_read),) * 8,
+                   devices=("ide", "ide"), weights=(("ide0", 3), ("ide1", 1)),
+                   expect=lambda found, cell:
+                   found.results == {"ide0": 6, "ide1": 2}),
+          matrix(backend=PARALLEL, workers=(2,),
+                 policy=("weighted-round-robin",)))
 
 
 def test_process_fleet_accounting_exact_across_worker_counts():
     """The mixed schedule lands identical merged totals at 1, 2 and 3
     processes — sharding must not change what reaches the wire."""
-    schedule = mixed_schedule(4)
-    devices = ["ide", "permedia2", "ne2000"]
-    reference = None
-    for workers in (1, 2, 3):
-        with ProcessFleet(devices, workers=workers) as fleet:
-            fleet.run(schedule)
-            accounting = fleet.accounting
-            states = fleet.device_states()
-        if reference is None:
-            reference = (accounting, states)
-        else:
-            assert accounting == reference[0], f"{workers} workers"
-            assert states == reference[1], f"{workers} workers"
+    check(MIXED, matrix(strategy=("specialize",), backend=("process",),
+                        workers=(1, 2, 3), tracing=(False,)))
 
 
 def _exploding_request(stubs, aux):

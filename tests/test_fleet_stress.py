@@ -3,11 +3,11 @@ itself.
 
 The stress helpers are what the benchmarks and the property suite
 lean on for "lost nothing, tore nothing" claims, so they get direct
-tests: the fingerprint normalizer's contract, a seeded stress run
-under both backends (exactness plus no dropped trace entries), and
-the negative cases — a harness that cannot detect divergence would
-pass everything, so we prove it fails on a corrupted reference and
-on a device that serves its requests out of order.
+tests: a seeded stress run under both backends (exactness plus no
+dropped trace entries), and the negative cases — a harness that
+cannot detect divergence would pass everything, so we prove it fails
+on a corrupted reference and on a device that serves its requests out
+of order.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from collections import deque
 import pytest
 
 import repro.engine.fleet as fleet_module
-from repro.engine import (
-    Fleet,
-    fingerprint,
-    fleet_fingerprint,
-    ide_sector_read,
-    ide_sector_read_lba,
-    mixed_schedule,
-    run_stress,
-)
+from repro.engine import ide_sector_read_lba, mixed_schedule, run_stress
 
 pytestmark = pytest.mark.concurrency
 
@@ -45,49 +37,6 @@ def sector_reads(count: int) -> list:
 def traced_schedule() -> list:
     """The mixed fleet's requests plus positional IDE reads."""
     return mixed_schedule(6) + sector_reads(12)
-
-
-# ---------------------------------------------------------------------------
-# fingerprint / fleet_fingerprint
-# ---------------------------------------------------------------------------
-
-
-def test_fingerprint_normalizes_mutable_containers():
-    assert fingerprint(bytearray(b"ab")) == b"ab"
-    assert fingerprint({"b": 2, "a": 1}) == (("a", 1), ("b", 2))
-    assert fingerprint([1, (2, 3)]) == (1, (2, 3))
-    assert fingerprint({3, 1, 2}) == tuple(sorted(["1", "2", "3"]))
-
-
-def test_fingerprint_handles_cycles_and_objects():
-    class Model:
-        def __init__(self):
-            self.ram = bytearray(b"\x01\x02")
-            self.other = None
-
-    first, second = Model(), Model()
-    first.other, second.other = second, first  # a cycle
-    printed = fingerprint(first)
-    assert printed[0] == "Model"
-    assert "<cycle>" in repr(printed)
-    # Equal graphs fingerprint equal; a one-byte flip does not.
-    third, fourth = Model(), Model()
-    third.other, fourth.other = fourth, third
-    assert fingerprint(third) == printed
-    third.ram[0] ^= 0x01
-    assert fingerprint(third) != printed
-
-
-def test_fleet_fingerprint_distinguishes_device_state():
-    with Fleet(["ide", "ide"], workers=1) as fleet:
-        before = fleet_fingerprint(fleet)
-        fleet.run([("ide", ide_sector_read)])
-        after = fleet_fingerprint(fleet)
-    labels = [label for label, _ in after]
-    assert labels == ["ide0", "ide1"]
-    # The read mutated ide0's model (status/shadow registers) only.
-    assert after[0] != before[0]
-    assert after[1] == before[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@
 The exactness bar (after Braibant & Chlipala: equivalence is proven,
 not assumed): a native-bound device must produce byte-equal end state,
 exact accounting, identical port-I/O traces and identical span streams
-vs the interpreter on every shipped spec, in debug and release mode.
-Everything that needs a C compiler is gated on discovery; the fallback
-tests run everywhere and prove the repo works without one.
+vs the interpreter on every shipped spec, in debug and release mode;
+the parity tests run native's cells of the differential harness
+(``tests/differential.py``).  Everything that needs a C compiler is
+gated on discovery; the fallback tests run everywhere and prove the
+repo works without one.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -16,11 +20,7 @@ from repro import obs
 from repro.bus import Bus
 from repro.bus.bus import BusError
 from repro.devil.errors import DevilRuntimeError
-from repro.devil.native import (
-    NativeBuildError,
-    NativeDeviceInstance,
-    native_available,
-)
+from repro.devil.native import NativeBuildError, NativeDeviceInstance
 from repro.devil.native import build as native_build
 from repro.obs.workloads import (
     MOUSE_BASE,
@@ -31,36 +31,22 @@ from repro.obs.workloads import (
 )
 from repro.specs import SPEC_NAMES
 from tests.conftest import shipped_spec
-
-needs_cc = pytest.mark.skipif(not native_available(),
-                              reason="no C compiler on this machine")
-
-ALL_STRATEGIES = ("interpret", "specialize", "generated", "native")
-
-
-def _normalize(value, seen=None):
-    """Address-free snapshot of a device model's state for comparison."""
-    if seen is None:
-        seen = set()
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value)
-    if hasattr(value, "tobytes"):       # numpy arrays, memoryviews
-        return value.tobytes()
-    if isinstance(value, (list, tuple)):
-        return tuple(_normalize(item, seen) for item in value)
-    if isinstance(value, dict):
-        return tuple(sorted(
-            (key, _normalize(item, seen)) for key, item in value.items()))
-    if hasattr(value, "__dict__"):
-        if id(value) in seen:
-            return "<cycle>"
-        seen.add(id(value))
-        return _normalize(vars(value), seen)
-    return value
-
-
-def _device_state(aux: dict) -> dict:
-    return {name: _normalize(model) for name, model in aux.items()}
+from tests.differential import (
+    BOTH,
+    STRATEGIES,
+    WORKLOAD,
+    Cell,
+    FleetRun,
+    Machine,
+    call,
+    check,
+    device_machine,
+    in_turn,
+    matrix,
+    needs_cc,
+)
+from tests.test_runtime import RamDevice
+from tests.test_specialize import rejections
 
 
 # ---------------------------------------------------------------------------
@@ -74,46 +60,19 @@ class TestFourWayParity:
                              ids=["release", "debug"])
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_results_trace_accounting_identical(self, name, debug):
-        runs = {strategy: run_workload(name, strategy, debug=debug)
-                for strategy in ALL_STRATEGIES}
-        reference = runs["interpret"]
-        assert reference[1], f"{name}: workload produced no trace"
-        for strategy in ("specialize", "generated", "native"):
-            results, trace, accounting = runs[strategy]
-            assert results == reference[0], f"{strategy} results differ"
-            assert trace == reference[1], f"{strategy} trace differs"
-            assert accounting == reference[2], \
-                f"{strategy} accounting differs"
+        check(WORKLOAD[name], matrix(strategy=("native",), debug=(debug,),
+                                     tracing=BOTH))
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_device_end_state_byte_equal(self, name):
-        states = {}
-        for strategy in ALL_STRATEGIES:
-            bus, aux, bases = build_machine(name, tracing=False)
-            stubs = bind_stubs(name, strategy, bus, bases, debug=True)
-            WORKLOADS[name](stubs, aux)
-            states[strategy] = _device_state(aux)
-        for strategy in ("specialize", "generated", "native"):
-            assert states[strategy] == states["interpret"], \
-                f"{strategy} device end-state differs"
+        check(WORKLOAD[name], matrix(strategy=STRATEGIES, debug=(True,),
+                                     tracing=(False,)))
 
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_span_streams_identical(self, name, debug):
-        def signatures(strategy):
-            bus, aux, bases = build_machine(name)
-            with obs.observe(bus) as collector:
-                stubs = bind_stubs(name, strategy, bus, bases,
-                                   debug=debug)
-                collector.register_ports(
-                    name, getattr(stubs, "_obs_ports", {}))
-                WORKLOADS[name](stubs, aux)
-            return collector.signatures()
-
-        reference = signatures("interpret")
-        assert reference, f"{name}: no spans collected"
-        assert signatures("native") == reference
+        check(WORKLOAD[name], [Cell("native", debug=debug, spans=True)])
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_state_blob_is_deterministic(self, name):
@@ -125,6 +84,21 @@ class TestFourWayParity:
             blobs.append(stubs.state_blob())
         assert blobs[0] == blobs[1]
         assert len(blobs[0]) > 0
+
+
+def _repeat(stub, count, stubs, aux):
+    """One ``repeat()`` batch on native stubs (direct on an untraced
+    bus), a loop elsewhere."""
+    if hasattr(stubs, "repeat"):
+        return stubs.repeat(stub, count)
+    return [getattr(stubs, stub)() for _ in range(count)][-1]
+
+
+REPEAT_DX, REPEAT_STATE = (
+    Machine(f"busmouse {stub} x{count}", in_turn(
+        call("set_config", "CONFIGURATION"), call("get_mouse_state"),
+        functools.partial(_repeat, stub, count)), spec="busmouse")
+    for stub, count in (("get_dx", 500), ("get_mouse_state", 25)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,36 +114,10 @@ class TestRepeat:
         return bus, aux, stubs
 
     def test_direct_batch_matches_per_call_loop(self):
-        bus_n, _aux, native = self._machines(tracing=False)
-        native.set_config("CONFIGURATION")
-        native.get_mouse_state()
-        last_native = native.repeat("get_dx", 500)
-        native.sync_to_bus()
-
-        bus_i, aux_i, bases_i = build_machine("busmouse", tracing=False)
-        interp = bind_stubs("busmouse", "interpret", bus_i, bases_i,
-                            debug=False)
-        interp.set_config("CONFIGURATION")
-        interp.get_mouse_state()
-        for _ in range(500):
-            last_interp = interp.get_dx()
-        assert last_native == last_interp
-        assert bus_n.accounting.snapshot() == bus_i.accounting.snapshot()
+        check(REPEAT_DX, matrix(strategy=STRATEGIES, tracing=(False,)))
 
     def test_traced_batch_matches_per_call_loop(self):
-        bus_n, _aux, native = self._machines(tracing=True)
-        native.set_config("CONFIGURATION")
-        last_native = native.repeat("get_mouse_state", 25)
-
-        bus_i, aux_i, bases_i = build_machine("busmouse")
-        interp = bind_stubs("busmouse", "interpret", bus_i, bases_i,
-                            debug=False)
-        interp.set_config("CONFIGURATION")
-        for _ in range(25):
-            last_interp = interp.get_mouse_state()
-        assert last_native == last_interp
-        assert list(bus_n.trace) == list(bus_i.trace)
-        assert bus_n.accounting.snapshot() == bus_i.accounting.snapshot()
+        check(REPEAT_STATE, matrix(strategy=STRATEGIES))
 
     def test_io_batch_runs_direct_on_plain_bus(self):
         bus, _aux, stubs = self._machines(tracing=False)
@@ -384,22 +332,14 @@ class TestAutoStrategy:
 @needs_cc
 class TestRejections:
     def test_transactions_rejected(self):
-        bus, aux, bases = build_machine("ide", tracing=False)
-        stubs = bind_stubs("ide", "native", bus, bases, debug=False)
-        with pytest.raises(DevilRuntimeError, match="transactions"):
-            stubs.txn()
+        check(WORKLOAD["ide"], [Cell("native", txn=True)])
 
     def test_shadow_cache_rejected(self):
-        bus, aux, bases = build_machine("ide", tracing=False)
-        with pytest.raises(DevilRuntimeError, match="shadow_cache"):
-            bind_stubs("ide", "native", bus, bases, debug=False,
-                       shadow_cache=True)
+        check(WORKLOAD["ide"], [Cell("native", shadow_cache=True)])
 
     def test_rmw_composition_rejected(self):
-        spec = shipped_spec("busmouse")
-        with pytest.raises(DevilRuntimeError, match="composition"):
-            spec.bind(Bus(), {"base": MOUSE_BASE}, strategy="native",
-                      composition="read-modify-write")
+        check(WORKLOAD["busmouse"],
+              [Cell("native", composition="read-modify-write")])
 
     def test_unknown_strategy_names_the_choices(self):
         spec = shipped_spec("busmouse")
@@ -418,10 +358,8 @@ class TestErrorPaths:
             stubs.repeat("get_signature", 4)
 
     def test_member_read_before_fetch_debug_check(self):
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        stubs = bind_stubs("busmouse", "native", bus, bases, debug=True)
-        with pytest.raises(DevilRuntimeError, match="get_mouse_state"):
-            stubs.get_dx()
+        check(rejections("busmouse", ("get_mouse_state", call("get_dx"))),
+              [Cell("native", debug=True)])
 
     MEMORY_SOURCE = """
     device memtest (base : bit[8] port @ {0}) {
@@ -433,19 +371,14 @@ class TestErrorPaths:
     }
     """
 
-    @staticmethod
-    def _ram_bus():
-        from tests.test_runtime import RamDevice
-        bus = Bus()
-        bus.map_device(0x10, 1, RamDevice(1), "ram")
-        return bus
-
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
     def test_memory_read_before_initialisation(self, debug):
         from repro.devil.compiler import compile_spec
         spec = compile_spec(self.MEMORY_SOURCE)
-        stubs = spec.bind(self._ram_bus(), {"base": 0x10}, debug=debug,
+        bus = Bus()
+        bus.map_device(0x10, 1, RamDevice(1), "ram")
+        stubs = spec.bind(bus, {"base": 0x10}, debug=debug,
                           strategy="native")
         with pytest.raises(DevilRuntimeError,
                            match="read before initialisation"):
@@ -461,18 +394,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
     def test_memory_matches_interpreter(self, debug):
-        from repro.devil.compiler import compile_spec
-        spec = compile_spec(self.MEMORY_SOURCE)
-        native = spec.bind(self._ram_bus(), {"base": 0x10}, debug=debug,
-                           strategy="native")
-        interp = spec.bind(self._ram_bus(), {"base": 0x10}, debug=debug,
-                           strategy="interpret")
-        for instance in (native, interp):
-            instance.set_gate(True)
-            instance.set_rest(5)
-            instance.get_rest()
-        assert native.get("xm") == interp.get("xm")
-        assert native.get_rest() == interp.get_rest()
+        # C-side set-actions write the memory mirror ``get`` reads.
+        check(Machine("memtest set-actions", in_turn(
+                          call("set_gate", True), call("set_rest", 5),
+                          call("get_rest"), call("get", "xm"),
+                          call("get_rest")), spec=self.MEMORY_SOURCE,
+                      build=device_machine(functools.partial(RamDevice, 1),
+                                           0x10, 1)),
+              matrix(strategy=("specialize", "native"), debug=(debug,)))
 
     def test_generic_accessors_route_natively(self):
         bus, aux, bases = build_machine("busmouse", tracing=False)
@@ -502,12 +431,9 @@ class TestErrorPaths:
 @pytest.mark.concurrency
 class TestFleetIntegration:
     def test_thread_fleet_runs_native_devices(self):
-        from repro.engine import Fleet
-
-        with Fleet(["busmouse", "ide"], strategy="native",
-                   workers=2, op_latency_us=0.0) as fleet:
-            schedule = [(name, WORKLOADS[name])
-                        for _ in range(4) for name in ("busmouse", "ide")]
-            fleet.run(schedule)
-            assert fleet.completed() == len(schedule)
-        assert fleet.accounting.total_ops > 0
+        schedule = tuple((name, WORKLOADS[name])
+                         for _ in range(4) for name in ("busmouse", "ide"))
+        check(FleetRun("busmouse+ide", schedule, devices=("busmouse", "ide"),
+                       expect=lambda found, cell:
+                       sum(found.results.values()) == 8),
+              [Cell("native", backend="thread", workers=2)])

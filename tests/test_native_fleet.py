@@ -15,11 +15,12 @@ Three claims with teeth:
   mode.
 * **The C device models are indistinguishable** — end state,
   accounting and device error messages byte-match the Python models
-  they mirror.
+  they mirror (session and fleet cells of ``tests/differential.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -30,18 +31,21 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.bus import BusError, ThreadSafeBus
-from repro.devil.native import native_available
+from repro.bus import Bus, BusError, ThreadSafeBus
 from repro.devil.native import build as native_build
 from repro.engine import SLOT_STRIDE, Fleet, map_fleet_device
 from repro.engine.fleet import open_session
 from repro.obs.workloads import WORKLOADS, bind_stubs, build_machine
+from tests.differential import (
+    Cell,
+    FleetRun,
+    Machine,
+    call,
+    check,
+    needs_cc,
+)
 
 pytestmark = pytest.mark.concurrency
-
-needs_cc = pytest.mark.skipif(not native_available(),
-                              reason="strategy='native' needs a C "
-                                     "compiler")
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +190,38 @@ def test_direct_mode_gate_decisions():
 # ---------------------------------------------------------------------------
 
 
+def _session_machine(spec: str, tracing: bool):
+    """``spec`` alone at its fleet slot, mapped as a session maps it."""
+    bus = Bus(tracing=tracing)
+    aux, bases = map_fleet_device(bus, spec, SLOT_STRIDE, f"{spec}0")
+    return bus, aux, bases
+
+
+#: Native on an untraced plain session bus, where its batches go direct.
+SESSION_CELLS = [Cell("native", tracing=False)]
+
+
 @needs_cc
 @pytest.mark.parametrize("spec", ("ide", "permedia2"))
 def test_c_models_match_python_models_on_fleet_bus(spec):
     """Hot-register devices driven through the C models land the same
-    results, end state and accounting as the specializer on an
+    results, end state and accounting as the interpreter on an
     identical fleet session."""
-    evidence = {}
-    for strategy in ("specialize", "native"):
-        session = _fleet_session(spec, strategy)
-        results = WORKLOADS[spec](session.stubs, session.aux)
-        evidence[strategy] = (results, session.report())
-    assert evidence["native"] == evidence["specialize"]
+    check(Machine(f"{spec} session", WORKLOADS[spec], spec=spec,
+                  build=functools.partial(_session_machine, spec)),
+          SESSION_CELLS)
 
 
 @needs_cc
-def test_c_model_error_messages_match_python(tmp_path):
+def test_c_model_error_messages_match_python():
     """A device fault raised from C carries the same message as the
     Python model raises: diagnostics are part of the contract."""
-    messages = {}
-    for strategy in ("specialize", "native"):
-        stubs = _fleet_session("ide", strategy).stubs
-        with pytest.raises(BusError) as info:
-            stubs.read_ide_data_block(8)
-        messages[strategy] = str(info.value)
-    assert messages["native"] == messages["specialize"]
+    check(Machine("ide session data read before a command",
+                  call("read_ide_data_block", 8),
+                  expect=lambda found, cell: isinstance(found.error, BusError),
+                  spec="ide",
+                  build=functools.partial(_session_machine, "ide")),
+          SESSION_CELLS)
 
 
 def _busmouse_poll(stubs, aux):
@@ -227,21 +238,15 @@ def _busmouse_poll(stubs, aux):
 def test_native_thread_fleet_repeat_on_python_modelled_device():
     """A busmouse has no C model, so a direct batch on its session bus
     reaches the Python model through raw callbacks: the native thread
-    fleet still lands the specializer's accounting and end state, and
+    fleet still lands the interpreter's accounting and end state, and
     the batch really ran direct (the C flight recorder saw it)."""
-    evidence = {}
-    for strategy in ("specialize", "native"):
-        with Fleet(["busmouse", "busmouse"], workers=2,
-                   strategy=strategy) as fleet:
-            fleet.run([("busmouse", _busmouse_poll)] * 8)
-            evidence[strategy] = (fleet.accounting,
-                                  fleet.accounting_by_device(),
-                                  fleet.device_states())
-            if strategy == "native":
-                for session in fleet.sessions:
-                    assert session.stubs.flight_recorder(), session.label
-    assert evidence["native"] == evidence["specialize"]
-    assert evidence["native"][0].reads == 8 * 64
+    check(FleetRun("busmouse poll", (("busmouse", _busmouse_poll),) * 8,
+                   devices=("busmouse", "busmouse"),
+                   expect=lambda found, cell: found.accounting.reads == 512),
+          [Cell("native", backend="thread", workers=2, tracing=False)])
+    with Fleet(["busmouse"], workers=1, strategy="native") as fleet:
+        fleet.run([("busmouse", _busmouse_poll)])
+        assert fleet.sessions[0].stubs.flight_recorder()
 
 
 @needs_cc
@@ -251,7 +256,6 @@ def test_native_thread_fleet_overlaps_cpu_bound_requests():
     exactly (full-scale speedup lives in bench_fleet.py's churn leg)."""
     from repro.engine import ide_taskfile_churn
 
-    import functools
     request = functools.partial(ide_taskfile_churn, n=2048)
     with Fleet(["ide", "ide"], workers=2, strategy="native",
                tracing=False) as fleet:

@@ -1,12 +1,12 @@
 """Telemetry tests: span parity, metrics, exporters, ring buffer, CLI.
 
 The central claim mirrors the repository's cross-check philosophy: the
-three execution strategies must not only perform identical I/O (proved
-in ``tests/test_specialize.py``) but must *report* identically — for
-every shipped spec, the span stream (device, stub, variable, kind,
-attributed port I/O, fired actions, error) is byte-identical across
-interpreted, specialized and generated stubs.  Timing and the strategy
-label are the only permitted differences.
+execution strategies must not only perform identical I/O but must
+*report* identically — for every shipped spec, the span stream
+(device, stub, variable, kind, attributed port I/O, fired actions,
+error) is byte-identical across interpreted, specialized, generated
+and native stubs (the span cells of ``tests/differential.py``).
+Timing and the strategy label are the only permitted differences.
 """
 
 import io
@@ -15,18 +15,13 @@ import json
 import pytest
 
 from repro import obs
-from repro.bus import Bus, BusError, IoTraceEntry, iter_operations
+from repro.bus import Bus, BusError, iter_operations
 from repro.devil.errors import DevilRuntimeError
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.validate import SchemaViolation, validate, validate_jsonl
-from repro.obs.workloads import (
-    MOUSE_BASE,
-    STRATEGIES,
-    WORKLOADS,
-    bind_stubs,
-    build_machine,
-)
+from repro.obs.workloads import WORKLOADS, bind_stubs, build_machine
 from repro.specs import SPEC_NAMES
+from tests.differential import BOTH, STRATEGIES, WORKLOAD, check, matrix
 
 SCHEMA_PATH = "docs/trace_schema.json"
 
@@ -52,12 +47,13 @@ class TestSpanParity:
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
     def test_span_streams_identical_across_strategies(self, name, debug):
-        streams = {strategy: observed_run(name, strategy,
-                                          debug).signatures()
-                   for strategy in STRATEGIES}
-        assert streams["interpret"], f"{name}: workload produced no spans"
-        assert streams["specialize"] == streams["interpret"]
-        assert streams["generated"] == streams["interpret"]
+        """In release also with the shadow cache on and on the
+        transactional variant, where the spec has one."""
+        variants = BOTH if not debug else (False,)
+        check(WORKLOAD[name], matrix(
+            strategy=STRATEGIES, debug=(debug,), spans=(True,),
+            shadow_cache=variants,
+            txn=variants if WORKLOAD[name].txn_run else (False,)))
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_every_bus_operation_attributed(self, name):

@@ -7,20 +7,31 @@ properties assert that the entire toolchain is closed over them:
 
 * the checker accepts what the generator claims is well-formed,
 * parse → print → parse is the identity (up to locations),
-* the three Python paths — interpreter, specializer and generated
-  module — agree on values, traces and accounting at every
-  debug/shadow-cache setting, and the C header always generates.
+* every strategy — interpreter, specializer, generated module and the
+  native core, which compiles and runs the spec's C header — agrees on
+  values, traces, accounting and end state at every debug/shadow-cache
+  setting (the cells of ``tests/differential.py``), and the C header
+  always generates.
 """
 
-import itertools
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bus import Bus
 from repro.devil.compiler import compile_spec
+from repro.devil.native import build as native_build
 from repro.devil.parser import parse
 from repro.devil.printer import print_device
+from tests.differential import (
+    BOTH,
+    STRATEGIES,
+    Machine,
+    call,
+    check,
+    device_machine,
+    in_turn,
+    matrix,
+)
 from tests.test_printer import normalize
 
 
@@ -90,6 +101,16 @@ class Ram:
         self.cells[offset] = value
 
 
+@pytest.fixture(scope="module")
+def native_cache(tmp_path_factory):
+    """Every generated spec builds native libraries of its own; keep
+    them out of the shared build cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(native_build.CACHE_ENV,
+                     str(tmp_path_factory.mktemp("native")))
+        yield
+
+
 class TestGeneratedSpecs:
     @settings(max_examples=50, deadline=None)
     @given(device_specs())
@@ -108,17 +129,12 @@ class TestGeneratedSpecs:
 
     @settings(max_examples=30, deadline=None)
     @given(device_specs(), st.data())
-    def test_runtime_and_generated_python_agree(self, generated, data):
-        """Interpreter, specializer and generated module: equal values,
-        equal traces and accounting, at debug and shadow cache each on
-        and off."""
+    def test_runtime_and_generated_python_agree(self, native_cache,
+                                                generated, data):
+        """Every strategy: equal values, traces, accounting and end
+        state, at debug and shadow cache each on and off (the native
+        core rejects the shadow cache)."""
         source, variables = generated
-        spec = compile_spec(source)
-
-        namespace: dict = {}
-        exec(compile(spec.emit_python(), "gen.py", "exec"), namespace)
-        (stub_cls,) = [v for k, v in namespace.items()
-                       if k.endswith("Stubs")]
         values = []
         for name, width, signed in variables:
             low = -(1 << (width - 1)) if signed else 0
@@ -126,25 +142,14 @@ class TestGeneratedSpecs:
                 else (1 << width) - 1
             values.append((name, data.draw(
                 st.integers(min_value=low, max_value=high), label=name)))
-        for debug, shadow in itertools.product((False, True), repeat=2):
-            legs = []
-            for strategy in ("interpret", "specialize", "generated"):
-                bus = Bus(tracing=True)
-                bus.map_device(0, 8, Ram())
-                if strategy == "generated":
-                    stubs = stub_cls(bus, 0, debug=debug,
-                                     shadow_cache=shadow)
-                else:
-                    stubs = spec.bind(bus, {"base": 0}, debug=debug,
-                                      strategy=strategy,
-                                      shadow_cache=shadow)
-                for name, value in values:
-                    getattr(stubs, f"set_{name}")(value)
-                    assert getattr(stubs, f"get_{name}")() == value
-                legs.append((list(bus.trace),
-                             bus.accounting.snapshot()))
-            assert legs[1] == legs[0], ("specialize", debug, shadow)
-            assert legs[2] == legs[0], ("generated", debug, shadow)
+        check(Machine("generated spec", in_turn(*(
+                          run for name, value in values for run in (
+                              call(f"set_{name}", value),
+                              call(f"get_{name}")))), spec=source,
+                      build=device_machine(Ram, 0, 8),
+                      expect=lambda found, cell: found.results[1::2]
+                      == [value for _, value in values]),
+              matrix(strategy=STRATEGIES, debug=BOTH, shadow_cache=BOTH))
 
     @settings(max_examples=20, deadline=None)
     @given(device_specs())

@@ -1,10 +1,13 @@
-"""Tests for the Python stub generator: compiled vs interpreted stubs.
+"""Tests for the Python stub generator: the generated module.
 
 The generated module and the interpreting runtime implement one
-semantics; these tests run both against identical simulated devices and
-compare results and complete I/O traces.
+semantics; the agreement tests run the module's cells of the
+differential harness (``tests/differential.py``) against the
+interpreter's, and the module must also run where ``repro`` cannot be
+imported.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -12,26 +15,25 @@ import sys
 import pytest
 
 from repro.bus import Bus
-from repro.devil.compiler import compile_spec
-from repro.devil.errors import DevilRuntimeError
-from repro.devices.busmouse import BusmouseModel
-from repro.devices.cs4236 import VERSION_ID, Cs4236Model
-from repro.devices.ne2000 import Ne2000DataPort, Ne2000Model, Ne2000ResetPort
-from repro.devices.pic8259 import Pic8259Model
-from repro.obs.workloads import bind_stubs, build_machine
+from repro.obs.workloads import build_machine, load_generated
 from repro.specs import SPEC_NAMES
 from tests.conftest import shipped_spec
-from tests.test_specialize import _error_scenarios
-
-
-def load_generated(name: str):
-    """exec the generated module; returns its stub class."""
-    source = shipped_spec(name).emit_python()
-    namespace: dict = {}
-    exec(compile(source, f"{name}_stubs.py", "exec"), namespace)
-    (cls,) = [value for key, value in namespace.items()
-              if key.endswith("Stubs")]
-    return cls
+from tests.differential import (
+    STRATEGIES,
+    WORKLOAD,
+    Cell,
+    Machine,
+    call,
+    check,
+    device_machine,
+    matrix,
+)
+from tests.test_specialize import (
+    MEMBER_ERRORS,
+    MODE_ERROR,
+    error_scenario,
+    rejections,
+)
 
 
 class TestGeneration:
@@ -48,126 +50,59 @@ class TestGeneration:
         assert "dx" in stubs.get_dx.__doc__
 
 
-def _mouse_pair():
-    machines = []
-    for _ in range(2):
-        bus = Bus(tracing=True)
-        mouse = BusmouseModel()
-        mouse.move(5, -3)
-        mouse.set_buttons(0b100)
-        bus.map_device(0x23C, 4, mouse, "busmouse")
-        machines.append((bus, mouse))
-    cls = load_generated("busmouse")
-    generated = cls(machines[0][0], 0x23C, debug=True)
-    interpreted = shipped_spec("busmouse").bind(
-        machines[1][0], {"base": 0x23C})
-    return machines, generated, interpreted
-
-
 class TestAgreementBusmouse:
     def test_full_session_identical(self):
-        machines, generated, interpreted = _mouse_pair()
-        for stubs in (generated, interpreted):
-            stubs.set_config("CONFIGURATION")
-            stubs.set_signature(0xA5)
-            assert stubs.get_signature() == 0xA5
-            state = stubs.get_mouse_state()
-            assert state == {"dx": 5, "dy": -3, "buttons": 4}
-            assert stubs.get_dy() == -3
-        assert machines[0][0].trace == machines[1][0].trace
+        check(WORKLOAD["busmouse"], [Cell("generated", debug=True)])
 
     def test_debug_check_in_generated_code(self):
-        _, generated, _ = _mouse_pair()
-        with pytest.raises(Exception, match="before"):
-            generated.get_dx()  # structure not fetched yet
+        check(rejections("busmouse", ("before", call("get_dx"))),
+              [Cell("generated", debug=True)])
 
     def test_enum_check_in_generated_code(self):
-        _, generated, _ = _mouse_pair()
-        with pytest.raises(Exception, match="'NOPE' is not a symbol"):
-            generated.set_config("NOPE")
+        check(rejections("busmouse", ("'NOPE' is not a symbol",
+                                      call("set_config", "NOPE"))),
+              [Cell("generated", debug=True)])
 
 
 class TestAgreementAutomaton:
     def test_cs4236_extended_access(self):
-        traces = []
-        for kind in ("generated", "interpreted"):
-            bus = Bus(tracing=True)
-            chip = Cs4236Model()
-            bus.map_device(0x534, 2, chip, "cs4236")
-            if kind == "generated":
-                stubs = load_generated("cs4236")(bus, 0x534, debug=False)
-            else:
-                stubs = shipped_spec("cs4236").bind(
-                    bus, {"base": 0x534}, debug=False)
-            stubs.set_left_dac_output(left_dac_attenuation=9,
-                                      left_dac_mute=True,
-                                      left_dac_pad=False) \
-                if kind == "generated" else stubs.set_structure(
-                    "left_dac_output", {"left_dac_attenuation": 9,
-                                        "left_dac_mute": True,
-                                        "left_dac_pad": False})
-            assert stubs.get_version() == VERSION_ID
-            stubs.set_ACF(True)
-            assert not chip.extended_mode
-            traces.append([(e.op, e.port, e.value) for e in bus.trace])
-        assert traces[0] == traces[1]
+        check(WORKLOAD["cs4236"], [Cell("generated")])
+
+
+def _pic_init(sngl, ic4, stubs, aux):
+    stubs.set_init(addr_vector=0, ltim="EDGE", adi="INTERVAL8",
+                   sngl=sngl, ic4=ic4, vector_base=0x20, slaves=4,
+                   sfnm=False, buffered=False, master="BUF_SLAVE",
+                   aeoi=False, microprocessor="X8086")
+    return aux["pic"].init_log[0]
+
+
+#: Conditional serialization: the ICW sequence length follows the
+#: ``sngl`` and ``ic4`` fields.
+PIC_INITS = [Machine(f"pic8259 init {sngl} ic4={ic4}",
+                     functools.partial(_pic_init, sngl, ic4),
+                     expect=lambda found, cell, words=words:
+                     len(found.results) == words, spec="pic8259")
+             for sngl, ic4, words in (
+                 ("CASCADED", True, 4), ("SINGLE", False, 2),
+                 ("CASCADED", False, 3), ("SINGLE", True, 3))]
 
 
 class TestAgreementConditionalSerialization:
     def test_pic_init_sequences(self):
-        for sngl, ic4, expected_words in (
-                ("CASCADED", True, 4), ("SINGLE", False, 2),
-                ("CASCADED", False, 3), ("SINGLE", True, 3)):
-            results = []
-            for kind in ("generated", "interpreted"):
-                bus = Bus()
-                pic = Pic8259Model()
-                bus.map_device(0x20, 2, pic, "pic")
-                values = dict(addr_vector=0, ltim="EDGE",
-                              adi="INTERVAL8", sngl=sngl, ic4=ic4,
-                              vector_base=0x20, slaves=4, sfnm=False,
-                              buffered=False, master="BUF_SLAVE",
-                              aeoi=False, microprocessor="X8086")
-                if kind == "generated":
-                    stubs = load_generated("pic8259")(bus, 0x20)
-                    stubs.set_init(**values)
-                else:
-                    stubs = shipped_spec("pic8259").bind(
-                        bus, {"base": 0x20})
-                    stubs.set_structure("init", values)
-                results.append(pic.init_log[0])
-            assert results[0] == results[1]
-            assert len(results[0]) == expected_words
+        for scenario in PIC_INITS:
+            check(scenario, matrix(strategy=STRATEGIES))
 
 
 class TestAgreementBlockTransfer:
     def test_ne2000_remote_dma(self):
-        traces = []
-        for kind in ("generated", "interpreted"):
-            bus = Bus(tracing=True)
-            nic = Ne2000Model()
-            bus.map_device(0x300, 16, nic, "ne2000")
-            bus.map_device(0x310, 2, Ne2000DataPort(nic), "data")
-            bus.map_device(0x31F, 1, Ne2000ResetPort(nic), "reset")
-            if kind == "generated":
-                stubs = load_generated("ne2000")(bus, 0x300, 0x310, 0x31F)
-            else:
-                stubs = shipped_spec("ne2000").bind(
-                    bus, {"base": 0x300, "data": 0x310, "rst": 0x31F})
-            stubs.set_st("START")
-            stubs.set_remote_byte_count(8)
-            stubs.set_remote_start_address(0x4000)
-            stubs.set_rd("REMOTE_WRITE")
-            stubs.write_dma_data_block([1, 2, 3, 4])
-            assert nic.ram[0:8] == bytes([1, 0, 2, 0, 3, 0, 4, 0])
-            traces.append([(e.op, e.port, e.value) for e in bus.trace])
-        assert traces[0] == traces[1]
-
+        check(WORKLOAD["ne2000"], [Cell("generated")])
 
 
 # ---------------------------------------------------------------------------
-# Value-validation parity: the module accepts, writes and rejects exactly
-# like the interpreter, and words its rejections the same
+# Value-validation parity: every strategy accepts, writes and rejects
+# exactly like the interpreter, and words its rejections the same (the
+# module raises its own ``DevilStubError``)
 # ---------------------------------------------------------------------------
 
 #: ``(variable declaration, register mask, device value, stub, args)``:
@@ -196,85 +131,37 @@ class _Cell:
         self.value = value
 
 
-def _outcome(bus, call):
-    """``(returned value or raised error, bus trace)`` of one call."""
-    try:
-        result = call()
-    except Exception as error:  # noqa: BLE001 - the error is the result
-        result = error
-    return result, list(bus.trace)
-
-
-def _assert_same_outcome(module, interpreted, module_stubs, label):
-    """Same decision, same bus trace; a rejection is the module's own
-    ``DevilStubError`` with the interpreter's message."""
-    (got, module_trace), (expected, interpreted_trace) = module, interpreted
-    assert module_trace == interpreted_trace, label
-    if isinstance(expected, DevilRuntimeError):
-        error_class = type(module_stubs).__init__.__globals__[
-            "DevilStubError"]
-        assert type(got) is error_class, (label, got)
-        assert str(got) == str(expected), label
-    elif isinstance(expected, Exception):  # raised by the device model
-        assert (type(got), str(got)) == (type(expected), str(expected))
-    else:
-        assert got == expected, label
+VALIDATION = {
+    stub + repr(args): Machine(
+        f"{stub}{args!r} on {declaration!r}", call(stub, *args),
+        debug_differs=True,
+        spec="device d (base : bit[8] port @ {0}) {\n"
+             f"    register r = base @ 0, mask '{mask}' : bit[8];\n"
+             f"    {declaration}\n}}\n",
+        build=device_machine(functools.partial(_Cell, preset), 0, 1))
+    for declaration, mask, preset, stub, args in VALIDATION_CASES}
 
 
 class TestValidationParity:
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
-    @pytest.mark.parametrize("case", VALIDATION_CASES,
-                             ids=[case[3] + repr(case[4])
-                                  for case in VALIDATION_CASES])
+    @pytest.mark.parametrize("case", VALIDATION)
     def test_value_checks_match_interpreter(self, case, debug):
-        declaration, mask, preset, stub, args = case
-        spec = compile_spec(
-            "device d (base : bit[8] port @ {0}) {\n"
-            f"    register r = base @ 0, mask '{mask}' : bit[8];\n"
-            f"    {declaration}\n}}\n")
-        namespace: dict = {}
-        exec(compile(spec.emit_python(), "d_stubs.py", "exec"), namespace)
-        outcomes = []
-        for kind in ("generated", "interpret"):
-            bus = Bus(tracing=True)
-            bus.map_device(0, 1, _Cell(preset))
-            stubs = namespace["DStubs"](bus, 0, debug=debug) \
-                if kind == "generated" \
-                else spec.bind(bus, {"base": 0}, debug=debug)
-            outcomes.append(_outcome(
-                bus, lambda: getattr(stubs, stub)(*args)))
-            if kind == "generated":
-                module_stubs = stubs
-        _assert_same_outcome(*outcomes, module_stubs, (stub, args, debug))
+        check(VALIDATION[case], matrix(strategy=STRATEGIES,
+                                       debug=(debug,)))
 
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_error_scenarios_match_interpreter(self, name, debug):
-        """``TestDebugErrorParity``'s scenarios, replayed against the
-        module: out-of-range writes, illegal symbols, the structure
-        protocol, missing/unknown members and mode violations."""
-        calls = [(stub, args, {})
-                 for _, stub, args in _error_scenarios(name)]
-        if name == "cs4236":
-            members = {"left_dac_attenuation": 9, "left_dac_mute": True}
-            calls += [("set_left_dac_output", (), members),
-                      ("set_left_dac_output", (),
-                       {**members, "left_dac_pad": False, "bogus": 1})]
-        if name == "pic8259":
-            calls.append(("set_irq_mask", (0xFF,), {}))
-        for stub, args, kwargs in calls:
-            outcomes = []
-            for kind in ("generated", "interpret"):
-                bus, _, bases = build_machine(name)
-                stubs = bind_stubs(name, kind, bus, bases, debug)
-                outcomes.append(_outcome(
-                    bus, lambda: getattr(stubs, stub)(*args, **kwargs)))
-                if kind == "generated":
-                    module_stubs = stubs
-            _assert_same_outcome(*outcomes, module_stubs,
-                                 (name, stub, args, kwargs, debug))
+        """The module replays every debug error scenario: out-of-range
+        writes, illegal symbols, the structure protocol, missing/unknown
+        members and mode violations."""
+        scenarios = [error_scenario(name)] + \
+            ([MEMBER_ERRORS] if name == "cs4236" else []) + \
+            ([MODE_ERROR] if name == "pic8259" else [])
+        for scenario in scenarios:
+            check(scenario, [Cell("generated", debug=debug)])
 
 
 # ---------------------------------------------------------------------------

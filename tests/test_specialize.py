@@ -1,40 +1,45 @@
-"""Cross-check harness: interpreted vs specialized vs generated stubs.
+"""Cross-check of the execution strategies over the differential harness.
 
-Three artifacts claim to implement one semantics — the interpreting
-runtime (``strategy="interpret"``), the bind-time specializer
-(``strategy="specialize"``) and the standalone generated Python module
-(``emit_python()``).  For every shipped specification this module runs
-the same driver workload (from :mod:`repro.obs.workloads`, shared with
-the telemetry tests and the ``devilc trace`` CLI) against identical
-simulated machines under all three and asserts byte-identical
-:attr:`Bus.trace` I/O traces, identical :class:`IoAccounting` counters
-and identical decoded results.
+The interpreter, the bind-time specializer, the generated Python
+module and the native C core claim one semantics.  Every shipped
+spec's driver workload (:mod:`repro.obs.workloads`) runs in each
+strategy's cells of ``tests/differential.py`` and must match the
+interpreter's results, trace, accounting, spans, stub surface and end
+state; a debug cell must do exactly the release run's I/O (§3.2).
 
-Debug-mode error parity is checked separately: interpreted and
-specialized stubs must raise the *same* ``DevilRuntimeError`` text for
-out-of-range writes, illegal enum symbols, structure-protocol violations
-and missing/unknown structure members — and must perform no I/O while
-doing so.
+Debug-mode errors must be message-exact in every strategy and make no
+port access: out-of-range writes, illegal enum symbols, structure
+protocol violations, missing/unknown structure members and mode
+violations.
 """
+
+import functools
+import re
+from dataclasses import replace
 
 import pytest
 
+import repro.devil.specialize as specialize_module
 from repro.devil.errors import DevilRuntimeError
 from repro.devil.specialize import specialized_factory
 from repro.devil.types import EnumType, IntSetType, IntType
-from repro.obs.workloads import (
-    MOUSE_BASE,
-    STRATEGIES,
-    WORKLOADS,
-    bind_stubs,
-    build_machine,
-    run_workload,
-)
+from repro.obs.workloads import MOUSE_BASE, bind_stubs, build_machine
 from repro.specs import SPEC_NAMES
 from tests.conftest import shipped_spec
+from tests.differential import (
+    BOTH,
+    STRATEGIES,
+    WORKLOAD,
+    Cell,
+    Machine,
+    call,
+    check,
+    in_turn,
+    matrix,
+)
 
 # ---------------------------------------------------------------------------
-# Three-way trace / accounting / result parity
+# Workload parity: every strategy against the interpreter
 # ---------------------------------------------------------------------------
 
 
@@ -43,138 +48,124 @@ class TestThreeWayParity:
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
     def test_traces_accounting_results_identical(self, name, debug):
-        outputs = {kind: run_workload(name, kind, debug)
-                   for kind in STRATEGIES}
-        reference_results, reference_trace, reference_acct = \
-            outputs["interpret"]
-        for kind in ("specialize", "generated"):
-            results, trace, acct = outputs[kind]
-            assert trace == reference_trace, kind
-            assert acct == reference_acct, kind
-            assert results == reference_results, kind
+        check(WORKLOAD[name], matrix(strategy=STRATEGIES, debug=(debug,)))
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_debug_and_release_do_identical_io(self, name):
-        """§3.2: debug checks are CPU-side only — in both strategies."""
-        for kind in ("interpret", "specialize"):
-            _, release_trace, release_acct = run_workload(
-                name, kind, debug=False)
-            _, debug_trace, debug_acct = run_workload(
-                name, kind, debug=True)
-            assert debug_trace == release_trace
-            assert debug_acct == release_acct
+        """§3.2: debug checks are CPU-side only (every debug cell of
+        the harness is compared with the interpreter's release run)."""
+        check(WORKLOAD[name], [Cell(debug=True)])
+
+
+def test_a_perturbed_cell_fails_naming_scenario_cell_and_field(
+        monkeypatch):
+    """One specialized stub making one extra bus read fails the harness
+    on that cell, which the failure names with the scenario."""
+    specialize = specialize_module.specialize_instance
+
+    def one_extra_read(instance):
+        specialize(instance)
+        stub = instance.get_signature
+
+        def get_signature():
+            instance.bus.read(MOUSE_BASE + 1)
+            return stub()
+        instance.get_signature = get_signature
+
+    monkeypatch.setattr(specialize_module, "specialize_instance",
+                        one_extra_read)
+    scenario = replace(WORKLOAD["busmouse"], name="perturbed busmouse")
+    check(scenario, [Cell("generated", debug=True)])
+    with pytest.raises(AssertionError, match=re.escape(
+            "perturbed busmouse [specialize bus debug=True]: trace "
+            "differs")):
+        check(scenario, [Cell("specialize", debug=True)])
 
 
 # ---------------------------------------------------------------------------
-# Debug-mode error parity (interpret vs specialize, message-exact)
+# Debug-mode error parity (every strategy, message-exact, no I/O)
 # ---------------------------------------------------------------------------
 
 
-def _fresh_pair(name: str, debug: bool = True):
-    instances = []
-    for kind in ("interpret", "specialize"):
-        bus, aux, bases = build_machine(name)
-        instances.append((bus,
-                          bind_stubs(name, kind, bus, bases, debug)))
-    return instances
+def rejections(name: str, *made) -> Machine:
+    """``(fragment, call(...))`` pairs (at least one) made in turn on
+    spec ``name``'s machine: a debug build rejects each call with a
+    message containing its fragment, before any port access."""
+    fragments, runs = zip(*made)
+    return Machine(f"{name} " + ", ".join(run.args[0] for run in runs),
+                   in_turn(*runs), debug_differs=True, spec=name,
+                   expect=lambda found, cell: not cell.debug or (
+                       found.trace == [] and all(
+                           isinstance(outcome, tuple) and fragment in
+                           outcome[1] and outcome[0] == "DevilRuntimeError"
+                           for fragment, outcome
+                           in zip(fragments, found.results))))
 
 
-def _error_scenarios(name: str):
-    """Derive no-I/O error calls from the model, uniformly per spec.
-
-    Every scenario raises before any bus access (encode failures,
-    structure protocol, missing members), so it can run on a fresh
-    machine without disturbing device state.
-    """
+@functools.cache
+def error_scenario(name: str) -> Machine:
+    """No-I/O error calls derived from the model, uniformly per spec:
+    every writable variable gets a value its type rejects, and the
+    first structure a member read before its fetch."""
     model = shipped_spec(name).model
-    scenarios = []
+    made = []
     for variable in model.public_variables():
-        if variable.memory or variable.structure is not None:
+        if variable.memory or variable.structure is not None or not all(
+                model.registers[c.register].writable
+                for c in variable.chunks):
             continue
-        registers_writable = all(
-            model.registers[c.register].writable for c in variable.chunks)
-        if not registers_writable:
-            continue
-        var_type = variable.type
+        var_type, stub = variable.type, f"set_{variable.name}"
         if isinstance(var_type, IntType):
-            scenarios.append((f"set_{variable.name}:out-of-range",
-                              f"set_{variable.name}",
-                              (var_type.maximum + 1,)))
+            made.append(("outside range",
+                         call(stub, var_type.maximum + 1)))
         elif isinstance(var_type, IntSetType):
-            scenarios.append((f"set_{variable.name}:not-a-member",
-                              f"set_{variable.name}",
-                              (max(var_type.values) + 1,)))
+            made.append(("is not a member",
+                         call(stub, max(var_type.values) + 1)))
         elif isinstance(var_type, EnumType):
-            scenarios.append((f"set_{variable.name}:bad-symbol",
-                              f"set_{variable.name}", ("__NOPE__",)))
+            made.append(("is not a symbol", call(stub, "__NOPE__")))
     for structure in model.structures.values():
-        member = structure.members[0]
-        member_var = model.variables[member]
+        member = model.variables[structure.members[0]]
         if all(model.registers[c.register].readable
-               for c in member_var.chunks):
-            scenarios.append((f"get_{member}:before-fetch",
-                              f"get_{member}", ()))
+               for c in member.chunks):
+            made.append(("was fetched", call(f"get_{member.name}")))
         break  # one structure-protocol case per spec is enough
-    return scenarios
+    return rejections(name, *made)
+
+
+#: The concrete §3.2 out-of-range writes.
+OUT_OF_RANGE = [rejections(name, ("outside range", call(stub, bad)))
+                for name, stub, bad in (
+                    ("busmouse", "set_signature", 256),
+                    ("ide", "set_head", 16),
+                    ("cs4236", "set_mic_left_volume", 32),
+                    ("permedia2", "set_rect_width", 1 << 16))]
+
+_DAC = {"left_dac_attenuation": 9, "left_dac_mute": True}
+MEMBER_ERRORS = rejections(
+    "cs4236",
+    ("must provide every member", call("set_left_dac_output", **_DAC)),
+    ("unknown member(s)", call("set_left_dac_output", **_DAC,
+                               left_dac_pad=False, bogus=1)))
+
+#: ``ocw1`` while the PIC is still in initialization mode.
+MODE_ERROR = rejections("pic8259", ("only addressable in mode",
+                                    call("set_irq_mask", 0xFF)))
 
 
 class TestDebugErrorParity:
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_identical_errors_and_no_io(self, name):
-        scenarios = _error_scenarios(name)
-        assert scenarios, f"spec {name} produced no error scenarios"
-        for label, stub_name, arguments in scenarios:
-            captured = []
-            for bus, stubs in _fresh_pair(name):
-                stub = getattr(stubs, stub_name, None)
-                if stub is None:
-                    captured.append(None)
-                    continue
-                with pytest.raises(DevilRuntimeError) as excinfo:
-                    stub(*arguments)
-                captured.append(str(excinfo.value))
-                assert bus.trace == [], (label, "performed I/O")
-            assert captured[0] == captured[1], label
+        check(error_scenario(name), matrix(strategy=STRATEGIES, debug=BOTH))
 
     def test_out_of_range_write_messages(self):
-        """The concrete §3.2 examples, message-exact in both strategies."""
-        for name, stub_name, bad in (
-                ("busmouse", "set_signature", 256),
-                ("ide", "set_head", 16),
-                ("cs4236", "set_mic_left_volume", 32),
-                ("permedia2", "set_rect_width", 1 << 16)):
-            messages = []
-            for _, stubs in _fresh_pair(name):
-                with pytest.raises(DevilRuntimeError) as excinfo:
-                    getattr(stubs, stub_name)(bad)
-                messages.append(str(excinfo.value))
-            assert messages[0] == messages[1], name
-            assert "outside range" in messages[0]
+        for scenario in OUT_OF_RANGE:
+            check(scenario, matrix(strategy=STRATEGIES, debug=(True,)))
 
     def test_structure_member_errors_identical(self):
-        for values, fragment in (
-                ({"left_dac_attenuation": 9, "left_dac_mute": True},
-                 "must provide every member"),
-                ({"left_dac_attenuation": 9, "left_dac_mute": True,
-                  "left_dac_pad": False, "bogus": 1},
-                 "unknown member(s)")):
-            messages = []
-            for _, stubs in _fresh_pair("cs4236"):
-                with pytest.raises(DevilRuntimeError) as excinfo:
-                    stubs.set_left_dac_output(**values)
-                messages.append(str(excinfo.value))
-            assert messages[0] == messages[1]
-            assert fragment in messages[0]
+        check(MEMBER_ERRORS, matrix(strategy=STRATEGIES, debug=BOTH))
 
     def test_mode_violation_identical(self):
-        messages = []
-        for bus, stubs in _fresh_pair("pic8259"):
-            with pytest.raises(DevilRuntimeError) as excinfo:
-                stubs.set_irq_mask(0xFF)  # still in initialization mode
-            messages.append(str(excinfo.value))
-            assert bus.trace == []
-        assert messages[0] == messages[1]
-        assert "only addressable in mode" in messages[0]
+        check(MODE_ERROR, matrix(strategy=STRATEGIES, debug=BOTH))
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +186,8 @@ class TestSpecializedInstance:
         assert stubs.get_signature() == 0x5A
 
     def test_transaction_coalescing_identical(self):
-        traces = []
-        for kind in ("interpret", "specialize"):
-            bus, aux, bases = build_machine("ide")
-            stubs = bind_stubs("ide", kind, bus, bases, debug=True)
-            with stubs.transaction():
-                stubs.set_lba_mode(True)
-                stubs.set_drive("MASTER")
-                stubs.set_head(5)
-            traces.append([(e.op, e.port, e.value, e.width)
-                           for e in bus.trace])
-        assert traces[0] == traces[1]
-        assert len(traces[0]) == 1  # one coalesced device_reg write
+        check(TRANSACTION, matrix(strategy=STRATEGIES, debug=BOTH,
+                                  txn=(True,)))
 
     def test_factory_cached_per_key(self):
         model = shipped_spec("busmouse").model
@@ -239,31 +220,29 @@ class TestSpecializedInstance:
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_public_surface_identical(self, name):
-        """Specialization must not add or remove public stubs."""
-        bus_a, _, bases = build_machine(name)
-        bus_b, _, _ = build_machine(name)
-        interpreted = shipped_spec(name).bind(bus_a, bases)
-        specialized = shipped_spec(name).bind(bus_b, bases,
-                                              strategy="specialize")
-        def surface(instance):
-            return {attr for attr in vars(instance)
-                    if attr.split("_", 1)[0] in ("get", "set",
-                                                 "read", "write")}
-
-        assert surface(interpreted) == surface(specialized)
+        """No strategy adds or removes public stubs (the stub surface
+        is evidence in every cell; here the untraced ones)."""
+        check(WORKLOAD[name], matrix(strategy=STRATEGIES, tracing=(False,)))
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     @pytest.mark.parametrize("composition",
                              ["cache", "read-modify-write"])
     def test_composition_strategies_agree(self, name, composition):
-        """The rmw ablation works identically under specialization."""
-        outputs = []
-        for kind in ("interpret", "specialize"):
-            bus, aux, bases = build_machine(name)
-            stubs = shipped_spec(name).bind(bus, bases, debug=False,
-                                            composition=composition,
-                                            strategy=kind)
-            results = WORKLOADS[name](stubs, aux)
-            outputs.append((results, list(bus.trace),
-                            bus.accounting.snapshot()))
-        assert outputs[0] == outputs[1]
+        """The rmw ablation works identically under specialization
+        (the generated module composes as ``cache`` only)."""
+        check(WORKLOAD[name], matrix(
+            strategy=[s for s in STRATEGIES if s != "generated"],
+            composition=(composition,), debug=BOTH))
+
+
+def _coalesced_device_head(stubs, aux):
+    with stubs.transaction():
+        stubs.set_lba_mode(True)
+        stubs.set_drive("MASTER")
+        stubs.set_head(5)
+
+
+#: One coalesced ``device_reg`` write.
+TRANSACTION = Machine("ide transaction()", None, _coalesced_device_head,
+                      expect=lambda found, cell: len(found.trace) == 1,
+                      spec="ide")
