@@ -702,6 +702,22 @@ class _NativeCore:
         return native_write_block
 
 
+def reject_unsupported(model, composition: str = "cache",
+                       shadow_cache: bool = False) -> None:
+    """Raise the error a native bind of ``model`` raises for an option
+    the core rejects by design (transactions fail at ``txn()``)."""
+    if composition != "cache":
+        raise DevilRuntimeError(
+            f"strategy='native' supports only composition='cache' "
+            f"(got {composition!r}); use interpret/specialize for "
+            f"the read-modify-write ablation", model.location)
+    if shadow_cache:
+        raise DevilRuntimeError(
+            "strategy='native' does not support shadow_cache=True; "
+            "use strategy='specialize' for read elision",
+            model.location)
+
+
 class NativeDeviceInstance(DeviceInstance):
     """A device bound with ``strategy="native"``.
 
@@ -715,16 +731,7 @@ class NativeDeviceInstance(DeviceInstance):
     def __init__(self, model, bus, bases, debug: bool = True,
                  composition: str = "cache",
                  shadow_cache: bool = False):
-        if composition != "cache":
-            raise DevilRuntimeError(
-                f"strategy='native' supports only composition='cache' "
-                f"(got {composition!r}); use interpret/specialize for "
-                f"the read-modify-write ablation", model.location)
-        if shadow_cache:
-            raise DevilRuntimeError(
-                "strategy='native' does not support shadow_cache=True; "
-                "use strategy='specialize' for read elision",
-                model.location)
+        reject_unsupported(model, composition, shadow_cache)
         super().__init__(model, bus, bases, debug=debug,
                          composition="cache", strategy="interpret",
                          shadow_cache=False)

@@ -301,6 +301,14 @@ class ProcessFleet(MergedSessions):
         # decided strategy, so the compiler probe does not repeat per
         # worker and every shard binds the same way.
         strategy = resolve_strategy(strategy, shadow_cache=shadow_cache)
+        if strategy == "native" and shadow_cache:
+            # Raise here what the thread fleet's first bind raises,
+            # instead of crashing every worker's bind.
+            from ..devil.native.instance import reject_unsupported
+            from ..specs import compile_shipped
+
+            reject_unsupported(compile_shipped(devices[0]).model,
+                               shadow_cache=True)
         self.strategy = strategy
         self.policy = policy
         self.workers = min(workers, len(devices))

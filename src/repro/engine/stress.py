@@ -44,8 +44,7 @@ def run_stress(devices, schedule, workers: int = 8,
     """Run ``schedule`` (a list of ``(spec, request)``) twice: with
     ``workers`` workers on ``backend`` and with one thread (the serial
     reference), and assert exact equivalence — byte-equal per-mapping
-    end-state, equal merged accounting, and (thread backend) equal
-    deep model fingerprints.
+    end-state (``device_states()``) and equal merged accounting.
 
     With ``tracing=True`` both runs also assert that no trace entries
     were dropped (the unbounded ring must capture every port op) and
@@ -53,9 +52,7 @@ def run_stress(devices, schedule, workers: int = 8,
     requests in submission order on either backend.
     Extra ``fleet_kwargs`` (``telemetry``, ``trace_limit``, ...)
     reach the parallel fleet only — the reference stays the canonical
-    single-threaded run.  ``telemetry=True`` is how the live-plane
-    parity tests prove heartbeats, latency histograms and the flight
-    recorder never perturb device state.
+    single-threaded run.
 
     Returns the reference evidence — pass it back as ``reference`` on
     a later call to amortize the serial run across repeated stress

@@ -13,8 +13,9 @@ signatures, the public stub surface and the end state
 scenario (:func:`reference`) and names the scenario, the cell and the
 field that differ; a cell rejected by design must raise its
 :data:`UNSUPPORTED` error.  A strategy or backend is one entry on an
-axis (:data:`STRATEGIES`, :data:`FLEETS`); the test modules hold the
-scenario lists and the cells each test runs them in.
+axis (:data:`STRATEGIES`, :data:`FLEETS`).  The scenarios several test
+modules share live here; each test lists the cells it runs them in,
+and no two tests list the same cell of a scenario.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from repro.bus import Bus
 from repro.devil.compiler import compile_spec
 from repro.devil.errors import DevilRuntimeError
 from repro.devil.native import native_available
-from repro.engine import Fleet, ProcessFleet
+from repro.devil.types import EnumType, IntSetType, IntType
+from repro.engine import Fleet, ProcessFleet, mixed_schedule
 from repro.obs.workloads import (
     TXN_WORKLOADS,
     WORKLOADS,
@@ -41,9 +43,10 @@ from repro.obs.workloads import (
 )
 from repro.specs import SPEC_NAMES, compile_shipped
 
-#: Execution strategies; ``native`` needs a C compiler.
-STRATEGIES = ("interpret", "specialize", "generated") + \
-    (("native",) if native_available() else ())
+#: Execution strategies; ``native`` needs a C compiler and rejects the
+#: shadow cache and transactions, which the others run.
+PYTHON_STRATEGIES = ("interpret", "specialize", "generated")
+STRATEGIES = PYTHON_STRATEGIES + (("native",) if native_available() else ())
 needs_cc = pytest.mark.skipif(not native_available(),
                               reason="strategy='native' needs a C compiler")
 
@@ -149,15 +152,17 @@ class FleetRun(Scenario):
 
 
 #: ``spec name -> scenario``: its workload on its machine (with a trace
-#: and spans to compare), and on a fleet of two devices serving it four
+#: and spans to compare), and on a fleet of two devices serving it six
 #: times.
 WORKLOAD = {name: Machine(name, WORKLOADS[name], TXN_WORKLOADS.get(name),
                           expect=lambda found, cell: found.trace != []
                           and found.spans != [], spec=name)
             for name in SPEC_NAMES}
-FLEET = {name: FleetRun(f"{name} fleet", ((name, WORKLOADS[name]),) * 4,
+FLEET = {name: FleetRun(f"{name} fleet", ((name, WORKLOADS[name]),) * 6,
                         devices=(name, name))
          for name in SPEC_NAMES}
+MIXED = FleetRun("mixed fleet", tuple(mixed_schedule(6)),
+                 devices=("ide", "permedia2", "ne2000"))
 
 
 def call(stub: str, *args, **kwargs) -> Callable:
@@ -189,6 +194,77 @@ def raised(error) -> tuple:
     name = type(error).__name__
     return ("DevilRuntimeError" if name == "DevilStubError" else name,
             str(error))
+
+
+def rejections(name: str, *made) -> Machine:
+    """``(fragment, call(...))`` pairs (at least one) made in turn on
+    spec ``name``'s machine: a debug build rejects each call with a
+    message containing its fragment, before any port access."""
+    fragments, runs = zip(*made)
+    return Machine(f"{name} " + ", ".join(run.args[0] for run in runs),
+                   in_turn(*runs), debug_differs=True, spec=name,
+                   expect=lambda found, cell: not cell.debug or (
+                       found.trace == [] and all(
+                           isinstance(outcome, tuple) and fragment in
+                           outcome[1] and outcome[0] == "DevilRuntimeError"
+                           for fragment, outcome
+                           in zip(fragments, found.results))))
+
+
+@functools.cache
+def error_scenario(name: str) -> Machine:
+    """No-I/O error calls derived from the model, uniformly per spec:
+    every writable variable gets a value its type rejects, and the
+    first structure a member read before its fetch."""
+    model = compiled(name).model
+    made = []
+    for variable in model.public_variables():
+        if variable.memory or variable.structure is not None or not all(
+                model.registers[c.register].writable
+                for c in variable.chunks):
+            continue
+        var_type, stub = variable.type, f"set_{variable.name}"
+        if isinstance(var_type, IntType):
+            made.append(("outside range",
+                         call(stub, var_type.maximum + 1)))
+        elif isinstance(var_type, IntSetType):
+            made.append(("is not a member",
+                         call(stub, max(var_type.values) + 1)))
+        elif isinstance(var_type, EnumType):
+            made.append(("is not a symbol", call(stub, "__NOPE__")))
+    for structure in model.structures.values():
+        member = model.variables[structure.members[0]]
+        if all(model.registers[c.register].readable
+               for c in member.chunks):
+            made.append(("was fetched", call(f"get_{member.name}")))
+        break  # one structure-protocol case per spec is enough
+    return rejections(name, *made)
+
+
+_DAC = {"left_dac_attenuation": 9, "left_dac_mute": True}
+MEMBER_ERRORS = rejections(
+    "cs4236",
+    ("must provide every member", call("set_left_dac_output", **_DAC)),
+    ("unknown member(s)", call("set_left_dac_output", **_DAC,
+                               left_dac_pad=False, bogus=1)))
+
+#: ``ocw1`` while the PIC is still in initialization mode.
+MODE_ERROR = rejections("pic8259", ("only addressable in mode",
+                                    call("set_irq_mask", 0xFF)))
+
+
+class Ram:
+    """A plain device: a byte per port (``cells``, else ``size``
+    zeros), no side effects."""
+
+    def __init__(self, *cells, size: int = 8):
+        self.cells = list(cells) or [0] * size
+
+    def io_read(self, offset, width):
+        return self.cells[offset]
+
+    def io_write(self, offset, value, width):
+        self.cells[offset] = value
 
 
 def device_machine(device: Callable, base: int, size: int):
@@ -317,28 +393,19 @@ def _reference_evidence(scenario: Scenario, cell: Cell) -> Evidence:
     return found
 
 
-#: ``(scenario, cell)`` pairs :func:`check` passed.  Evidence is
-#: deterministic, so a cell several tests list runs once.
-_PASSED: set = set()
-
-
 def check(scenario: Scenario, cells) -> None:
     """Run ``scenario`` in each of ``cells``: a rejected cell must raise
     its :data:`UNSUPPORTED` error, any other must agree field for field
     with its :func:`reference`."""
     for cell in cells:
-        if (scenario, cell) in _PASSED:
-            continue
         rejection = next((row for row in UNSUPPORTED if row[0](cell)), None)
         if rejection is not None:
             _check_rejected(scenario, cell, *rejection[1:])
-        else:
-            base = reference(scenario, cell)
-            want = _reference_evidence(scenario, base)
-            if cell != base:
-                _compare(scenario, cell, evidence(scenario, cell), base,
-                         want)
-        _PASSED.add((scenario, cell))
+            continue
+        base = reference(scenario, cell)
+        want = _reference_evidence(scenario, base)
+        if cell != base:
+            _compare(scenario, cell, evidence(scenario, cell), base, want)
 
 
 def _check_rejected(scenario, cell, error_type, message) -> None:

@@ -12,6 +12,7 @@ shadow-cache cells of the differential harness
 (``tests/differential.py``).
 """
 
+import functools
 import json
 import pathlib
 
@@ -30,10 +31,12 @@ from repro.specs import SPEC_NAMES
 from tests.conftest import shipped_spec
 from tests.differential import (
     BOTH,
+    PYTHON_STRATEGIES,
     STRATEGIES,
     WORKLOAD,
     Cell,
     Machine,
+    Ram,
     check,
     device_machine,
     evidence,
@@ -109,19 +112,7 @@ device d (base : bit[8] port @ {0..2}) {
 """
 
 
-class Ram:
-    def __init__(self):
-        self.cells = [0x11, 0x22, 0x33, 0x44]
-        self.reads = 0
-        self.writes = 0
-
-    def io_read(self, offset, width):
-        self.reads += 1
-        return self.cells[offset]
-
-    def io_write(self, offset, value, width):
-        self.writes += 1
-        self.cells[offset] = value
+MINI_RAM = functools.partial(Ram, 0x11, 0x22, 0x33, 0x44)
 
 
 def _twice(stubs, aux):
@@ -154,7 +145,7 @@ def _elision(drive, results, cache_off, cache_on) -> Machine:
     the ``(reads, writes, elided reads)`` of ``cache_off``/``cache_on``."""
     return Machine(
         f"mini {drive.__name__}", drive, spec=MINI,
-        build=device_machine(Ram, 0x10, 4),
+        build=device_machine(MINI_RAM, 0x10, 4),
         expect=lambda found, cell: found.results == results and (
             found.accounting.reads, found.accounting.writes,
             found.accounting.elided_reads)
@@ -196,7 +187,7 @@ class TestElision:
     def test_rmw_composition_disables_shadow_cache(self):
         spec = compile_spec(MINI)
         bus = Bus()
-        bus.map_device(0x10, 4, Ram())
+        bus.map_device(0x10, 4, MINI_RAM())
         device = spec.bind(bus, {"base": 0x10},
                            composition="read-modify-write",
                            shadow_cache=True)
@@ -208,7 +199,7 @@ class TestElision:
         check(TWICE, [Cell(debug=True, shadow_cache=True)])
 
     def test_block_transfer_is_a_barrier(self):
-        check(BURST, matrix(strategy=STRATEGIES[:3], shadow_cache=(True,)))
+        check(BURST, matrix(strategy=PYTHON_STRATEGIES, shadow_cache=(True,)))
 
 
 def _burst_between(stubs, aux):
@@ -224,7 +215,7 @@ device d (base : bit[8] port @ {0..1}) {
     register b = base @ 1 : bit[8];
     variable burst = b, trigger, volatile, block : int(8);
 }
-""", build=device_machine(Ram, 0x10, 4),
+""", build=device_machine(MINI_RAM, 0x10, 4),
                 expect=lambda found, cell: found.accounting.elided_reads == 0)
 
 
@@ -287,8 +278,11 @@ class TestThreeWayParity:
                              ids=["release", "debug"])
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_workload_parity(self, name, debug, shadow):
-        check(WORKLOAD[name], matrix(strategy=STRATEGIES, debug=(debug,),
-                                     shadow_cache=(shadow,)))
+        """Cache on with a trace, where the elided reads show; cache off
+        on an untraced bus (its traced cells are ``test_specialize``'s)."""
+        check(WORKLOAD[name], matrix(strategy=PYTHON_STRATEGIES,
+                                     debug=(debug,), shadow_cache=(shadow,),
+                                     tracing=(shadow,)))
 
     @pytest.mark.parametrize("shadow", [False, True],
                              ids=["plain", "shadow"])
@@ -296,8 +290,9 @@ class TestThreeWayParity:
                              ids=["release", "debug"])
     @pytest.mark.parametrize("name", sorted(TXN_WORKLOADS))
     def test_txn_workload_parity(self, name, debug, shadow):
-        check(WORKLOAD[name], matrix(strategy=STRATEGIES, debug=(debug,),
-                                     shadow_cache=(shadow,), txn=(True,)))
+        check(WORKLOAD[name], matrix(strategy=PYTHON_STRATEGIES,
+                                     debug=(debug,), shadow_cache=(shadow,),
+                                     txn=(True,)))
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_shadow_cache_only_removes_reads(self, name):

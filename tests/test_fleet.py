@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -33,8 +34,7 @@ from repro.engine import (
 )
 from repro.obs.workloads import STRATEGIES, WORKLOADS, build_machine
 from repro.specs import SPEC_NAMES
-from tests.differential import FLEET, Cell, check, matrix
-from tests.test_fleet_mp import MIXED
+from tests.differential import FLEET, MIXED, Cell, check, matrix
 
 pytestmark = pytest.mark.concurrency
 
@@ -208,10 +208,11 @@ def test_concurrent_first_binds_all_specs_all_strategies():
 
 @pytest.mark.parametrize("spec", SPEC_NAMES)
 def test_fleet_exactness_per_spec(spec):
-    """4 threads on a 2-device fleet: accounting and final state equal
-    the single-worker reference."""
-    check(FLEET[spec], [Cell("specialize", backend="thread",
-                             tracing=False)])
+    """4 threads × 12 shipped-workload requests on a 2-device fleet:
+    accounting and final state equal the single-worker reference."""
+    check(replace(FLEET[spec], name=f"{spec} fleet, 12 requests",
+                  run=FLEET[spec].run * 2),
+          [Cell("specialize", backend="thread", tracing=False)])
 
 
 def test_fleet_three_strategy_state_parity():

@@ -33,7 +33,6 @@ from repro.engine import (
     ide_sector_read_lba,
     ide_sector_read_txn,
     ide_taskfile_churn,
-    mixed_schedule,
 )
 from repro.obs.workloads import WORKLOADS, build_machine
 from repro.specs import SPEC_NAMES
@@ -41,6 +40,8 @@ from tests.differential import (
     BOTH,
     FLEET,
     FLEETS,
+    MIXED,
+    PYTHON_STRATEGIES,
     STRATEGIES,
     Cell,
     FleetRun,
@@ -52,16 +53,12 @@ from tests.differential import (
 
 pytestmark = pytest.mark.concurrency
 
-#: The strategies the shadow cache and transactions run in (the native
-#: core's fleet cells are below).
-PYTHON_STRATEGIES = tuple(s for s in STRATEGIES if s != "native")
 PARALLEL = ("thread", "process")
 
-#: A device of every shipped spec serving its workload twice.
-EVERY_SPEC = FleetRun(
-    "every spec fleet",
-    tuple((spec, WORKLOADS[spec]) for _ in range(2) for spec in SPEC_NAMES),
-    devices=tuple(SPEC_NAMES))
+#: A device of every shipped spec serving its workload.
+EVERY_SPEC = FleetRun("every spec fleet",
+                      tuple((spec, WORKLOADS[spec]) for spec in SPEC_NAMES),
+                      devices=tuple(SPEC_NAMES))
 
 IDE_READS = FleetRun("ide sector reads", (("ide", ide_sector_read),) * 6,
                      devices=("ide", "ide"))
@@ -77,11 +74,6 @@ MIXED_TXN = FleetRun(
      ("ne2000", WORKLOADS["ne2000"])) * 4,
     expect=lambda found, cell: found.accounting.coalesced_writes > 0,
     devices=("ide", "ide", "permedia2", "ne2000"))
-
-MIXED = FleetRun("mixed fleet", tuple(mixed_schedule(6)),
-                 devices=("ide", "permedia2", "ne2000"))
-
-
 
 # ---------------------------------------------------------------------------
 # The parity suite: every shipped spec, serial vs thread vs process
@@ -99,11 +91,11 @@ def test_backend_parity_per_spec(spec):
 
 def test_every_strategy_and_shadow_setting_on_every_backend():
     """Every shipped spec on one fleet, in every Python strategy with
-    the shadow cache on (spans compared with it off); a thread fleet of
-    the native core rejects the cache."""
+    the shadow cache on (spans compared with it off); a native fleet
+    rejects the cache on every backend."""
     if "native" in STRATEGIES:
-        check(EVERY_SPEC, [Cell("native", shadow_cache=True,
-                                backend="thread")])
+        check(EVERY_SPEC, matrix(strategy=("native",), shadow_cache=(True,),
+                                 backend=tuple(FLEETS)))
     for shadow in BOTH:
         check(EVERY_SPEC, matrix(strategy=PYTHON_STRATEGIES,
                                  shadow_cache=(shadow,),
@@ -375,8 +367,8 @@ def test_process_fleet_weighted_placement_matches_thread_backend():
                    devices=("ide", "ide"), weights=(("ide0", 3), ("ide1", 1)),
                    expect=lambda found, cell:
                    found.results == {"ide0": 6, "ide1": 2}),
-          matrix(backend=PARALLEL, workers=(2,),
-                 policy=("weighted-round-robin",)))
+          matrix(strategy=("specialize",), backend=PARALLEL, workers=(2,),
+                 policy=("weighted-round-robin",), tracing=(False,)))
 
 
 def test_process_fleet_accounting_exact_across_worker_counts():

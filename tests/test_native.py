@@ -38,15 +38,15 @@ from tests.differential import (
     Cell,
     FleetRun,
     Machine,
+    Ram,
     call,
     check,
     device_machine,
     in_turn,
     matrix,
     needs_cc,
+    rejections,
 )
-from tests.test_runtime import RamDevice
-from tests.test_specialize import rejections
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +56,19 @@ from tests.test_specialize import rejections
 
 @needs_cc
 class TestFourWayParity:
+    """Native's workload cells; the other strategies' are
+    ``test_specialize``'s and ``test_coalesce``'s."""
+
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_results_trace_accounting_identical(self, name, debug):
-        check(WORKLOAD[name], matrix(strategy=("native",), debug=(debug,),
-                                     tracing=BOTH))
+        check(WORKLOAD[name], [Cell("native", debug=debug)])
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_device_end_state_byte_equal(self, name):
-        check(WORKLOAD[name], matrix(strategy=STRATEGIES, debug=(True,),
+        """Untraced: end state and accounting alone."""
+        check(WORKLOAD[name], matrix(strategy=("native",), debug=BOTH,
                                      tracing=(False,)))
 
     @pytest.mark.parametrize("debug", [False, True],
@@ -377,7 +380,7 @@ class TestErrorPaths:
         from repro.devil.compiler import compile_spec
         spec = compile_spec(self.MEMORY_SOURCE)
         bus = Bus()
-        bus.map_device(0x10, 1, RamDevice(1), "ram")
+        bus.map_device(0x10, 1, Ram(), "ram")
         stubs = spec.bind(bus, {"base": 0x10}, debug=debug,
                           strategy="native")
         with pytest.raises(DevilRuntimeError,
@@ -399,8 +402,7 @@ class TestErrorPaths:
                           call("set_gate", True), call("set_rest", 5),
                           call("get_rest"), call("get", "xm"),
                           call("get_rest")), spec=self.MEMORY_SOURCE,
-                      build=device_machine(functools.partial(RamDevice, 1),
-                                           0x10, 1)),
+                      build=device_machine(Ram, 0x10, 1)),
               matrix(strategy=("specialize", "native"), debug=(debug,)))
 
     def test_generic_accessors_route_natively(self):

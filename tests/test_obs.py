@@ -21,7 +21,7 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.validate import SchemaViolation, validate, validate_jsonl
 from repro.obs.workloads import WORKLOADS, bind_stubs, build_machine
 from repro.specs import SPEC_NAMES
-from tests.differential import BOTH, STRATEGIES, WORKLOAD, check, matrix
+from tests.differential import BOTH, PYTHON_STRATEGIES, WORKLOAD, check, matrix
 
 SCHEMA_PATH = "docs/trace_schema.json"
 
@@ -48,10 +48,11 @@ class TestSpanParity:
                              ids=["release", "debug"])
     def test_span_streams_identical_across_strategies(self, name, debug):
         """In release also with the shadow cache on and on the
-        transactional variant, where the spec has one."""
+        transactional variant, where the spec has one (native's span
+        cells are ``test_native``'s)."""
         variants = BOTH if not debug else (False,)
         check(WORKLOAD[name], matrix(
-            strategy=STRATEGIES, debug=(debug,), spans=(True,),
+            strategy=PYTHON_STRATEGIES, debug=(debug,), spans=(True,),
             shadow_cache=variants,
             txn=variants if WORKLOAD[name].txn_run else (False,)))
 

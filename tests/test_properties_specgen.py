@@ -26,6 +26,7 @@ from tests.differential import (
     BOTH,
     STRATEGIES,
     Machine,
+    Ram,
     call,
     check,
     device_machine,
@@ -88,17 +89,6 @@ def device_specs(draw):
             variable_specs.append((name, width, signed))
     lines.append("}")
     return "\n".join(lines), variable_specs
-
-
-class Ram:
-    def __init__(self):
-        self.cells = [0] * 8
-
-    def io_read(self, offset, width):
-        return self.cells[offset]
-
-    def io_write(self, offset, value, width):
-        self.cells[offset] = value
 
 
 @pytest.fixture(scope="module")

@@ -15,23 +15,23 @@ import sys
 import pytest
 
 from repro.bus import Bus
+from repro.devices.cs4236 import VERSION_ID
 from repro.obs.workloads import build_machine, load_generated
 from repro.specs import SPEC_NAMES
 from tests.conftest import shipped_spec
 from tests.differential import (
+    MEMBER_ERRORS,
+    MODE_ERROR,
     STRATEGIES,
-    WORKLOAD,
     Cell,
     Machine,
+    Ram,
     call,
     check,
     device_machine,
-    matrix,
-)
-from tests.test_specialize import (
-    MEMBER_ERRORS,
-    MODE_ERROR,
     error_scenario,
+    in_turn,
+    matrix,
     rejections,
 )
 
@@ -50,9 +50,22 @@ class TestGeneration:
         assert "dx" in stubs.get_dx.__doc__
 
 
+def _extended_mode(stubs, aux):
+    return aux["chip"].extended_mode
+
+
+def _nic_ram(stubs, aux):
+    return bytes(aux["nic"].ram[:8])
+
+
 class TestAgreementBusmouse:
     def test_full_session_identical(self):
-        check(WORKLOAD["busmouse"], [Cell("generated", debug=True)])
+        check(Machine("busmouse session", in_turn(
+            call("set_config", "CONFIGURATION"), call("set_signature", 0xA5),
+            call("get_signature"), call("get_mouse_state"), call("get_dy")),
+            expect=lambda found, cell: found.results[2:] == [
+                0xA5, {"dx": 5, "dy": -3, "buttons": 5}, -3],
+            spec="busmouse"), [Cell("generated", debug=True)])
 
     def test_debug_check_in_generated_code(self):
         check(rejections("busmouse", ("before", call("get_dx"))),
@@ -66,7 +79,12 @@ class TestAgreementBusmouse:
 
 class TestAgreementAutomaton:
     def test_cs4236_extended_access(self):
-        check(WORKLOAD["cs4236"], [Cell("generated")])
+        check(Machine("cs4236 extended access", in_turn(
+            call("set_left_dac_output", left_dac_attenuation=9,
+                 left_dac_mute=True, left_dac_pad=False),
+            call("get_version"), call("set_ACF", True), _extended_mode),
+            expect=lambda found, cell: found.results[1::2] == [
+                VERSION_ID, False], spec="cs4236"), [Cell("generated")])
 
 
 def _pic_init(sngl, ic4, stubs, aux):
@@ -96,7 +114,14 @@ class TestAgreementConditionalSerialization:
 
 class TestAgreementBlockTransfer:
     def test_ne2000_remote_dma(self):
-        check(WORKLOAD["ne2000"], [Cell("generated")])
+        check(Machine("ne2000 remote DMA write", in_turn(
+            call("set_st", "START"), call("set_remote_byte_count", 8),
+            call("set_remote_start_address", 0x4000),
+            call("set_rd", "REMOTE_WRITE"),
+            call("write_dma_data_block", [1, 2, 3, 4]),
+            _nic_ram), expect=lambda found, cell: found.results[-1]
+            == bytes([1, 0, 2, 0, 3, 0, 4, 0]), spec="ne2000"),
+            [Cell("generated")])
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +143,6 @@ VALIDATION_CASES = [
 ]
 
 
-class _Cell:
-    """One device register holding a preset value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def io_read(self, offset, width):
-        return self.value
-
-    def io_write(self, offset, value, width):
-        self.value = value
-
-
 VALIDATION = {
     stub + repr(args): Machine(
         f"{stub}{args!r} on {declaration!r}", call(stub, *args),
@@ -138,7 +150,7 @@ VALIDATION = {
         spec="device d (base : bit[8] port @ {0}) {\n"
              f"    register r = base @ 0, mask '{mask}' : bit[8];\n"
              f"    {declaration}\n}}\n",
-        build=device_machine(functools.partial(_Cell, preset), 0, 1))
+        build=device_machine(functools.partial(Ram, preset), 0, 1))
     for declaration, mask, preset, stub, args in VALIDATION_CASES}
 
 
@@ -218,19 +230,6 @@ STANDALONE_CALLS = {
 }
 
 
-class _RamDevice:
-    """The interpreter-side twin of the script's RAM io object."""
-
-    def __init__(self):
-        self.cells = {}
-
-    def io_read(self, offset, width):
-        return self.cells.get(offset, 0)
-
-    def io_write(self, offset, value, width):
-        self.cells[offset] = value
-
-
 class TestStandalone:
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_module_runs_without_repro(self, name, tmp_path):
@@ -250,7 +249,7 @@ class TestStandalone:
         standalone = json.loads(run.stdout)
 
         bus = Bus(tracing=True)
-        bus.map_device(0, 1 << 16, _RamDevice())
+        bus.map_device(0, 1 << 16, Ram(size=1 << 16))
         stubs = spec.bind(bus, bases, debug=False)
         getattr(stubs, setter)(value)
         assert standalone["got"] == getattr(stubs, getter)()

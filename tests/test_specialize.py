@@ -6,6 +6,10 @@ spec's driver workload (:mod:`repro.obs.workloads`) runs in each
 strategy's cells of ``tests/differential.py`` and must match the
 interpreter's results, trace, accounting, spans, stub surface and end
 state; a debug cell must do exactly the release run's I/O (§3.2).
+The traced workload cells are split by strategy: the interpreter's
+debug cell and the specializer's here, the generated module's in
+``test_composition_strategies_agree[cache-*]`` (it composes as
+``cache`` only), native's in ``test_native``.
 
 Debug-mode errors must be message-exact in every strategy and make no
 port access: out-of-range writes, illegal enum symbols, structure
@@ -13,30 +17,34 @@ protocol violations, missing/unknown structure members and mode
 violations.
 """
 
-import functools
 import re
-from dataclasses import replace
 
 import pytest
 
 import repro.devil.specialize as specialize_module
 from repro.devil.errors import DevilRuntimeError
 from repro.devil.specialize import specialized_factory
-from repro.devil.types import EnumType, IntSetType, IntType
 from repro.obs.workloads import MOUSE_BASE, bind_stubs, build_machine
 from repro.specs import SPEC_NAMES
 from tests.conftest import shipped_spec
 from tests.differential import (
     BOTH,
+    MEMBER_ERRORS,
+    MODE_ERROR,
     STRATEGIES,
     WORKLOAD,
     Cell,
     Machine,
     call,
     check,
-    in_turn,
+    error_scenario,
     matrix,
+    rejections,
 )
+
+#: Every strategy but the generated module, whose error cells are
+#: ``test_py_backend``'s.
+NOT_GENERATED = tuple(s for s in STRATEGIES if s != "generated")
 
 # ---------------------------------------------------------------------------
 # Workload parity: every strategy against the interpreter
@@ -48,7 +56,7 @@ class TestThreeWayParity:
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
     def test_traces_accounting_results_identical(self, name, debug):
-        check(WORKLOAD[name], matrix(strategy=STRATEGIES, debug=(debug,)))
+        check(WORKLOAD[name], [Cell("specialize", debug=debug)])
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_debug_and_release_do_identical_io(self, name):
@@ -74,62 +82,15 @@ def test_a_perturbed_cell_fails_naming_scenario_cell_and_field(
 
     monkeypatch.setattr(specialize_module, "specialize_instance",
                         one_extra_read)
-    scenario = replace(WORKLOAD["busmouse"], name="perturbed busmouse")
-    check(scenario, [Cell("generated", debug=True)])
+    check(WORKLOAD["busmouse"], [Cell("generated", debug=True)])
     with pytest.raises(AssertionError, match=re.escape(
-            "perturbed busmouse [specialize bus debug=True]: trace "
-            "differs")):
-        check(scenario, [Cell("specialize", debug=True)])
+            "busmouse [specialize bus debug=True]: trace differs")):
+        check(WORKLOAD["busmouse"], [Cell("specialize", debug=True)])
 
 
 # ---------------------------------------------------------------------------
 # Debug-mode error parity (every strategy, message-exact, no I/O)
 # ---------------------------------------------------------------------------
-
-
-def rejections(name: str, *made) -> Machine:
-    """``(fragment, call(...))`` pairs (at least one) made in turn on
-    spec ``name``'s machine: a debug build rejects each call with a
-    message containing its fragment, before any port access."""
-    fragments, runs = zip(*made)
-    return Machine(f"{name} " + ", ".join(run.args[0] for run in runs),
-                   in_turn(*runs), debug_differs=True, spec=name,
-                   expect=lambda found, cell: not cell.debug or (
-                       found.trace == [] and all(
-                           isinstance(outcome, tuple) and fragment in
-                           outcome[1] and outcome[0] == "DevilRuntimeError"
-                           for fragment, outcome
-                           in zip(fragments, found.results))))
-
-
-@functools.cache
-def error_scenario(name: str) -> Machine:
-    """No-I/O error calls derived from the model, uniformly per spec:
-    every writable variable gets a value its type rejects, and the
-    first structure a member read before its fetch."""
-    model = shipped_spec(name).model
-    made = []
-    for variable in model.public_variables():
-        if variable.memory or variable.structure is not None or not all(
-                model.registers[c.register].writable
-                for c in variable.chunks):
-            continue
-        var_type, stub = variable.type, f"set_{variable.name}"
-        if isinstance(var_type, IntType):
-            made.append(("outside range",
-                         call(stub, var_type.maximum + 1)))
-        elif isinstance(var_type, IntSetType):
-            made.append(("is not a member",
-                         call(stub, max(var_type.values) + 1)))
-        elif isinstance(var_type, EnumType):
-            made.append(("is not a symbol", call(stub, "__NOPE__")))
-    for structure in model.structures.values():
-        member = model.variables[structure.members[0]]
-        if all(model.registers[c.register].readable
-               for c in member.chunks):
-            made.append(("was fetched", call(f"get_{member.name}")))
-        break  # one structure-protocol case per spec is enough
-    return rejections(name, *made)
 
 
 #: The concrete §3.2 out-of-range writes.
@@ -140,32 +101,24 @@ OUT_OF_RANGE = [rejections(name, ("outside range", call(stub, bad)))
                     ("cs4236", "set_mic_left_volume", 32),
                     ("permedia2", "set_rect_width", 1 << 16))]
 
-_DAC = {"left_dac_attenuation": 9, "left_dac_mute": True}
-MEMBER_ERRORS = rejections(
-    "cs4236",
-    ("must provide every member", call("set_left_dac_output", **_DAC)),
-    ("unknown member(s)", call("set_left_dac_output", **_DAC,
-                               left_dac_pad=False, bogus=1)))
-
-#: ``ocw1`` while the PIC is still in initialization mode.
-MODE_ERROR = rejections("pic8259", ("only addressable in mode",
-                                    call("set_irq_mask", 0xFF)))
-
-
 class TestDebugErrorParity:
+    """The generated module's cells of these scenarios are
+    ``test_py_backend``'s."""
+
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_identical_errors_and_no_io(self, name):
-        check(error_scenario(name), matrix(strategy=STRATEGIES, debug=BOTH))
+        check(error_scenario(name), matrix(strategy=NOT_GENERATED,
+                                           debug=BOTH))
 
     def test_out_of_range_write_messages(self):
         for scenario in OUT_OF_RANGE:
             check(scenario, matrix(strategy=STRATEGIES, debug=(True,)))
 
     def test_structure_member_errors_identical(self):
-        check(MEMBER_ERRORS, matrix(strategy=STRATEGIES, debug=BOTH))
+        check(MEMBER_ERRORS, matrix(strategy=NOT_GENERATED, debug=BOTH))
 
     def test_mode_violation_identical(self):
-        check(MODE_ERROR, matrix(strategy=STRATEGIES, debug=BOTH))
+        check(MODE_ERROR, matrix(strategy=NOT_GENERATED, debug=BOTH))
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +173,30 @@ class TestSpecializedInstance:
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_public_surface_identical(self, name):
-        """No strategy adds or removes public stubs (the stub surface
-        is evidence in every cell; here the untraced ones)."""
-        check(WORKLOAD[name], matrix(strategy=STRATEGIES, tracing=(False,)))
+        """No strategy adds or removes public stubs, and binding alone
+        makes no port access (the stub surface is evidence in every
+        cell; here nothing but the bind runs)."""
+        check(Machine(f"{name} bind", _bind_only, spec=name,
+                      expect=lambda found, cell: found.trace == []
+                      and found.surface),
+              [Cell(strategy) for strategy in STRATEGIES])
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     @pytest.mark.parametrize("composition",
                              ["cache", "read-modify-write"])
     def test_composition_strategies_agree(self, name, composition):
-        """The rmw ablation works identically under specialization
-        (the generated module composes as ``cache`` only)."""
+        """Each composition works identically in the strategies that
+        run it: read-modify-write in the interpreter and the specializer
+        (native rejects it, ``test_native``), ``cache`` in the generated
+        module, which composes as nothing else."""
         check(WORKLOAD[name], matrix(
-            strategy=[s for s in STRATEGIES if s != "generated"],
+            strategy=("generated",) if composition == "cache"
+            else ("interpret", "specialize"),
             composition=(composition,), debug=BOTH))
+
+
+def _bind_only(stubs, aux):
+    return None
 
 
 def _coalesced_device_head(stubs, aux):
