@@ -47,6 +47,7 @@ from ..model import (
     VarRef,
     Wildcard,
 )
+from ..stubs import BLOCK_KINDS, stub_table
 from ..types import BoolType, EnumType, IntSetType, IntType
 
 
@@ -122,6 +123,7 @@ class _CWriter:
         self.device = device
         self.prefix = prefix
         self.force_debug = force_debug
+        self.stubs = stub_table(device)
         self.lines: list[str] = []
 
     # ------------------------------------------------------------------
@@ -311,21 +313,22 @@ class _CWriter:
         (a register pre-action may write a structure whose setter is
         defined later), so every accessor is declared up front."""
         p = self.prefix
+        readable, writable = self.stubs.readable, self.stubs.writable
         for variable in self.device.variables.values():
             name = variable.name
             c_type = self._c_type(variable)
-            if variable.memory or self._readable(variable):
+            if name in readable:
                 self._w(f"static inline {c_type} {p}__get_{name}"
                         f"({p}_state_t *d);")
-            if variable.memory or self._writable(variable):
+            if name in writable:
                 self._w(f"static inline void {p}__set_{name}"
                         f"({p}_state_t *d, {c_type} value);")
         for structure_name, structure in self.device.structures.items():
             members = [self.device.variables[m] for m in structure.members]
-            if all(self._readable(m) for m in members):
+            if structure_name in readable:
                 self._w(f"static inline void {p}__get_{structure_name}"
                         f"({p}_state_t *d);")
-            if all(self._writable(m) for m in members):
+            if structure_name in writable:
                 params = ", ".join(
                     f"{self._c_type(m)} {m.name}" for m in members)
                 self._w(f"static inline void {p}__set_{structure_name}"
@@ -522,16 +525,6 @@ class _CWriter:
 
     # -- variable accessors ----------------------------------------------
 
-    def _readable(self, variable: ResolvedVariable) -> bool:
-        return variable.memory or all(
-            self.device.registers[c.register].readable
-            for c in variable.chunks)
-
-    def _writable(self, variable: ResolvedVariable) -> bool:
-        return variable.memory or all(
-            self.device.registers[c.register].writable
-            for c in variable.chunks)
-
     def _emit_memory_accessors(self, variable: ResolvedVariable) -> None:
         p = self.prefix
         name = variable.name
@@ -596,7 +589,7 @@ class _CWriter:
         p = self.prefix
         name = variable.name
         c_type = self._c_type(variable)
-        if getter and self._readable(variable):
+        if getter and name in self.stubs.readable:
             self._w(f"static inline {c_type} {p}__get_{name}"
                     f"({p}_state_t *d)")
             self._w("{")
@@ -610,7 +603,7 @@ class _CWriter:
             self._w(f"    return {self._decode_expr(variable, raw)};")
             self._w("}")
             self._w()
-        if self._writable(variable):
+        if name in self.stubs.writable:
             self._w(f"static inline void {p}__set_{name}"
                     f"({p}_state_t *d, {c_type} value)")
             self._w("{")
@@ -647,7 +640,7 @@ class _CWriter:
         register_names = self._structure_registers(structure_name)
         registers = [self.device.registers[r] for r in register_names]
 
-        if all(self._readable(m) for m in members):
+        if structure_name in self.stubs.readable:
             self._w(f"static inline void {p}__get_{structure_name}"
                     f"({p}_state_t *d)")
             self._w("{")
@@ -661,7 +654,7 @@ class _CWriter:
             self._w("}")
             self._w()
 
-        if all(self._writable(m) for m in members):
+        if structure_name in self.stubs.writable:
             params = ", ".join(
                 f"{self._c_type(m)} {m.name}" for m in members)
             self._w(f"static inline void {p}__set_{structure_name}"
@@ -734,7 +727,7 @@ class _CWriter:
         """Structure members read the register caches, never the device."""
         p = self.prefix
         name = variable.name
-        if not self._readable(variable):
+        if name not in self.stubs.readable:
             return
         c_type = self._c_type(variable)
         self._w(f"static inline {c_type} {p}__get_{name}"
@@ -756,7 +749,7 @@ class _CWriter:
         p = self.prefix
         name = variable.name
         register = self.device.registers[variable.chunks[0].register]
-        if register.readable:
+        if name in self.stubs.readable:
             self._w(f"static inline void {p}__read_{name}_block"
                     f"({p}_state_t *d, unsigned *buffer, "
                     f"unsigned long count)")
@@ -772,7 +765,7 @@ class _CWriter:
                 self._emit_action(action, "    ", kind="reg-set")
             self._w("}")
             self._w()
-        if register.writable:
+        if name in self.stubs.writable:
             self._w(f"static inline void {p}__write_{name}_block"
                     f"({p}_state_t *d, const unsigned *buffer, "
                     f"unsigned long count)")
@@ -799,36 +792,15 @@ class _CWriter:
         args = ", ".join(f"{name}_base" for name in self.device.params)
         self._w(f"#define {p}_init({args}) "
                 f"{p}__init(&{p}_devil_state, {args})")
-        for variable in self.device.variables.values():
-            name = variable.name
-            if variable.private:
-                continue
-            if self._readable(variable):
-                self._w(f"#define {p}_get_{name}() "
-                        f"{p}__get_{name}(&{p}_devil_state)")
-            if self._writable(variable):
-                self._w(f"#define {p}_set_{name}(v) "
-                        f"{p}__set_{name}(&{p}_devil_state, v)")
-            if variable.behaviors.block:
-                register = self.device.registers[
-                    variable.chunks[0].register]
-                if register.readable:
-                    self._w(f"#define {p}_read_{name}_block(buf, n) "
-                            f"{p}__read_{name}_block(&{p}_devil_state, "
-                            f"buf, n)")
-                if register.writable:
-                    self._w(f"#define {p}_write_{name}_block(buf, n) "
-                            f"{p}__write_{name}_block(&{p}_devil_state, "
-                            f"buf, n)")
-        for structure_name, structure in self.device.structures.items():
-            members = [self.device.variables[m] for m in structure.members]
-            if all(self._readable(m) for m in members):
-                self._w(f"#define {p}_get_{structure_name}() "
-                        f"{p}__get_{structure_name}(&{p}_devil_state)")
-            if all(self._writable(m) for m in members):
-                params = ", ".join(m.name for m in members)
-                self._w(f"#define {p}_set_{structure_name}({params}) "
-                        f"{p}__set_{structure_name}(&{p}_devil_state, "
-                        f"{params})")
+        for row in self.stubs.rows:
+            if row.kind == "set":
+                params = "v"
+            elif row.kind in BLOCK_KINDS:
+                params = "buf, n"
+            else:  # a getter has none, a structure setter its members
+                params = ", ".join(row.params)
+            args = f"&{p}_devil_state" + (f", {params}" if params else "")
+            self._w(f"#define {p}_{row.name}({params}) "
+                    f"{p}__{row.name}({args})")
         self._w("#endif /* DEVIL_NO_REF */")
         self._w()

@@ -1,11 +1,11 @@
 """``.pyi`` typing-stub backend: autocomplete for bound devices.
 
-A bound device instance grows its stub surface dynamically
-(``_attach_stubs`` sets ``get_<var>``/``set_<var>``/... at bind time),
-which static type checkers and editors cannot see.  This backend emits
-a PEP 561-style ``.pyi`` module per spec with a ``Protocol`` describing
-that surface — enum variables become ``Literal`` unions of their
-symbols, booleans ``bool``, integers ``int``, structures typed
+A bound device instance grows its stub surface dynamically (one
+attribute per row of :func:`repro.devil.stubs.stub_table`, set at bind
+time), which static type checkers and editors cannot see.  This backend
+emits a PEP 561-style ``.pyi`` module per spec with a ``Protocol``
+describing that surface — enum variables become ``Literal`` unions of
+their symbols, booleans ``bool``, integers ``int``, structures typed
 ``get``/keyword-only ``set`` pairs — plus the batched-dispatch seam of
 the native strategy (``repeat``/``sync_to_bus``/``state_blob``).
 
@@ -18,6 +18,7 @@ fresh by ``tests/test_c_backend.py``; regenerate one with::
 from __future__ import annotations
 
 from ..model import ResolvedDevice, ResolvedVariable
+from ..stubs import stub_table
 from ..types import BoolType, EnumType
 
 
@@ -65,11 +66,9 @@ def stub_class_name(device_name: str) -> str:
 
 def generate_pyi(model: ResolvedDevice) -> str:
     """Emit the ``.pyi`` typing-stub module for ``model``."""
-    from ...obs.spans import stub_catalog
-
     uses_literal = False
     methods: list[str] = []
-    for stub, target, kind in stub_catalog(model):
+    for stub, kind, target, params in stub_table(model).rows:
         if kind == "get":
             annotation = _read_annotation(model.variables[target])
             methods.append(f"    def {stub}(self) -> {annotation}: ...")
@@ -92,11 +91,10 @@ def generate_pyi(model: ResolvedDevice) -> str:
             methods.append(f"    def {stub}(self) "
                            f"-> dict[str, {union}]: ...")
         else:  # set_struct
-            structure = model.structures[target]
-            params = ", ".join(
+            keywords = ", ".join(
                 f"{m}: {_write_annotation(model.variables[m])}"
-                for m in structure.members)
-            methods.append(f"    def {stub}(self, *, {params}) "
+                for m in params)
+            methods.append(f"    def {stub}(self, *, {keywords}) "
                            f"-> None: ...")
         uses_literal = uses_literal or "Literal[" in methods[-1]
 

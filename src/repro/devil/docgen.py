@@ -18,6 +18,7 @@ from .model import (
     ResolvedRegister,
     ResolvedVariable,
 )
+from .stubs import stub_table
 from .types import EnumType
 
 
@@ -166,26 +167,14 @@ class _DocWriter:
         self._w()
         self._w("| variable | type | layout | behaviour | stubs |")
         self._w("|---|---|---|---|---|")
-        for variable in self.device.variables.values():
-            if variable.private:
-                continue
-            stubs = []
-            readable = variable.memory or all(
-                self.device.registers[c.register].readable
-                for c in variable.chunks)
-            writable = variable.memory or all(
-                self.device.registers[c.register].writable
-                for c in variable.chunks)
-            if readable:
-                stubs.append(f"`get_{variable.name}`")
-            if writable:
-                stubs.append(f"`set_{variable.name}`")
-            if variable.behaviors.block:
-                stubs.append(f"`*_{variable.name}_block`")
+        stubs: dict[str, list[str]] = {}
+        for row in stub_table(self.device).rows:
+            stubs.setdefault(row.target, []).append(f"`{row.name}`")
+        for variable in self.device.public_variables():
             self._w(f"| `{variable.name}` | {variable.type} | "
                     f"{self._layout(variable)} | "
                     f"{self._behaviours(variable)} | "
-                    f"{', '.join(stubs)} |")
+                    f"{', '.join(stubs[variable.name])} |")
         self._w()
         self._emit_enums()
         private_names = [v.name for v in self.device.variables.values()

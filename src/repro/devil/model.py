@@ -346,6 +346,10 @@ class ResolvedDevice:
     #: computed and cached here by :func:`repro.devil.plan.access_plan`
     #: when stubs are first bound or generated, not by the checker.
     plan: object | None = None
+    #: Stub table (:class:`repro.devil.stubs.StubTable`), cached here
+    #: by :func:`repro.devil.stubs.stub_table` at first use.  Derived
+    #: from the fields above, so it takes no part in comparisons.
+    stubs: object | None = field(default=None, compare=False, repr=False)
     location: SourceLocation = UNKNOWN_LOCATION
 
     def public_variables(self) -> list[ResolvedVariable]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .build import (NativeBuildError, build_library, cache_dir,
                     find_compiler, load_library, native_available)
 from .instance import NativeDeviceInstance
-from .shim import generate_shim, native_stub_table
+from .shim import generate_shim
 
 
 def bind_native(model, bus, bases, debug: bool = True,
@@ -43,5 +43,4 @@ __all__ = [
     "generate_shim",
     "load_library",
     "native_available",
-    "native_stub_table",
 ]

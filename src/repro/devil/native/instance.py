@@ -44,10 +44,11 @@ from ...bus.bus import Bus, BusError, IoTraceEntry
 from ..errors import DevilRuntimeError
 from ..runtime import DeviceInstance
 from ..codegen.c_backend import generate_c_header, mode_check_message
+from ..stubs import stub_table
 from . import build
 from .build import NativeBuildError
 from .shim import (STATUS_CHECK, STATUS_DEVERR, STATUS_NODEV,
-                   STATUS_PYERR, generate_shim, native_stub_table)
+                   STATUS_PYERR, dispatch_rows, generate_shim)
 
 #: Capacity of the C flight-recorder ring (last N direct-mode accesses).
 RING_CAPACITY = 256
@@ -140,16 +141,14 @@ class _NativeCore:
         model = instance.model
         self.prefix = model.name
         header = generate_c_header(model, debug=instance.debug)
-        # The shim and the stub table are functions of the model alone
-        # (emitted once per model, like the header).  The
-        # ``--with-models`` shim: C ports of the IDE and Permedia2 hot
-        # registers serve direct batches on the fleet bus.
-        sources = model.__dict__.get("_native_sources")
-        if sources is None:
-            sources = model.__dict__["_native_sources"] = (
-                generate_shim(model, with_models=True),
-                native_stub_table(model))
-        shim_source, (stubs, blocks) = sources
+        # The shim is a function of the model alone (emitted once per
+        # model, like the header).  The ``--with-models`` shim: C ports
+        # of the IDE and Permedia2 hot registers serve direct batches
+        # on the fleet bus.
+        shim_source = model.__dict__.get("_native_shim")
+        if shim_source is None:
+            shim_source = model.__dict__["_native_shim"] = generate_shim(
+                model, with_models=True)
         self.library_path = build.build_library(
             model.name, header, shim_source, instance.debug)
         lib = build.load_library(self.library_path)
@@ -192,15 +191,19 @@ class _NativeCore:
             bases[i] = instance.bases[name]
         self.lib_init(self.state_ptr, bases)
 
-        self.stub_index = {entry.stub: entry for entry in stubs}
-        self.block_index = {entry.stub: entry for entry in blocks}
+        singles, blocks = dispatch_rows(model)
+        #: ``stub name -> (dispatch id, row)`` of the C switches.
+        self.stub_index = {row.name: (index, row)
+                           for index, row in enumerate(singles)}
+        self.block_index = {row.name: index
+                            for index, row in enumerate(blocks)}
         self.memory_vars = {variable.name: variable
                             for variable in model.variables.values()
                             if variable.memory}
         self.mode_checks = {mode_check_message(register): register
                             for register in model.registers.values()
                             if register.mode is not None}
-        max_args = max([len(e.args) for e in stubs] + [1])
+        max_args = max([len(row.params) for row in singles] + [1])
         self.args = (c_uint * max_args)()
         self.out = (c_uint * 1)()
 
@@ -522,40 +525,35 @@ class _NativeCore:
 
     def install(self) -> None:
         instance = self.instance
-        model = instance.model
-        for stub, target, kind in obs.stub_catalog(model):
-            if getattr(instance, stub, None) is None:
-                continue
-            wrapper = self._build_stub(stub, target, kind)
-            self.raw_stubs[stub] = wrapper
-            setattr(instance, stub, wrapper)
+        for row in stub_table(instance.model).rows:
+            wrapper = self._build_stub(row)
+            self.raw_stubs[row.name] = wrapper
+            setattr(instance, row.name, wrapper)
 
-    def _build_stub(self, stub: str, target: str, kind: str):
-        instance = self.instance
-        model = instance.model
+    def _build_stub(self, row):
+        model = self.instance.model
+        kind, target = row.kind, row.target
+        if kind == "block_read":
+            return self._block_reader(target, self.block_index[row.name])
+        if kind == "block_write":
+            return self._block_writer(target, self.block_index[row.name])
+        if kind == "get_struct":
+            return self._struct_getter(model.structures[target],
+                                       self.stub_index[row.name][0])
+        if kind == "set_struct":
+            return self._struct_setter(model.structures[target],
+                                       self.stub_index[row.name][0])
+        variable = model.variables[target]
         if kind == "get":
-            variable = model.variables[target]
             if variable.memory:
                 return self._memory_getter(variable)
             if variable.structure is not None:
                 return self._member_getter(variable)
-            return self._getter(variable, self.stub_index[stub].index)
-        if kind == "set":
-            variable = model.variables[target]
-            if variable.memory:
-                return self._memory_setter(variable)
-            return self._setter(variable, self.stub_index[stub].index)
-        if kind == "get_struct":
-            return self._struct_getter(model.structures[target],
-                                       self.stub_index[stub].index)
-        if kind == "set_struct":
-            return self._struct_setter(model.structures[target],
-                                       self.stub_index[stub].index)
-        if kind == "block_read":
-            return self._block_reader(target,
-                                      self.block_index[stub].index)
-        assert kind == "block_write"
-        return self._block_writer(target, self.block_index[stub].index)
+            return self._getter(variable, self.stub_index[row.name][0])
+        assert kind == "set"
+        if variable.memory:
+            return self._memory_setter(variable)
+        return self._setter(variable, self.stub_index[row.name][0])
 
     def _getter(self, variable, index: int):
         instance = self.instance
@@ -829,13 +827,14 @@ class NativeDeviceInstance(DeviceInstance):
             for _ in range(n):
                 result = fn(*args)
             return result
+        index, row = entry
         model = self.model
-        if entry.kind == "set":
-            variable = model.variables[entry.target]
+        if row.kind == "set":
+            variable = model.variables[row.target]
             core.args[0] = self._encode(variable, args[0])
-        elif entry.kind == "set_struct":
-            structure = model.structures[entry.target]
-            members = [model.variables[m] for m in structure.members]
+        elif row.kind == "set_struct":
+            structure = model.structures[row.target]
+            members = [model.variables[m] for m in row.params]
             if len(args) != len(members):
                 raise DevilRuntimeError(
                     f"repeat({stub!r}) takes {len(members)} positional "
@@ -852,23 +851,22 @@ class NativeDeviceInstance(DeviceInstance):
         try:
             core._sync_hook()
             status = core.lib_repeat(core.state_ptr, core.cbus_ptr,
-                                     entry.index, core.args, n, core.out)
+                                     index, core.args, n, core.out)
         finally:
             if direct:
                 core.leave_direct()
         if status:
             core._raise(status)
-        if entry.kind == "get":
-            variable = model.variables[entry.target]
+        if row.kind == "get":
+            variable = model.variables[row.target]
             mask = (1 << variable.width) - 1
             return self._decode(variable, core.out[0] & mask)
-        if entry.kind == "get_struct":
-            return core.snapshot_structure(model.structures[entry.target])
-        if entry.kind == "set":
-            self._last_written[entry.target] = args[0]
-        elif entry.kind == "set_struct":
-            structure = model.structures[entry.target]
-            for member_name, value in zip(structure.members, args):
+        if row.kind == "get_struct":
+            return core.snapshot_structure(model.structures[row.target])
+        if row.kind == "set":
+            self._last_written[row.target] = args[0]
+        elif row.kind == "set_struct":
+            for member_name, value in zip(row.params, args):
                 self._last_written[member_name] = value
         return None
 

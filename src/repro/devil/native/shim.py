@@ -35,17 +35,15 @@ shared library:
   concurrent C batches against one device state serialize in C even
   when the GIL is released around the foreign call.
 
-The stub table (:func:`native_stub_table`) is the single source of
-truth for dispatch ids: the C ``switch`` and the Python loader both
-derive from it, recomputed deterministically from the resolved model on
-every bind.
+The C ``switch`` cases and the Python loader take their dispatch ids
+from one helper, :func:`dispatch_rows`, which numbers the rows of the
+model's stub table (:func:`repro.devil.stubs.stub_table`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..codegen.c_backend import c_value_cast
+from ..stubs import BLOCK_KINDS, Stub, stub_table
 
 #: Entry status codes shared with the Python loader.
 STATUS_OK = 0
@@ -56,80 +54,25 @@ STATUS_BADID = 4    # unknown stub id (loader/table version skew)
 STATUS_DEVERR = 5   # a C device model raised; fail_msg is the BusError text
 
 
-@dataclass(frozen=True)
-class NatStub:
-    """One dispatchable stub: a ``case`` in the generated switch."""
+def dispatch_rows(model) -> tuple[list[Stub], list[Stub]]:
+    """The stub-table rows the library dispatches, ``(singles,
+    blocks)``; a row's position in its list is its ``case`` id.
 
-    index: int
-    stub: str            # Python attribute name, e.g. "set_init"
-    kind: str            # "get" | "set" | "get_struct" | "set_struct"
-    target: str          # variable or structure name
-    args: tuple          # variable names supplying each args[] slot
-    has_out: bool
-
-
-@dataclass(frozen=True)
-class NatBlock:
-    """One block-transfer stub: a ``case`` in the block switches."""
-
-    index: int
-    stub: str            # e.g. "read_ide_data_block"
-    kind: str            # "block_read" | "block_write"
-    target: str
-
-
-def native_stub_table(model) -> tuple[list[NatStub], list[NatBlock]]:
-    """Dispatch tables for one resolved device.
-
-    Mirrors the attachment rules of ``DeviceInstance._attach_stubs``
-    minus what stays on the Python side: memory variables (their
-    interpreter semantics — no set-actions on write, abstract values
-    returned verbatim — live in Python against the shared state
-    mirror).  Member getters *are* listed: single calls use the
-    snapshot path in Python, but batched ``repeat()`` loops dispatch
-    them in C.
+    Memory rows stay on the Python side: their interpreter semantics
+    (no set-actions on write, abstract values returned verbatim) live
+    in Python against the shared state mirror.  Member getters *are*
+    listed: single calls use the snapshot path in Python, but batched
+    ``repeat()`` loops dispatch them in C.
     """
-    def readable(variable):
-        return variable.memory or all(
-            model.registers[c.register].readable
-            for c in variable.chunks)
-
-    def writable(variable):
-        return variable.memory or all(
-            model.registers[c.register].writable
-            for c in variable.chunks)
-
-    stubs: list[NatStub] = []
-    blocks: list[NatBlock] = []
-    for variable in model.public_variables():
-        name = variable.name
-        if variable.memory:
-            continue
-        if readable(variable):
-            stubs.append(NatStub(len(stubs), f"get_{name}", "get",
-                                 name, (), True))
-        if writable(variable):
-            stubs.append(NatStub(len(stubs), f"set_{name}", "set",
-                                 name, (name,), False))
-        if variable.behaviors.block:
-            if readable(variable):
-                blocks.append(NatBlock(len(blocks),
-                                       f"read_{name}_block",
-                                       "block_read", name))
-            if writable(variable):
-                blocks.append(NatBlock(len(blocks),
-                                       f"write_{name}_block",
-                                       "block_write", name))
-    for structure in model.structures.values():
-        members = [model.variables[m] for m in structure.members]
-        if all(readable(m) for m in members):
-            stubs.append(NatStub(len(stubs), f"get_{structure.name}",
-                                 "get_struct", structure.name, (), False))
-        if all(writable(m) for m in members):
-            stubs.append(NatStub(len(stubs), f"set_{structure.name}",
-                                 "set_struct", structure.name,
-                                 tuple(structure.members), False))
-    return stubs, blocks
+    singles: list[Stub] = []
+    blocks: list[Stub] = []
+    for row in stub_table(model).rows:
+        if row.kind in BLOCK_KINDS:
+            blocks.append(row)
+        elif row.kind in ("get_struct", "set_struct") or \
+                not model.variables[row.target].memory:
+            singles.append(row)
+    return singles, blocks
 
 
 def generate_shim(model, prefix: str | None = None,
@@ -146,7 +89,7 @@ def generate_shim(model, prefix: str | None = None,
     """
     p = prefix or model.name
     header = header_name or f"{p}.dil.h"
-    stubs, blocks = native_stub_table(model)
+    singles, blocks = dispatch_rows(model)
     w: list[str] = []
 
     def line(text: str = "") -> None:
@@ -424,22 +367,18 @@ def generate_shim(model, prefix: str | None = None,
     line("    (void)args;")
     line("    (void)out;")
     line("    switch (stub_id) {")
-    for entry in stubs:
-        call_args = ", ".join(
-            c_value_cast(p, model.variables[arg], f"args[{j}]")
-            for j, arg in enumerate(entry.args))
-        if entry.kind == "get":
-            line(f"    case {entry.index}: "
-                 f"*out = (unsigned){p}__get_{entry.target}(d); return 0;")
-        elif entry.kind == "set":
-            line(f"    case {entry.index}: "
-                 f"{p}__set_{entry.target}(d, {call_args}); return 0;")
-        elif entry.kind == "get_struct":
-            line(f"    case {entry.index}: "
-                 f"{p}__get_{entry.target}(d); return 0;")
-        else:  # set_struct
-            line(f"    case {entry.index}: "
-                 f"{p}__set_{entry.target}(d, {call_args}); return 0;")
+    for index, row in enumerate(singles):
+        if row.kind == "get":
+            line(f"    case {index}: "
+                 f"*out = (unsigned){p}__{row.name}(d); return 0;")
+        elif row.kind == "get_struct":
+            line(f"    case {index}: {p}__{row.name}(d); return 0;")
+        else:  # set, set_struct
+            call_args = ", ".join(
+                c_value_cast(p, model.variables[param], f"args[{j}]")
+                for j, param in enumerate(row.params))
+            line(f"    case {index}: "
+                 f"{p}__{row.name}(d, {call_args}); return 0;")
     line("    default: return DEVIL_NAT_BADID;")
     line("    }")
     line("}")
@@ -499,11 +438,11 @@ def generate_shim(model, prefix: str | None = None,
     line("    DEVIL_NAT_ENTER();")
     line("    if (status == 0) {")
     line("        switch (block_id) {")
-    for entry in blocks:
-        if entry.kind != "block_read":
+    for index, row in enumerate(blocks):
+        if row.kind != "block_read":
             continue
-        line(f"        case {entry.index}: "
-             f"{p}__{entry.stub}(({p}_state_t *)state, buffer, count); "
+        line(f"        case {index}: "
+             f"{p}__{row.name}(({p}_state_t *)state, buffer, count); "
              "break;")
     line("        default: status = DEVIL_NAT_BADID;")
     line("        }")
@@ -517,11 +456,11 @@ def generate_shim(model, prefix: str | None = None,
     line("    DEVIL_NAT_ENTER();")
     line("    if (status == 0) {")
     line("        switch (block_id) {")
-    for entry in blocks:
-        if entry.kind != "block_write":
+    for index, row in enumerate(blocks):
+        if row.kind != "block_write":
             continue
-        line(f"        case {entry.index}: "
-             f"{p}__{entry.stub}(({p}_state_t *)state, buffer, count); "
+        line(f"        case {index}: "
+             f"{p}__{row.name}(({p}_state_t *)state, buffer, count); "
              "break;")
     line("        default: status = DEVIL_NAT_BADID;")
     line("        }")

@@ -60,6 +60,7 @@ from .model import (
     VarRef,
     Wildcard,
 )
+from .stubs import stub_table
 from .types import BoolType, EnumType, IntSetType, IntType
 
 #: Sentinel distinguishing "absent" from any legal table value.
@@ -385,9 +386,8 @@ class _Specializer:
         self._locs: dict[SourceLocation, int] = {}
         self._loc_list: list[SourceLocation] = []
         self.namespace["_locs"] = self._loc_list
-        #: Stub names the runtime attaches publicly (same rule as
-        #: DeviceInstance._attach_stubs).
-        self.stub_names: list[str] = []
+        #: Which accessors exist, and the public ones.
+        self.stubs = stub_table(model)
 
     # -- low-level emission -------------------------------------------
 
@@ -431,28 +431,6 @@ class _Specializer:
             self._locs[location] = index
             self._loc_list.append(location)
         return f"_locs[{index}]"
-
-    # -- shared predicates (mirror DeviceInstance) --------------------
-
-    def _readable(self, variable: ResolvedVariable) -> bool:
-        return variable.memory or all(
-            self.model.registers[c.register].readable
-            for c in variable.chunks)
-
-    def _writable(self, variable: ResolvedVariable) -> bool:
-        return variable.memory or all(
-            self.model.registers[c.register].writable
-            for c in variable.chunks)
-
-    def _structure_readable(self, name: str) -> bool:
-        structure = self.model.structures[name]
-        return all(self._readable(self.model.variables[m])
-                   for m in structure.members)
-
-    def _structure_writable(self, name: str) -> bool:
-        structure = self.model.structures[name]
-        return all(self._writable(self.model.variables[m])
-                   for m in structure.members)
 
     def _structure_registers(self, name: str) -> list[str]:
         structure = self.model.structures[name]
@@ -536,7 +514,7 @@ class _Specializer:
             self._w(f"_obs_act({kind!r}, {action.target!r})")
         if action.target_kind == "structure":
             assert isinstance(action.value, dict)
-            if self.module or self._structure_writable(action.target):
+            if self.module or action.target in self.stubs.writable:
                 # The module emits a setter for every structure an
                 # action targets (see _emit_stubs).
                 arguments = ", ".join(
@@ -555,8 +533,7 @@ class _Specializer:
                         f"{{{items}}})")
             return
         expr = self._value_expr(action.value, context, loc_expr)
-        target = self.model.variables.get(action.target)
-        if target is not None and (target.memory or self._writable(target)):
+        if action.target in self.stubs.writable:
             self._w(f"set_{action.target}({expr})")
         elif self.module:
             raise DevilCodegenError(
@@ -1111,8 +1088,8 @@ class _Specializer:
                  f"Block-read ``count`` words through {name!r}."),
                 ("write", "values", "_n",
                  f"Block-write a buffer through {name!r}.")):
-            allowed = self._readable if kind == "read" else self._writable
-            if not allowed(variable):
+            if name not in (self.stubs.readable if kind == "read"
+                            else self.stubs.writable):
                 continue
             self._open_stub(f"{kind}_{name}_block({argument})", doc)
             port = None if register is None else \
@@ -1143,7 +1120,7 @@ class _Specializer:
 
     def _deferrable(self, variable: ResolvedVariable) -> bool:
         """Setters of these variables defer inside a transaction."""
-        return self._writable(variable) and not variable.memory
+        return variable.name in self.stubs.writable and not variable.memory
 
     def _txn_writer_registers(self) -> list:
         """Registers whose transaction flush runs straight-line.
@@ -1342,35 +1319,23 @@ class _Specializer:
             self._pop()
             self._w()
 
-    def _emit_stubs(self) -> list[str]:
-        """Every stub function; returns the public stub names."""
+    def _emit_stubs(self) -> None:
+        """Every stub function, the private accessors included."""
         model = self.model
-        public: list[str] = []
+        readable, writable = self.stubs.readable, self.stubs.writable
         for variable in model.variables.values():
-            readable = self._readable(variable)
-            writable = self._writable(variable)
             if variable.memory:
                 self._emit_memory_accessors(variable)
             else:
-                if readable:
+                if variable.name in readable:
                     if variable.structure is not None:
                         self._emit_member_getter(variable)
                     else:
                         self._emit_getter(variable)
-                if writable:
+                if variable.name in writable:
                     self._emit_setter(variable)
-            if not variable.private:
-                if readable:
-                    public.append(f"get_{variable.name}")
-                if writable:
-                    public.append(f"set_{variable.name}")
             if variable.behaviors.block:
                 self._emit_block_stubs(variable)
-                if not variable.private:
-                    if readable:
-                        public.append(f"read_{variable.name}_block")
-                    if writable:
-                        public.append(f"write_{variable.name}_block")
         # The module cannot hand an action on a structure it cannot
         # write to the interpreter: it emits a private setter that
         # fails where the interpreter's set_structure does.
@@ -1383,27 +1348,22 @@ class _Specializer:
                         for action in variable.set_actions]
             targets = {action.target for action in actions
                        if action.target_kind == "structure"}
-        for structure in model.structures.values():
-            if self._structure_readable(structure.name):
-                self._emit_struct_getter(structure.name)
-                public.append(f"get_{structure.name}")
-            writable = self._structure_writable(structure.name)
-            if writable or structure.name in targets:
-                self._emit_struct_setter(structure.name)
-            if writable:
-                public.append(f"set_{structure.name}")
-        return public
+        for name in model.structures:
+            if name in readable:
+                self._emit_struct_getter(name)
+            if name in writable or name in targets:
+                self._emit_struct_setter(name)
 
     def generate(self) -> str:
         self._w("def _factory(_I):")
         self._push()
         self._emit_prologue()
-        public = self._emit_stubs()
+        self._emit_stubs()
         self._emit_txn_tail()
-        entries = ", ".join(f"{name!r}: {name}" for name in public)
+        entries = ", ".join(f"{row.name!r}: {row.name}"
+                            for row in self.stubs.rows)
         self._w(f"return {{{entries}}}")
         self._pop()
-        self.stub_names = public
         if self.module:
             return self._module_source()
         exec(_SHARED_CODE, self.namespace)
@@ -1462,9 +1422,8 @@ class _Specializer:
         lines += [f"{name} = {table!r}"
                   for name, table in self.tables.items()]
         if self.instrumented:
-            from ..obs.spans import stub_catalog
-            spans = {stub: (variable, kind)
-                     for stub, variable, kind in stub_catalog(model)}
+            spans = {row.name: (row.target, row.kind)
+                     for row in self.stubs.rows}
             lines.append(f"_DEVICE = {model.name!r}")
             lines.append(f"_SPANS = {spans!r}")
         lines += ["", ""] + self.lines + ["", ""]
@@ -1513,7 +1472,7 @@ def specialized_factory(model: ResolvedDevice, bases: dict[str, int],
                         debug: bool, composition: str,
                         instrumented: bool = False,
                         shadow_cache: bool = False):
-    """Return ``(factory, source, stub_names)`` for one specialization key.
+    """Return ``(factory, source)`` for one specialization key.
 
     Generation, ``compile`` and ``exec`` run once per key; rebinding the
     same specification at the same addresses only re-runs the factory.
@@ -1541,8 +1500,7 @@ def specialized_factory(model: ResolvedDevice, bases: dict[str, int],
                                "exec")
                 namespace = specializer.namespace
                 exec(code, namespace)
-                entry = (namespace["_factory"], source,
-                         tuple(specializer.stub_names))
+                entry = (namespace["_factory"], source)
                 per_model[key] = entry
     return entry
 
@@ -1582,7 +1540,7 @@ def specialize_instance(instance) -> None:
     strategies; the generic ``get``/``set``/``transaction`` API keeps
     using the interpreter against the same shared state.
     """
-    factory, source, stub_names = specialized_factory(
+    factory, source = specialized_factory(
         instance.model, instance.bases, instance.debug,
         instance.composition,
         instrumented=getattr(instance, "_instrumented", False),
@@ -1590,5 +1548,5 @@ def specialize_instance(instance) -> None:
     stubs = factory(instance)
     instance._specialized_source = source
     instance._specialized_stubs = stubs
-    for name in stub_names:
-        setattr(instance, name, stubs[name])
+    for name, stub in stubs.items():
+        setattr(instance, name, stub)

@@ -46,6 +46,7 @@ from ..devil.lexer import TokenKind as DevilTokenKind
 from ..devil.lexer import splice
 from ..devil.model import ResolvedDevice
 from ..devil.parser import Outline
+from ..devil.stubs import BLOCK_KINDS, stub_table
 from ..devil.types import EnumType
 from ..minic import (
     CheckResult,
@@ -223,39 +224,14 @@ def stub_externals(model: ResolvedDevice,
     This is the compile-time environment a CDevil translation unit
     sees after ``#include "<device>.dil.h"`` under ``DEVIL_NO_REF``.
     """
-    externals: dict[str, int | None] = {}
-    constants: set[str] = set()
-    externals[f"{prefix}_init"] = len(model.params)
-
-    def readable(variable) -> bool:
-        return variable.memory or all(
-            model.registers[c.register].readable for c in variable.chunks)
-
-    def writable(variable) -> bool:
-        return variable.memory or all(
-            model.registers[c.register].writable for c in variable.chunks)
-
-    for variable in model.variables.values():
-        if variable.private:
-            continue
-        if readable(variable):
-            externals[f"{prefix}_get_{variable.name}"] = 0
-        if writable(variable):
-            externals[f"{prefix}_set_{variable.name}"] = 1
-        if variable.behaviors.block:
-            if readable(variable):
-                externals[f"{prefix}_read_{variable.name}_block"] = 2
-            if writable(variable):
-                externals[f"{prefix}_write_{variable.name}_block"] = 2
-        if isinstance(variable.type, EnumType):
-            for item in variable.type.items:
-                constants.add(f"{prefix.upper()}_{item.name}")
-    for structure in model.structures.values():
-        members = [model.variables[m] for m in structure.members]
-        if all(readable(m) for m in members):
-            externals[f"{prefix}_get_{structure.name}"] = 0
-        if all(writable(m) for m in members):
-            externals[f"{prefix}_set_{structure.name}"] = len(members)
+    externals: dict[str, int | None] = {f"{prefix}_init": len(model.params)}
+    for row in stub_table(model).rows:
+        externals[f"{prefix}_{row.name}"] = \
+            2 if row.kind in BLOCK_KINDS else len(row.params)
+    constants = {f"{prefix.upper()}_{item.name}"
+                 for variable in model.public_variables()
+                 if isinstance(variable.type, EnumType)
+                 for item in variable.type.items}
     return externals, constants
 
 

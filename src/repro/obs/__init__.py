@@ -72,7 +72,6 @@ from .spans import (
     instrument_instance,
     model_port_map,
     port_map,
-    stub_catalog,
     wrap_stub,
 )
 
@@ -82,8 +81,8 @@ __all__ = [
     "Histogram", "IoEvent", "JsonlSnapshotSink", "LiveMonitor",
     "MetricsRegistry", "Span", "WorkerHealth", "disable", "enable",
     "hot_report", "instrument_instance", "is_enabled",
-    "model_port_map", "observe", "port_map", "stub_catalog",
-    "to_chrome_trace", "to_jsonl", "to_prometheus", "wrap_stub",
+    "model_port_map", "observe", "port_map", "to_chrome_trace",
+    "to_jsonl", "to_prometheus", "wrap_stub",
 ]
 
 #: Module-level master switch, consulted at bind time.

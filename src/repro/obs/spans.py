@@ -31,6 +31,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..devil.stubs import stub_table
 from .metrics import MetricsRegistry
 
 
@@ -375,49 +376,6 @@ def wrap_stub(bus, device: str, stub: str, variable: str, kind: str,
     return observed
 
 
-def stub_catalog(model) -> list[tuple[str, str, str]]:
-    """``(stub_name, variable, kind)`` for every public stub of a model.
-
-    Mirrors the attachment rules of
-    :meth:`repro.devil.runtime.DeviceInstance._attach_stubs` — the same
-    catalogue drives instrumentation of interpreted and specialized
-    instances, so the two strategies cannot disagree about what is
-    observable.
-    """
-    def readable(variable):
-        return variable.memory or all(
-            model.registers[c.register].readable
-            for c in variable.chunks)
-
-    def writable(variable):
-        return variable.memory or all(
-            model.registers[c.register].writable
-            for c in variable.chunks)
-
-    catalog: list[tuple[str, str, str]] = []
-    for variable in model.public_variables():
-        name = variable.name
-        if readable(variable):
-            catalog.append((f"get_{name}", name, "get"))
-        if writable(variable):
-            catalog.append((f"set_{name}", name, "set"))
-        if variable.behaviors.block:
-            if readable(variable):
-                catalog.append((f"read_{name}_block", name, "block_read"))
-            if writable(variable):
-                catalog.append((f"write_{name}_block", name,
-                                "block_write"))
-    for structure in model.structures.values():
-        members = [model.variables[m] for m in structure.members]
-        if all(readable(m) for m in members):
-            catalog.append((f"get_{structure.name}", structure.name,
-                            "get_struct"))
-        if all(writable(m) for m in members):
-            catalog.append((f"set_{structure.name}", structure.name,
-                            "set_struct"))
-    return catalog
-
-
 def instrument_instance(instance) -> None:
     """Wrap every public stub attribute of a bound ``DeviceInstance``.
 
@@ -431,13 +389,10 @@ def instrument_instance(instance) -> None:
     bus = instance.bus
     device = model.name
     strategy = instance.strategy
-    for stub, variable, kind in stub_catalog(model):
-        func = getattr(instance, stub, None)
-        if func is None:
-            continue
-        setattr(instance, stub,
-                wrap_stub(bus, device, stub, variable, kind, strategy,
-                          func))
+    for row in stub_table(model).rows:
+        setattr(instance, row.name,
+                wrap_stub(bus, device, row.name, row.target, row.kind,
+                          strategy, getattr(instance, row.name)))
     instance._obs_ports = port_map(instance)
 
 

@@ -158,11 +158,11 @@ class TestPyiStubs:
 
     def test_stub_surface_matches_catalog(self):
         from repro.devil.codegen.pyi_backend import generate_pyi
-        from repro.obs.spans import stub_catalog
+        from repro.devil.stubs import stub_table
         model = shipped_spec("busmouse").model
         text = generate_pyi(model)
-        for stub, _target, _kind in stub_catalog(model):
-            assert f"def {stub}(" in text
+        for row in stub_table(model).rows:
+            assert f"def {row.name}(" in text
 
     def test_enum_setters_take_literals(self):
         from repro.devil.codegen.pyi_backend import generate_pyi

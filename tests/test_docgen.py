@@ -59,7 +59,7 @@ class TestDatasheets:
 
     def test_block_stubs_documented(self):
         doc = shipped_spec("ide").emit_doc()
-        assert "`*_ide_data_block`" in doc
+        assert "`read_ide_data_block`, `write_ide_data_block`" in doc
 
     def test_split_read_write_ports_rendered(self):
         doc = shipped_spec("ide").emit_doc()

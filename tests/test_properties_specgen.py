@@ -1,8 +1,8 @@
 """Property tests over randomly *generated* Devil specifications.
 
 A hypothesis strategy builds whole random (but well-formed) device
-specifications — several registers with masks, typed variables, a
-private index variable with pre-actions, optional structures — and the
+specifications — one to three registers, each read-write, read-only or
+write-only, with masks and typed variables over their fields — and the
 properties assert that the entire toolchain is closed over them:
 
 * the checker accepts what the generator claims is well-formed,
@@ -10,9 +10,12 @@ properties assert that the entire toolchain is closed over them:
 * every strategy — interpreter, specializer, generated module and the
   native core, which compiles and runs the spec's C header — agrees on
   values, traces, accounting and end state at every debug/shadow-cache
-  setting (the cells of ``tests/differential.py``), and the C header
-  always generates.
+  setting (the cells of ``tests/differential.py``) when every get and
+  set stub of the spec's stub table is called, and the C header always
+  generates.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from repro.devil.compiler import compile_spec
 from repro.devil.native import build as native_build
 from repro.devil.parser import parse
 from repro.devil.printer import print_device
+from repro.devil.stubs import stub_table
 from tests.differential import (
     BOTH,
     STRATEGIES,
@@ -55,25 +59,31 @@ def register_specs(draw):
 
 @st.composite
 def device_specs(draw):
-    """A whole device: 1..3 registers at distinct offsets."""
+    """A whole device: 1..3 registers at distinct offsets, each
+    read-write, ``read`` or ``write`` (forced bits constrain writes
+    only, so a read-only register's are irrelevant instead)."""
     register_count = draw(st.integers(min_value=1, max_value=3))
     registers = [draw(register_specs()) for _ in range(register_count)]
+    directions = [draw(st.sampled_from(["", "read ", "write "]))
+                  for _ in range(register_count)]
     signed_choices = [draw(st.booleans()) for _ in range(16)]
 
     lines = [f"device generated (base : bit[8] port "
              f"@ {{0..{register_count - 1}}}) {{"]
     variable_specs = []
     for reg_index, fields in enumerate(registers):
+        forced = "--" if directions[reg_index] == "read " else "01"
         mask_chars = []
         for bit in range(7, -1, -1):
             for msb, lsb, kind in fields:
                 if lsb <= bit <= msb:
                     mask_chars.append({"var": ".", "irrelevant": "-",
-                                       "forced0": "0",
-                                       "forced1": "1"}[kind])
+                                       "forced0": forced[0],
+                                       "forced1": forced[1]}[kind])
                     break
         mask = "".join(mask_chars)
-        lines.append(f"    register r{reg_index} = base @ {reg_index}, "
+        lines.append(f"    register r{reg_index} = "
+                     f"{directions[reg_index]}base @ {reg_index}, "
                      f"mask '{mask}' : bit[8];")
         for field_index, (msb, lsb, kind) in enumerate(fields):
             if kind != "var":
@@ -123,22 +133,32 @@ class TestGeneratedSpecs:
                                                 generated, data):
         """Every strategy: equal values, traces, accounting and end
         state, at debug and shadow cache each on and off (the native
-        core rejects the shadow cache)."""
+        core rejects the shadow cache).  The run makes every set call
+        of the stub table, then every get call, over a RAM seeded with
+        drawn bytes; a read-write variable reads back what was set."""
         source, variables = generated
-        values = []
-        for name, width, signed in variables:
-            low = -(1 << (width - 1)) if signed else 0
-            high = (1 << (width - 1)) - 1 if signed \
-                else (1 << width) - 1
-            values.append((name, data.draw(
-                st.integers(min_value=low, max_value=high), label=name)))
-        check(Machine("generated spec", in_turn(*(
-                          run for name, value in values for run in (
-                              call(f"set_{name}", value),
-                              call(f"get_{name}")))), spec=source,
-                      build=device_machine(Ram, 0, 8),
-                      expect=lambda found, cell: found.results[1::2]
-                      == [value for _, value in values]),
+        rows = stub_table(compile_spec(source).model).rows
+        ranges = {name: (-(1 << (width - 1)), (1 << (width - 1)) - 1)
+                  if signed else (0, (1 << width) - 1)
+                  for name, width, signed in variables}
+        written = {row.target: data.draw(st.integers(*ranges[row.target]),
+                                         label=row.name)
+                   for row in rows if row.kind == "set"}
+        gets = [row.name for row in rows if row.kind == "get"]
+        expected = {f"get_{name}": value for name, value in written.items()
+                    if f"get_{name}" in gets}
+        ram = data.draw(st.lists(st.integers(min_value=0, max_value=255),
+                                 min_size=8, max_size=8), label="ram")
+        check(Machine("generated spec", in_turn(
+                          *(call(f"set_{name}", value)
+                            for name, value in written.items()),
+                          *(call(name) for name in gets)), spec=source,
+                      build=device_machine(functools.partial(Ram, *ram),
+                                           0, 8),
+                      expect=lambda found, cell: all(
+                          dict(zip(gets, found.results[len(written):]))
+                          [name] == value
+                          for name, value in expected.items())),
               matrix(strategy=STRATEGIES, debug=BOTH, shadow_cache=BOTH))
 
     @settings(max_examples=20, deadline=None)
