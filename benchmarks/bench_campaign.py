@@ -11,7 +11,8 @@ so its median must be at least an order of magnitude faster.
 Default scope: all 8 shipped specs, all styles, uniform quick budget —
 Table 1 at campaign scale, with the paper's rows emitted as the
 projection.  Set DEVIL_MUTATION_QUICK=1 for the CI smoke scope (two
-specs, minimal budget).
+specs, minimal budget), which prints its table but leaves
+``results/BENCH_campaign.*`` alone.
 """
 
 from __future__ import annotations
@@ -146,4 +147,4 @@ def test_campaign_backends_and_cache(benchmark):
                                     seconds["warm"][0]],
             "speedup_vs_cold": speedup},
         "table1": rows,
-    })
+    }, quick=bool(os.environ.get("DEVIL_MUTATION_QUICK")))

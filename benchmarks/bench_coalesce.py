@@ -41,7 +41,8 @@ the wall clock tracks the operation counts, as on hardware.
 
 The acceptance floor: ``txn+shadow`` performs >= 30% fewer port
 operations than ``plain`` on both workloads, and is faster under the
-latency model.  Results land in ``results/BENCH_coalesce.{txt,json}``.
+latency model.  A full run records ``results/BENCH_coalesce.{txt,json}``;
+a ``--quick`` run only prints.
 
 Runs standalone (``python benchmarks/bench_coalesce.py [--quick]``, the
 CI smoke step) and under pytest via :func:`test_coalesce_quick`.
@@ -323,7 +324,7 @@ def run_bench(quick: bool = False, iterations: int | None = None,
               "repeats": repeats, "latency_us": latency_us,
               "ops_reduction_floor": OPS_REDUCTION_FLOOR,
               "rows": rows, "summary": summary}
-    record("BENCH_coalesce", "\n".join(lines), data=report)
+    record("BENCH_coalesce", "\n".join(lines), data=report, quick=quick)
 
     for entry in summary:
         assert entry["ops_reduction"] >= OPS_REDUCTION_FLOOR, \

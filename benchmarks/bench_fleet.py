@@ -62,8 +62,9 @@ other's, or a tie where the two ranges overlap.
 
 Runs standalone (``python benchmarks/bench_fleet.py [--quick]``, the
 CI concurrency-job steps; exits 1 on a failed floor) and under pytest
-via :func:`test_fleet_bench_quick`.  Results land in
-``results/BENCH_fleet.{txt,json}`` with the host environment.
+via :func:`test_fleet_bench_quick`.  A full run records
+``results/BENCH_fleet.{txt,json}`` with the host environment; a
+``--quick`` run only prints.
 """
 
 from __future__ import annotations
@@ -433,7 +434,7 @@ def main(argv=None) -> int:
         "stress_iterations": stress_iterations,
         "selector": selector,
         "verdicts": [text for text, _ in verdicts],
-    })
+    }, quick=args.quick)
 
     return 0 if all(ok for _, ok in verdicts) else 1
 

@@ -83,7 +83,7 @@ def _native_mouse():
 
     from repro.devil.native import native_available
     if not native_available():
-        pytest.skip("no C compiler")
+        pytest.skip("no C compiler or no Python.h")
     bus = Bus()
     bus.map_device(0x23C, 4, BusmouseModel(), "busmouse")
     return compile_shipped("busmouse").bind(
@@ -91,7 +91,7 @@ def _native_mouse():
 
 
 def test_native_stub_call(benchmark):
-    """One ctypes crossing per call — the honest single-call cost."""
+    """One extension call per stub call — the honest single-call cost."""
     device = _native_mouse()
     benchmark(device.set_config, "CONFIGURATION")
 

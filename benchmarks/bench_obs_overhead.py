@@ -34,7 +34,8 @@ Two guards:
   for inspection in all modes; only meaningful on the machine and
   session that recorded the baseline, hence not asserted by default).
 
-Records ``results/BENCH_obs_overhead.{txt,json}``.
+A full run records ``results/BENCH_obs_overhead.{txt,json}`` (a
+``--quick`` run only prints).
 
 The **fleet leg** (``--fleet-only`` / skipped with ``--no-fleet``)
 extends the ladder to the live telemetry plane: the same
@@ -43,7 +44,7 @@ process fleet with ``telemetry=`` off and on, timed in interleaved
 rounds in one process.  Enabled overhead of the median on the thread
 backend is asserted ≤5% (heartbeats, the flight recorder and latency
 histograms live at request boundaries, off the port-I/O path).
-Records ``results/BENCH_obs_live.{txt,json}``.
+A full run records ``results/BENCH_obs_live.{txt,json}``.
 """
 
 from __future__ import annotations
@@ -309,7 +310,8 @@ def run_bench(quick: bool = False, strict: bool = False,
     report = {"quick": quick, "iterations": iterations,
               "rounds": rounds, "strict": strict,
               "off_overhead_bound": OFF_OVERHEAD_BOUND, "rows": rows}
-    record("BENCH_obs_overhead", "\n".join(lines), data=report)
+    record("BENCH_obs_overhead", "\n".join(lines), data=report,
+           quick=quick)
 
     # Disabled telemetry must be nearly free (the interleaved A/B
     # isolates exactly the added hot-path code).
@@ -445,7 +447,8 @@ def run_fleet_bench(quick: bool = False,
               "rounds": rounds,
               "fleet_overhead_bound": FLEET_OVERHEAD_BOUND,
               "rows": rows}
-    record("BENCH_obs_live", "\n".join(lines), data=report)
+    record("BENCH_obs_live", "\n".join(lines), data=report,
+           quick=quick)
 
     for row in rows:
         if row["backend"] == "thread":

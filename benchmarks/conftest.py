@@ -41,14 +41,21 @@ def environment() -> dict:
     }
 
 
-def record(name: str, content: str, data: object = None) -> None:
-    """Print a reproduced table and persist it under results/.
+def record(name: str, content: str, data: object = None,
+           quick: bool = False) -> None:
+    """Print a reproduced table and, for a full run, persist it under
+    results/.
 
     ``results/<name>.txt`` holds the rendered table; ``<name>.json``
     holds ``{"name", "text", "environment"}`` plus the optional
     structured ``data`` payload (plain dicts/lists/numbers) when the
-    caller provides one.
+    caller provides one.  A ``quick`` run (a smoke step's small
+    counts) only prints: the committed records stay full-run numbers.
     """
+    print(f"\n=== {name}{' (quick run, not recorded)' if quick else ''} ===")
+    print(content)
+    if quick:
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(content + "\n")
     payload: dict[str, object] = {"name": name, "text": content,
@@ -57,8 +64,6 @@ def record(name: str, content: str, data: object = None) -> None:
         payload["data"] = data
     (RESULTS_DIR / f"{name}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\n=== {name} ===")
-    print(content)
 
 
 def time_rounds(cells: dict, rounds: int) -> dict:

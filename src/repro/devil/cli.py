@@ -8,8 +8,9 @@ Usage::
     devilc compile SPEC.devil --backend c --debug -o FILE
                                          emit any backend to disk
                                          (--shim adds the native
-                                         runtime shim, for kernel-style
-                                         out-of-tree builds)
+                                         runtime shim, the CPython
+                                         extension module a native
+                                         bind builds)
     devilc dump   SPEC.devil             print the resolved model
     devilc trace  NAME [--format=...]    replay a shipped driver
                                          workload with telemetry
@@ -122,10 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument("--shim", metavar="FILE",
                              help="C backend: also write the native "
                                   "runtime shim (port-table dispatch, "
-                                  "accounting, trace ring) to FILE; "
-                                  "compile it with the header on its "
-                                  "include path to get the "
-                                  "strategy='native' library")
+                                  "accounting, C device models) to FILE; "
+                                  "it is the strategy='native' CPython "
+                                  "extension module and compiles with "
+                                  "the header and the Python headers on "
+                                  "its include path")
 
     trace = commands.add_parser(
         "trace",

@@ -54,9 +54,8 @@ from ..types import BoolType, EnumType, IntSetType, IntType
 # Bump whenever the emitted C changes shape: the native build cache keys
 # compiled shared libraries on this value, so stale .so files from an
 # older emitter are never dlopen'ed against a newer state-struct layout.
-# v3: per-entry port-table counters, per-device mutex, fail_buf and the
-# C-resident device models changed the devil_nat_bus_t ABI.
-CODEGEN_VERSION = 3
+# v4: the native shim is a CPython extension module.
+CODEGEN_VERSION = 4
 
 _HEADER_MEMO_LOCK = threading.Lock()
 
@@ -96,6 +95,23 @@ def mode_check_message(register) -> str:
     outside its mode (the native core maps it back to the register)."""
     return f"register {register.name} addressed outside mode " \
         f"{register.mode}"
+
+
+def state_fields(device: ResolvedDevice) -> list[tuple[str, str, bool]]:
+    """The fields of ``<prefix>_state_t`` as ``(C type, name, debug
+    only)``: the header's struct and the native extension's member table
+    are both written from this list.  The ``init_`` flags of memory
+    variables are unconditional (the native runtime tracks
+    initialisation in release builds too); only the ``DEVIL_CHECK``
+    that consults them is debug-only."""
+    memory = [v.name for v in device.variables.values() if v.memory]
+    return ([("unsigned", f"port_{name}", False) for name in device.params]
+            + [("unsigned", f"cache_{name}", False)
+               for name in device.registers]
+            + [("unsigned", f"mem_{name}", False) for name in memory]
+            + [("unsigned char", f"init_{name}", False) for name in memory]
+            + [("unsigned char", f"fetched_{name}", True)
+               for name in device.structures])
 
 
 def c_value_cast(prefix: str, variable: ResolvedVariable,
@@ -288,22 +304,14 @@ class _CWriter:
     def _emit_state_struct(self) -> None:
         p = self.prefix
         self._w(f"typedef struct {p}_state {{")
-        for name in self.device.params:
-            self._w(f"    unsigned port_{name};")
-        for name in self.device.registers:
-            self._w(f"    unsigned cache_{name};")
-        for variable in self.device.variables.values():
-            if variable.memory:
-                self._w(f"    unsigned mem_{variable.name};")
-        # init_ flags are unconditional: the native runtime needs
-        # initialisation tracking in release builds too (the debug-only
-        # part is the DEVIL_CHECK that consults them).
-        for variable in self.device.variables.values():
-            if variable.memory:
-                self._w(f"    unsigned char init_{variable.name};")
+        fields = state_fields(self.device)
+        for c_type, name, debug_only in fields:
+            if not debug_only:
+                self._w(f"    {c_type} {name};")
         self._w("#ifdef DEVIL_DEBUG")
-        for structure in self.device.structures:
-            self._w(f"    unsigned char fetched_{structure};")
+        for c_type, name, debug_only in fields:
+            if debug_only:
+                self._w(f"    {c_type} {name};")
         self._w("#endif")
         self._w(f"}} {p}_state_t;")
         self._w()

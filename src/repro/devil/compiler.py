@@ -28,11 +28,12 @@ def resolve_strategy(strategy: str, composition: str = "cache",
                      shadow_cache: bool = False) -> str:
     """Resolve ``strategy="auto"``; any other strategy stays as given.
 
-    ``auto`` is ``native`` when a C compiler is present and the binding
-    asks for nothing the native core rejects (read-modify-write
-    composition, the shadow cache), else ``specialize``.  The compiler
-    probe is memoized per process, so a fleet that resolves once
-    before binding its devices probes once.
+    ``auto`` is ``native`` when a C compiler and the interpreter's C
+    headers are present and the binding asks for nothing the native
+    core rejects (read-modify-write composition, the shadow cache),
+    else ``specialize``.  The toolchain probe is memoized per process,
+    so a fleet that resolves once before binding its devices probes
+    once.
     """
     if strategy != "auto":
         return strategy
@@ -72,11 +73,11 @@ class CompiledSpec:
         ``"specialize"`` (partial evaluation into straight-line
         closures at bind time — same semantics, faster calls; see
         :mod:`repro.devil.specialize`), ``"native"`` (compile the
-        generated C stubs into a per-spec shared library and dispatch
+        generated C stubs into a per-spec extension module and dispatch
         through it; see :mod:`repro.devil.native`; raises
         :class:`~repro.devil.native.NativeBuildError` if no C compiler
-        is installed), or ``"auto"`` (``native`` when a C compiler is
-        available, else ``specialize``).  ``shadow_cache=True``
+        or no ``Python.h`` is installed), or ``"auto"`` (``native`` when
+        both are available, else ``specialize``).  ``shadow_cache=True``
         enables the volatility-aware register shadow cache: reads of
         registers whose last raw value is still authoritative are
         served without port I/O (see :mod:`repro.devil.plan`).

@@ -1,31 +1,34 @@
 """Toolchain discovery and the on-disk native build cache.
 
-A native bind compiles ``<spec>.dil.h`` + the runtime shim into a
-shared library with whatever C compiler the machine has (``$CC``,
-``cc``, ``gcc`` or ``clang``, in that order).  Compiled libraries are
-cached on disk keyed by ``(source hash, debug flag, toolchain id,
-codegen version)`` so re-binds — and every bind after the first in a
-fleet — are instant.  Cold-cache builds are serialized per target by
+A native bind compiles ``<spec>.dil.h`` + the shim into a CPython
+extension module with whatever C compiler the machine has (``$CC``,
+``cc``, ``gcc`` or ``clang``, in that order), against the running
+interpreter's C headers (``sysconfig.get_paths()["include"]``).
+Compiled modules are cached on disk keyed by ``(source hash, debug
+flag, toolchain id, codegen version, the interpreter's EXT_SUFFIX)``
+so re-binds — and every bind after the first in a fleet — are
+instant.  Cold-cache builds are serialized per target by
 an ``fcntl.flock`` on ``<target>.lock`` with a second existence check
 after acquisition, so N fleet workers (threads *or* processes)
 cold-binding the same spec concurrently produce exactly one compiler
 invocation; publication stays atomic (``os.replace``) as a belt for
-cross-host caches where flock may not reach.  Loaded handles are
-additionally memoized in-process: one ``dlopen`` per library per
-interpreter.
+cross-host caches where flock may not reach.  Modules are imported
+from their cache path and memoized in-process.
 
-No compiler is a supported configuration: :func:`find_compiler`
-returns ``None``, ``native_available()`` is ``False``, and
-``bind(strategy="auto")`` falls back to the specializer.
+No compiler, or no ``Python.h``, is a supported configuration:
+``native_available()`` is ``False`` and ``bind(strategy="auto")``
+falls back to the specializer.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 import threading
 from pathlib import Path
@@ -37,6 +40,7 @@ except ImportError:                     # non-POSIX: atomic publish only
 
 from ..codegen.c_backend import CODEGEN_VERSION
 from ..errors import DevilRuntimeError
+from .shim import module_name
 
 #: Environment override for the cache directory (CI points this at a
 #: directory restored across runs).
@@ -56,8 +60,10 @@ class NativeBuildError(DevilRuntimeError):
 
 
 _LOCK = threading.Lock()
-_COMPILER: tuple[str | None, str] | None = None   # (path, version id)
-_LOADED: dict[str, ctypes.CDLL] = {}
+#: (compiler path, compiler version id, include directory holding
+#: Python.h); None until discovered.
+_TOOLCHAIN: tuple[str | None, str, str | None] | None = None
+_LOADED: dict[str, object] = {}
 
 
 def cache_dir() -> Path:
@@ -69,27 +75,31 @@ def cache_dir() -> Path:
 
 def find_compiler() -> str | None:
     """Absolute path of the C compiler to use, or None."""
-    return _compiler()[0]
+    return _toolchain()[0]
 
 
 def native_available() -> bool:
-    return find_compiler() is not None
+    """A C compiler and the interpreter's ``Python.h`` are present."""
+    cc, _, include = _toolchain()
+    return cc is not None and include is not None
 
 
 def compiler_id() -> str:
     """Toolchain identity string baked into the cache key."""
-    return _compiler()[1]
+    return _toolchain()[1]
 
 
-def _compiler() -> tuple[str | None, str]:
-    global _COMPILER
-    cached = _COMPILER
+def _toolchain() -> tuple[str | None, str, str | None]:
+    global _TOOLCHAIN
+    cached = _TOOLCHAIN
     if cached is not None:
         return cached
     with _LOCK:
-        if _COMPILER is None:
-            _COMPILER = _discover()
-        return _COMPILER
+        if _TOOLCHAIN is None:
+            include = sysconfig.get_paths()["include"]
+            headers = os.path.exists(os.path.join(include, "Python.h"))
+            _TOOLCHAIN = (*_discover(), include if headers else None)
+        return _TOOLCHAIN
 
 
 def _discover() -> tuple[str | None, str]:
@@ -115,15 +125,17 @@ def _discover() -> tuple[str | None, str]:
 
 def _reset_compiler_cache() -> None:
     """Test hook: forget the discovered toolchain."""
-    global _COMPILER
+    global _TOOLCHAIN
     with _LOCK:
-        _COMPILER = None
+        _TOOLCHAIN = None
 
 
 def build_key(name: str, header: str, shim: str, debug: bool) -> str:
-    """Cache key: (spec sources, debug flag, toolchain, codegen version)."""
+    """Cache key: (spec sources, debug flag, toolchain, codegen version,
+    the interpreter's extension ABI)."""
     digest = hashlib.sha256()
     for part in (f"codegen={CODEGEN_VERSION}", compiler_id(),
+                 f"ext={sysconfig.get_config_var('EXT_SUFFIX')}",
                  " ".join(CFLAGS), f"debug={int(debug)}", header, shim):
         digest.update(part.encode())
         digest.update(b"\x00")
@@ -132,7 +144,7 @@ def build_key(name: str, header: str, shim: str, debug: bool) -> str:
 
 def build_library(name: str, header: str, shim: str,
                   debug: bool) -> Path:
-    """Compile (or fetch from cache) one spec's native library."""
+    """Compile (or fetch from cache) one spec's extension module."""
     global BUILD_COUNT
     cc = find_compiler()
     if cc is None:
@@ -140,6 +152,13 @@ def build_library(name: str, header: str, shim: str,
             "no C compiler found for strategy='native' (searched $CC, "
             "cc, gcc, clang); install one or bind with strategy='auto' "
             "to fall back to the specializer")
+    include = _toolchain()[2]
+    if include is None:
+        raise NativeBuildError(
+            f"strategy='native' needs the interpreter's C headers, and "
+            f"{sysconfig.get_paths()['include']} has no Python.h; "
+            f"install them or bind with strategy='auto' to fall back "
+            f"to the specializer")
     flavor = "dbg" if debug else "rel"
     key = build_key(name, header, shim, debug)
     directory = cache_dir()
@@ -166,7 +185,8 @@ def build_library(name: str, header: str, shim: str,
             source = workdir / f"{name}_shim.c"
             source.write_text(shim)
             produced = workdir / target.name
-            command = [cc, *CFLAGS, str(source), "-o", str(produced)]
+            command = [cc, *CFLAGS, f"-I{include}", str(source), "-o",
+                       str(produced)]
             result = subprocess.run(command, capture_output=True,
                                     text=True, cwd=workdir, timeout=120)
             if result.returncode != 0:
@@ -184,15 +204,16 @@ def build_library(name: str, header: str, shim: str,
     return target
 
 
-def load_library(path: Path) -> ctypes.CDLL:
-    """dlopen with an in-process memo (one handle per .so per process)."""
-    key = str(path)
-    handle = _LOADED.get(key)
-    if handle is not None:
-        return handle
-    with _LOCK:
-        handle = _LOADED.get(key)
-        if handle is None:
-            handle = ctypes.CDLL(key)
-            _LOADED[key] = handle
-        return handle
+def build_module(name: str, header: str, shim: str, debug: bool):
+    """Compile (or fetch from cache) and import one spec's extension
+    module, memoized per module file."""
+    path = str(build_library(name, header, shim, debug))
+    module = _LOADED.get(path)
+    if module is None:
+        loader = importlib.machinery.ExtensionFileLoader(module_name(name),
+                                                         path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        module = _LOADED.setdefault(path, module)
+    return module

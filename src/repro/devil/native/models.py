@@ -1,10 +1,9 @@
 """C-resident simulated device models for the native strategy.
 
-PR 8 made batched stub dispatch cross the Python↔C boundary once per
-batch — but every port access still called back into the Python device
-model, so I/O-touching batches reacquired the GIL on every operation.
-This module ports the *hot register files* of the two
-benchmark-dominant devices into C:
+Batched stub dispatch crosses the Python/C boundary once per batch, but
+a port access that calls back into a Python device model still takes
+the GIL every time.  This module ports the *hot register files* of the
+two benchmark-dominant devices into C:
 
 * the IDE disk (:class:`repro.devices.ide.IdeDiskModel`): taskfile
   reads/writes, the status-register IRQ-ack read, and the PIO data
@@ -16,7 +15,7 @@ benchmark-dominant devices into C:
 The Python dataclasses stay the single source of truth for *cold*
 state and rare paths — IDE command execution (``_execute``) and
 device-control writes (soft reset) fall back to the Python model via a
-:class:`SyncedFallback` proxy that re-syncs the mirror either way, so
+:class:`SyncedFallback` proxy that re-syncs the C state either way, so
 DMA bookkeeping and the identify block never need a C port.
 
 Exactness contract: every C handler reproduces the Python model's
@@ -27,26 +26,15 @@ the exact :class:`BusError` message strings (raised from C via
 ``devil_nat_fail_fmt`` → status ``DEVIL_NAT_DEVERR``).  The four-way
 parity suites and the golden I/O gate hold the contract.
 
-Mirrors share memory where possible: the IDE backing store is mapped
-with ``(c_ubyte * n).from_buffer(bytearray)`` and the Permedia2
-framebuffer is the numpy array's own buffer, so bulk pixel/sector data
-is never copied at sync points — only scalars are.
+Each model's state is an extension type of the spec's native module
+(``IdeState``, ``Pm2State``; :mod:`repro.devil.native.shim` emits it
+from the field lists below).  Scalars sync through its members at the
+edges of a direct batch; the IDE backing store and the framebuffer
+attach through the buffer protocol, so bulk sector and pixel data is
+never copied, only scalars are.
 """
 
 from __future__ import annotations
-
-import ctypes
-from ctypes import (
-    POINTER,
-    c_char,
-    c_int,
-    c_longlong,
-    c_ubyte,
-    c_uint,
-    c_ulong,
-    c_ulonglong,
-    c_void_p,
-)
 
 from ...devices.ide import SECTOR_SIZE, IdeControlPort, IdeDiskModel
 from ...devices.permedia2 import Permedia2Aperture, Permedia2Model
@@ -61,52 +49,50 @@ MODEL_PM2_FB = 4
 _DIRECTION_CODE = {"": 0, "read": 1, "write": 2}
 _DIRECTION_NAME = ("", "read", "write")
 
+#: The fields of ``devil_nat_ide_t`` that ``IdeState`` exposes, as
+#: ``(C type, name, IdeDiskModel attribute)``; the attribute is copied
+#: to and from the field at sync points, or None where the binding
+#: converts by hand.
+IDE_FIELDS = (
+    *(("unsigned", name, name) for name in (
+        "features", "nsect", "lba_low", "lba_mid", "lba_high", "device",
+        "control", "status", "error", "multiple_count")),
+    ("unsigned long long", "interrupts_raised", "interrupts_raised"),
+    ("int", "irq_pending", None),
+    ("int", "direction", None),          # 0 idle, 1 read, 2 write
+    ("unsigned", "current_lba", "_current_lba"),
+    ("long long", "remaining", "_remaining"),
+    ("unsigned", "block_sectors", "_block_sectors"),
+    ("unsigned long long", "buf_len", None),
+    ("unsigned long long", "buf_pos", "_buffer_pos"),
+)
 
-def model_c_source() -> str:
-    """The spec-independent C model code embedded in ``--with-models``
-    shims.  Everything is ``static``, so per-spec libraries each carry
-    their own copy and never collide at dynamic-link time."""
-    return _MODEL_C
+#: The fields of ``devil_nat_pm2_t`` that ``Pm2State`` exposes, as
+#: ``(C type, name, Permedia2Model attribute)``.
+PM2_FIELDS = (
+    *(("unsigned", name, name) for name in (
+        "fifo_used", "drain_per_poll", "block_color", "rect_x", "rect_y",
+        "rect_width", "rect_height")),
+    ("int", "copy_dx", "copy_dx"),
+    ("int", "copy_dy", "copy_dy"),
+    ("unsigned", "depth_code", "depth_code"),
+    *(("unsigned", name, None) for name in (
+        "scissor_min_x", "scissor_min_y", "scissor_max_x", "scissor_max_y")),
+    ("unsigned", "write_mask", "write_mask"),
+    ("unsigned", "logical_op", "logical_op"),
+    ("unsigned", "window_origin_x", None),
+    ("unsigned", "window_origin_y", None),
+    *(("unsigned long long", name, name) for name in (
+        "fb_address", "pixels_filled", "pixels_copied", "bytes_touched",
+        "primitives", "fifo_overflows")),
+)
 
-
-_MODEL_C = r"""
-/* ---- C-resident device models (--with-models build variant) ------ */
-/* Kinds in devil_nat_port_t.model: 1 = IDE disk, 2 = IDE control,    */
-/* 3 = Permedia2 registers, 4 = Permedia2 framebuffer aperture.       */
-
-typedef struct devil_nat_ide {
-    unsigned features, nsect, lba_low, lba_mid, lba_high, device;
-    unsigned control;
-    unsigned status, error, multiple_count;
-    unsigned long long interrupts_raised;
-    int irq_pending;
-    int direction;             /* 0 idle, 1 read, 2 write */
-    unsigned current_lba;
-    long long remaining;
-    unsigned block_sectors;
-    unsigned long long buf_len, buf_pos;
-    unsigned char *buffer;     /* scratch PIO buffer, capacity buf_cap */
-    unsigned long long buf_cap;
-    unsigned char *store;      /* shared with the Python bytearray */
-    unsigned long long store_len;
-} devil_nat_ide_t;
-
-typedef struct devil_nat_pm2 {
-    unsigned fifo_used, drain_per_poll;
-    unsigned block_color, rect_x, rect_y, rect_width, rect_height;
-    int copy_dx, copy_dy;
-    unsigned depth_code;
-    unsigned scissor_min_x, scissor_min_y;
-    unsigned scissor_max_x, scissor_max_y;
-    unsigned write_mask, logical_op;
-    unsigned window_origin_x, window_origin_y;
-    unsigned long long fb_address;
-    unsigned *fb;              /* shared with the numpy framebuffer */
-    unsigned fb_width, fb_height;
-    unsigned long long pixels_filled, pixels_copied, bytes_touched;
-    unsigned long long primitives, fifo_overflows;
-} devil_nat_pm2_t;
-
+#: The model handlers, compiled into every spec's extension module
+#: after the state structs.  Everything is ``static``: per-spec modules
+#: each carry their own copy.  Kinds in ``devil_nat_port_t.model``:
+#: 1 = IDE disk, 2 = IDE control, 3 = Permedia2 registers,
+#: 4 = Permedia2 framebuffer aperture.
+MODEL_C = r"""
 #define DEVIL_NAT_IDE_ERR 0x01u
 #define DEVIL_NAT_IDE_DRQ 0x08u
 
@@ -504,230 +490,87 @@ static int devil_nat_model_out(devil_nat_port_t *m, unsigned off,
     }
     return 0;
 }
-/* ---- end C-resident device models -------------------------------- */
 """
 
 
-class _IdeCState(ctypes.Structure):
-    """ctypes mirror of ``devil_nat_ide_t`` — field-for-field."""
-
-    _fields_ = [
-        ("features", c_uint), ("nsect", c_uint), ("lba_low", c_uint),
-        ("lba_mid", c_uint), ("lba_high", c_uint), ("device", c_uint),
-        ("control", c_uint),
-        ("status", c_uint), ("error", c_uint), ("multiple_count", c_uint),
-        ("interrupts_raised", c_ulonglong),
-        ("irq_pending", c_int),
-        ("direction", c_int),
-        ("current_lba", c_uint),
-        ("remaining", c_longlong),
-        ("block_sectors", c_uint),
-        ("buf_len", c_ulonglong), ("buf_pos", c_ulonglong),
-        ("buffer", POINTER(c_ubyte)),
-        ("buf_cap", c_ulonglong),
-        ("store", POINTER(c_ubyte)),
-        ("store_len", c_ulonglong),
-    ]
+def _copied(fields) -> tuple[tuple[str, str], ...]:
+    """``(field, attribute)`` pairs a binding copies as they are."""
+    return tuple((name, attr) for _, name, attr in fields if attr)
 
 
-class _Pm2CState(ctypes.Structure):
-    """ctypes mirror of ``devil_nat_pm2_t`` — field-for-field."""
-
-    _fields_ = [
-        ("fifo_used", c_uint), ("drain_per_poll", c_uint),
-        ("block_color", c_uint),
-        ("rect_x", c_uint), ("rect_y", c_uint),
-        ("rect_width", c_uint), ("rect_height", c_uint),
-        ("copy_dx", c_int), ("copy_dy", c_int),
-        ("depth_code", c_uint),
-        ("scissor_min_x", c_uint), ("scissor_min_y", c_uint),
-        ("scissor_max_x", c_uint), ("scissor_max_y", c_uint),
-        ("write_mask", c_uint), ("logical_op", c_uint),
-        ("window_origin_x", c_uint), ("window_origin_y", c_uint),
-        ("fb_address", c_ulonglong),
-        ("fb", POINTER(c_uint)),
-        ("fb_width", c_uint), ("fb_height", c_uint),
-        ("pixels_filled", c_ulonglong), ("pixels_copied", c_ulonglong),
-        ("bytes_touched", c_ulonglong),
-        ("primitives", c_ulonglong), ("fifo_overflows", c_ulonglong),
-    ]
-
-
-def check_model_abi(lib, prefix: str) -> None:
-    """Refuse a ``--with-models`` library whose C struct layouts
-    disagree with the ctypes mirrors (compiler padding drift)."""
-    for symbol, mirror in ((f"{prefix}_nat_ide_model_size", _IdeCState),
-                           (f"{prefix}_nat_pm2_model_size", _Pm2CState)):
-        probe = getattr(lib, symbol)
-        probe.argtypes = []
-        probe.restype = c_ulong
-        compiled = probe()
-        expected = ctypes.sizeof(mirror)
-        if compiled != expected:
-            raise RuntimeError(
-                f"native model ABI mismatch: {symbol}() = {compiled}, "
-                f"ctypes mirror = {expected}")
+_IDE_COPIED = _copied(IDE_FIELDS)
+_PM2_COPIED = _copied(PM2_FIELDS)
 
 
 class IdeBinding:
-    """Two-way scalar sync between an :class:`IdeDiskModel` and its C
-    mirror.  The backing store is shared (zero-copy); the PIO buffer
-    lives in a C-side scratch region sized for the largest possible
-    transfer and is copied at sync points (it is small and bounded)."""
+    """Two-way scalar sync between an :class:`IdeDiskModel` and its
+    ``IdeState``.  The backing store attaches as it is (zero-copy); the
+    PIO buffer is a scratch ``bytearray`` sized for the largest possible
+    transfer, copied at sync points (it is small and bounded)."""
 
-    def __init__(self, disk: IdeDiskModel):
+    def __init__(self, disk: IdeDiskModel, cstate):
         self.disk = disk
-        self.cstate = _IdeCState()
-        capacity = max(len(disk.store), SECTOR_SIZE)
-        self._scratch = (c_ubyte * capacity)()
-        self.cstate.buffer = self._scratch
-        self.cstate.buf_cap = capacity
-        self._store_obj: bytearray | None = None
-        self._store_ref = None
-
-    def _refresh_store(self) -> None:
-        store = self.disk.store
-        if store is self._store_obj:
-            return
-        self._store_obj = store
-        if len(store):
-            self._store_ref = (c_ubyte * len(store)).from_buffer(store)
-            self.cstate.store = ctypes.cast(self._store_ref,
-                                            POINTER(c_ubyte))
-        else:
-            self._store_ref = None
-            self.cstate.store = None
-        self.cstate.store_len = len(store)
+        self.cstate = cstate
+        self._scratch = bytearray(max(len(disk.store), SECTOR_SIZE))
 
     def sync_to_c(self) -> None:
         disk, s = self.disk, self.cstate
-        self._refresh_store()
-        s.features = disk.features
-        s.nsect = disk.nsect
-        s.lba_low = disk.lba_low
-        s.lba_mid = disk.lba_mid
-        s.lba_high = disk.lba_high
-        s.device = disk.device
-        s.control = disk.control
-        s.status = disk.status
-        s.error = disk.error
-        s.multiple_count = disk.multiple_count
-        s.interrupts_raised = disk.interrupts_raised
+        for field, attr in _IDE_COPIED:
+            setattr(s, field, getattr(disk, attr))
         s.irq_pending = 1 if disk.irq_pending else 0
         s.direction = _DIRECTION_CODE[disk._direction]
-        s.current_lba = disk._current_lba
-        s.remaining = disk._remaining
-        s.block_sectors = disk._block_sectors
         buffer = disk._buffer
         length = len(buffer)
-        if length > s.buf_cap:
-            self._scratch = (c_ubyte * length)()
-            s.buffer = self._scratch
-            s.buf_cap = length
-        if length:
-            ctypes.memmove(self._scratch, bytes(buffer), length)
+        if length > len(self._scratch):
+            self._scratch = bytearray(length)
+        self._scratch[:length] = buffer
         s.buf_len = length
-        s.buf_pos = disk._buffer_pos
+        s.store = disk.store
+        s.scratch = self._scratch
 
     def sync_to_py(self) -> None:
         disk, s = self.disk, self.cstate
-        disk.features = int(s.features)
-        disk.nsect = int(s.nsect)
-        disk.lba_low = int(s.lba_low)
-        disk.lba_mid = int(s.lba_mid)
-        disk.lba_high = int(s.lba_high)
-        disk.device = int(s.device)
-        disk.control = int(s.control)
-        disk.status = int(s.status)
-        disk.error = int(s.error)
-        disk.multiple_count = int(s.multiple_count)
-        disk.interrupts_raised = int(s.interrupts_raised)
+        for field, attr in _IDE_COPIED:
+            setattr(disk, attr, getattr(s, field))
         disk.irq_pending = bool(s.irq_pending)
         disk._direction = _DIRECTION_NAME[s.direction]
-        disk._current_lba = int(s.current_lba)
-        disk._remaining = int(s.remaining)
-        disk._block_sectors = int(s.block_sectors)
-        length = int(s.buf_len)
-        disk._buffer = bytearray(
-            ctypes.string_at(self._scratch, length)) if length \
-            else bytearray()
-        disk._buffer_pos = int(s.buf_pos)
+        disk._buffer = self._scratch[:s.buf_len]
+        s.store = s.scratch = None
 
 
 class Pm2Binding:
-    """Two-way scalar sync between a :class:`Permedia2Model` and its C
-    mirror.  The framebuffer is the numpy array's own memory — fills
-    and copies in C mutate the Python-visible pixels directly."""
+    """Two-way scalar sync between a :class:`Permedia2Model` and its
+    ``Pm2State``.  The framebuffer attaches as it is: fills and copies
+    in C mutate the Python-visible pixels directly."""
 
-    def __init__(self, gpu: Permedia2Model):
+    def __init__(self, gpu: Permedia2Model, cstate):
         self.gpu = gpu
-        self.cstate = _Pm2CState()
-        self._fb_obj = None
-
-    def _refresh_framebuffer(self) -> None:
-        fb = self.gpu.framebuffer
-        if fb is self._fb_obj:
-            return
-        self._fb_obj = fb
-        self.cstate.fb = fb.ctypes.data_as(POINTER(c_uint))
-        self.cstate.fb_height, self.cstate.fb_width = fb.shape
+        self.cstate = cstate
 
     def sync_to_c(self) -> None:
         gpu, s = self.gpu, self.cstate
-        self._refresh_framebuffer()
-        s.fifo_used = gpu.fifo_used
-        s.drain_per_poll = gpu.drain_per_poll
-        s.block_color = gpu.block_color
-        s.rect_x = gpu.rect_x
-        s.rect_y = gpu.rect_y
-        s.rect_width = gpu.rect_width
-        s.rect_height = gpu.rect_height
-        s.copy_dx = gpu.copy_dx
-        s.copy_dy = gpu.copy_dy
-        s.depth_code = gpu.depth_code
+        for field, attr in _PM2_COPIED:
+            setattr(s, field, getattr(gpu, attr))
         s.scissor_min_x, s.scissor_min_y = gpu.scissor_min
         s.scissor_max_x, s.scissor_max_y = gpu.scissor_max
-        s.write_mask = gpu.write_mask
-        s.logical_op = gpu.logical_op
         s.window_origin_x, s.window_origin_y = gpu.window_origin
-        s.fb_address = gpu.fb_address
-        s.pixels_filled = gpu.pixels_filled
-        s.pixels_copied = gpu.pixels_copied
-        s.bytes_touched = gpu.bytes_touched
-        s.primitives = gpu.primitives
-        s.fifo_overflows = gpu.fifo_overflows
+        s.fb = gpu.framebuffer
 
     def sync_to_py(self) -> None:
         gpu, s = self.gpu, self.cstate
-        gpu.fifo_used = int(s.fifo_used)
-        gpu.drain_per_poll = int(s.drain_per_poll)
-        gpu.block_color = int(s.block_color)
-        gpu.rect_x = int(s.rect_x)
-        gpu.rect_y = int(s.rect_y)
-        gpu.rect_width = int(s.rect_width)
-        gpu.rect_height = int(s.rect_height)
-        gpu.copy_dx = int(s.copy_dx)
-        gpu.copy_dy = int(s.copy_dy)
-        gpu.depth_code = int(s.depth_code)
-        gpu.scissor_min = (int(s.scissor_min_x), int(s.scissor_min_y))
-        gpu.scissor_max = (int(s.scissor_max_x), int(s.scissor_max_y))
-        gpu.write_mask = int(s.write_mask)
-        gpu.logical_op = int(s.logical_op)
-        gpu.window_origin = (int(s.window_origin_x),
-                             int(s.window_origin_y))
-        gpu.fb_address = int(s.fb_address)
-        gpu.pixels_filled = int(s.pixels_filled)
-        gpu.pixels_copied = int(s.pixels_copied)
-        gpu.bytes_touched = int(s.bytes_touched)
-        gpu.primitives = int(s.primitives)
-        gpu.fifo_overflows = int(s.fifo_overflows)
+        for field, attr in _PM2_COPIED:
+            setattr(gpu, attr, getattr(s, field))
+        gpu.scissor_min = (s.scissor_min_x, s.scissor_min_y)
+        gpu.scissor_max = (s.scissor_max_x, s.scissor_max_y)
+        gpu.window_origin = (s.window_origin_x, s.window_origin_y)
+        s.fb = None
 
 
 class SyncedFallback:
-    """Raw-callback proxy for a C-modelled mapping: syncs the mirror
-    back to Python, runs the real device method, and re-syncs to C —
-    in a ``finally``, so the mirror stays fresh even when the Python
-    path raises mid-batch."""
+    """Raw-callback proxy for a C-modelled mapping: syncs the C state
+    back to Python, runs the real device method, and re-syncs to C (in
+    a ``finally``, so the C state stays fresh even when the Python path
+    raises mid-batch)."""
 
     __slots__ = ("binding", "device")
 
@@ -755,51 +598,60 @@ def _ide_eligible(disk: IdeDiskModel) -> bool:
 
 
 def _pm2_eligible(gpu: Permedia2Model) -> bool:
-    fb = getattr(gpu, "framebuffer", None)
-    return (fb is not None
-            and getattr(fb, "dtype", None) is not None
-            and str(fb.dtype) == "uint32"
-            and fb.flags["C_CONTIGUOUS"]
-            and fb.ndim == 2
-            and fb.shape == (gpu.height, gpu.width)
-            and gpu.width > 0 and gpu.height > 0)
+    """A framebuffer the C model can attach: a C-contiguous 2-D buffer
+    of native 32-bit words of the model's shape."""
+    try:
+        view = memoryview(gpu.framebuffer)
+    except TypeError:
+        return False
+    with view:
+        return (view.format == "I" and view.itemsize == 4
+                and view.c_contiguous and not view.readonly
+                and view.shape == (gpu.height, gpu.width)
+                and gpu.width > 0 and gpu.height > 0)
 
 
 class ModelRegistry:
     """Per-native-core registry: one shared binding per underlying
     Python model, so the IDE disk and its control port (or the
-    Permedia2 registers and aperture) mirror one C state block."""
+    Permedia2 registers and aperture) share one C state."""
 
-    def __init__(self):
+    def __init__(self, module):
+        self.module = module
         self._bindings: dict[int, object] = {}
         self._anchors: list = []   # pin models so ids stay unique
 
-    def _memo(self, model, factory):
+    def _memo(self, model, factory, state_type):
         binding = self._bindings.get(id(model))
         if binding is None:
-            binding = factory(model)
+            binding = factory(model, state_type())
             self._bindings[id(model)] = binding
             self._anchors.append(model)
         return binding
 
     def binding_for(self, device):
         """``(kind, binding)`` when ``device`` has a C port, else
-        ``None`` (the mapping stays in python-callback mode)."""
+        ``None`` (the mapping stays with its Python model)."""
+        module = self.module
         if isinstance(device, IdeDiskModel) and _ide_eligible(device):
-            return (MODEL_IDE, self._memo(device, IdeBinding))
+            return (MODEL_IDE,
+                    self._memo(device, IdeBinding, module.IdeState))
         if isinstance(device, IdeControlPort) \
                 and _ide_eligible(device.disk):
-            return (MODEL_IDE_CTRL, self._memo(device.disk, IdeBinding))
+            return (MODEL_IDE_CTRL,
+                    self._memo(device.disk, IdeBinding, module.IdeState))
         if isinstance(device, Permedia2Model) and _pm2_eligible(device):
-            return (MODEL_PM2, self._memo(device, Pm2Binding))
+            return (MODEL_PM2,
+                    self._memo(device, Pm2Binding, module.Pm2State))
         if isinstance(device, Permedia2Aperture) \
                 and _pm2_eligible(device.gpu):
-            return (MODEL_PM2_FB, self._memo(device.gpu, Pm2Binding))
+            return (MODEL_PM2_FB,
+                    self._memo(device.gpu, Pm2Binding, module.Pm2State))
         return None
 
 
 __all__ = [
-    "MODEL_NONE", "MODEL_IDE", "MODEL_IDE_CTRL", "MODEL_PM2",
-    "MODEL_PM2_FB", "model_c_source", "check_model_abi",
-    "IdeBinding", "Pm2Binding", "SyncedFallback", "ModelRegistry",
+    "IDE_FIELDS", "MODEL_C", "MODEL_IDE", "MODEL_IDE_CTRL", "MODEL_NONE",
+    "MODEL_PM2", "MODEL_PM2_FB", "PM2_FIELDS", "IdeBinding",
+    "ModelRegistry", "Pm2Binding", "SyncedFallback",
 ]

@@ -330,6 +330,15 @@ _RUN_TIME_DEBUG = "_debug"
 _RUN_TIME_SHADOW = "_sv is not None"
 
 
+def _table_literal(table: object) -> str:
+    """A table as module source.  Set tables are written in sorted
+    order: the ``repr`` of a set of strings follows the per-process
+    string hash seed, and the module must not."""
+    if isinstance(table, frozenset) and table:
+        return f"frozenset({{{', '.join(map(repr, sorted(table)))}}})"
+    return repr(table)
+
+
 class _Specializer:
     """Generates the ``_factory(_I)`` source for one specialization key.
 
@@ -1419,7 +1428,7 @@ class _Specializer:
         lines += [f"    {name!r}: {self._var_literal(variable)!r},"
                   for name, variable in model.variables.items()]
         lines.append("}")
-        lines += [f"{name} = {table!r}"
+        lines += [f"{name} = {_table_literal(table)}"
                   for name, table in self.tables.items()]
         if self.instrumented:
             spans = {row.name: (row.target, row.kind)

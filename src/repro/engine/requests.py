@@ -151,9 +151,9 @@ def ide_sector_checksum(stubs, aux):
 
 
 #: Dispatch depth of :func:`ide_taskfile_churn`: enough single-register
-#: writes that per-op crossing cost (Python bytecode + ctypes + GIL
-#: traffic) dominates the request, which is exactly what the native
-#: core's batched ``repeat()`` dispatch is built to collapse.
+#: writes that per-op dispatch cost (Python bytecode + GIL traffic)
+#: dominates the request, which is exactly what the native core's
+#: batched ``repeat()`` dispatch is built to collapse.
 CHURN_OPS = 8192
 
 

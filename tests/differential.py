@@ -48,7 +48,8 @@ from repro.specs import SPEC_NAMES, compile_shipped
 PYTHON_STRATEGIES = ("interpret", "specialize", "generated")
 STRATEGIES = PYTHON_STRATEGIES + (("native",) if native_available() else ())
 needs_cc = pytest.mark.skipif(not native_available(),
-                              reason="strategy='native' needs a C compiler")
+                              reason="strategy='native' needs a C compiler "
+                              "and Python.h")
 
 #: Fleet backends, ``name -> (fleet class, default workers)``; every
 #: fleet cell is compared with the one-worker ``serial`` fleet.

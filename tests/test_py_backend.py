@@ -9,6 +9,7 @@ imported.
 
 import functools
 import json
+import os
 import subprocess
 import sys
 
@@ -48,6 +49,29 @@ class TestGeneration:
     def test_docstrings_present(self):
         stubs = load_generated("busmouse")(Bus(), 0x23C)
         assert "dx" in stubs.get_dx.__doc__
+
+    def test_module_is_reproducible_across_hash_seeds(self):
+        """The module is the same text in every process: string hashing
+        is seeded per process, so no set may be written in hash order."""
+        script = ("import hashlib, sys\n"
+                  "from repro.specs import SPEC_NAMES, compile_shipped\n"
+                  "for name in SPEC_NAMES:\n"
+                  "    for observe in (False, True):\n"
+                  "        text = compile_shipped(name).emit_python("
+                  "observe=observe)\n"
+                  "        print(name, observe, "
+                  "hashlib.sha256(text.encode()).hexdigest())\n")
+        outputs = []
+        for seed in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": os.pathsep.join(sys.path)})
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert len(outputs[0].splitlines()) == 2 * len(SPEC_NAMES)
+        assert outputs[0] == outputs[1]
 
 
 def _extended_mode(stubs, aux):
